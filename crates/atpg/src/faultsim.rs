@@ -10,11 +10,19 @@
 //!   machine word per signal and evaluates a whole block per fault
 //!   (parallel-pattern single-fault propagation, PPSFP);
 //! * [`simulate_faults_threaded`] — distributes fault chunks across
-//!   `std::thread::scope` workers through a work-stealing queue
-//!   (`crate::steal`, crate-internal) *on top of* the wide blocks; the good-machine
-//!   values of every block are computed once and shared read-only by all
-//!   workers. The old static one-chunk-per-worker split is retained as
-//!   [`simulate_faults_threaded_static`] for the scaling ablation.
+//!   workers through the one work-stealing fan-out,
+//!   [`crate::steal::fan_out`], *on top of* the wide blocks.
+//!
+//! Every engine, and the `sinw-server` job path
+//! ([`simulate_faults_checked`], [`capture_signatures_checked`]), runs
+//! the same driver: the pattern set is packed and good-simulated
+//! **once** per run, then the fault list fans out in chunks whose
+//! results merge in chunk order. Under the driver sits a small
+//! statically dispatched fault-model trait that hands the event kernel
+//! its stuck-at fault, block mask and good words per (fault, block), so
+//! **one** first-detection loop and **one** signature-row loop serve
+//! the stuck-at engines here and the transition engines of
+//! [`crate::transition`] alike.
 //!
 //! # Lane widening
 //!
@@ -64,10 +72,11 @@
 use crate::fault_list::{FaultSite, StuckAtFault};
 use crate::graph::SimGraph;
 pub use crate::lanes::PatternWords;
-use crate::steal::WorkQueue;
+use crate::steal::fan_out;
+pub use crate::steal::StealStats;
 use sinw_switch::cells::CellKind;
 use sinw_switch::gate::{Circuit, GateId, SignalId};
-use std::sync::Mutex;
+use std::convert::Infallible;
 
 /// A block of up to `64 * L` fully-specified input patterns.
 ///
@@ -160,19 +169,12 @@ impl<const L: usize> PatternBlock<L> {
                 capacity: Self::CAPACITY,
             });
         }
-        let n_pi = circuit.primary_inputs().len();
-        let mut words = vec![PatternWords::<L>::ZERO; n_pi];
+        check_arity(circuit, patterns)?;
+        let mut words = vec![PatternWords::<L>::ZERO; circuit.primary_inputs().len()];
         for (k, p) in patterns.iter().enumerate() {
-            if p.len() != n_pi {
-                return Err(PackError::ArityMismatch {
-                    pattern: k,
-                    got: p.len(),
-                    expected: n_pi,
-                });
-            }
-            for (i, b) in p.iter().enumerate() {
-                if *b {
-                    words[i].set_bit(k);
+            for (word, &b) in words.iter_mut().zip(p) {
+                if b {
+                    word.set_bit(k);
                 }
             }
         }
@@ -203,6 +205,21 @@ impl<const L: usize> PatternBlock<L> {
     #[must_use]
     pub fn mask(&self) -> PatternWords<L> {
         PatternWords::valid_mask(self.count)
+    }
+}
+
+/// The one pattern-width check: every pattern must carry one bit per
+/// primary input of `circuit`. The error names the first offending
+/// pattern by its index in `patterns`.
+fn check_arity(circuit: &Circuit, patterns: &[Vec<bool>]) -> Result<(), PackError> {
+    let expected = circuit.primary_inputs().len();
+    match patterns.iter().position(|p| p.len() != expected) {
+        Some(pattern) => Err(PackError::ArityMismatch {
+            pattern,
+            got: patterns[pattern].len(),
+            expected,
+        }),
+        None => Ok(()),
     }
 }
 
@@ -327,23 +344,22 @@ impl<const L: usize> FaultSimScratch<L> {
         Self::default()
     }
 
+    /// A scratch sized for every buffer the event kernel touches over
+    /// `graph`.
+    pub(crate) fn for_graph(graph: &SimGraph) -> Self {
+        let mut scratch = Self::new();
+        scratch.ensure_signals(graph.signal_count());
+        scratch.queued.resize(graph.gate_count(), 0);
+        scratch.buckets.resize_with(graph.level_count(), Vec::new);
+        scratch
+    }
+
     /// Grow the per-signal buffers to cover `n` signals.
     fn ensure_signals(&mut self, n: usize) {
         if self.faulty.len() < n {
             self.good.resize(n, PatternWords::ZERO);
             self.faulty.resize(n, PatternWords::ZERO);
             self.stamp.resize(n, 0);
-        }
-    }
-
-    /// Grow every buffer the event kernel touches for `graph`.
-    pub(crate) fn ensure_graph(&mut self, graph: &SimGraph) {
-        self.ensure_signals(graph.signal_count());
-        if self.queued.len() < graph.gate_count() {
-            self.queued.resize(graph.gate_count(), 0);
-        }
-        if self.buckets.len() < graph.level_count() {
-            self.buckets.resize_with(graph.level_count(), Vec::new);
         }
     }
 
@@ -379,15 +395,27 @@ impl<const L: usize> FaultSimScratch<L> {
 /// pattern block, given the block's good-machine words.
 ///
 /// Work is proportional to the disturbed part of the fault's fanout cone.
-/// `scratch` must have been sized by `ensure_graph` for `graph`.
+/// `scratch` must have been sized for `graph` (see `for_graph`).
 /// Crate-visible so the `tpg` campaign loop can run every phase on the
 /// same hot kernel (and the same shared graph/scratch) as the engines.
-///
-/// [`event_po_diffs`] is this kernel's signature-capture twin — the
-/// seeding, drain and write-back logic must stay in lockstep (the
-/// `signature_capture_agrees_with_the_detect_engines` property pins the
-/// agreement; apply kernel changes to both).
 pub(crate) fn event_detect_mask<const L: usize>(
+    graph: &SimGraph,
+    fault: StuckAtFault,
+    block_mask: PatternWords<L>,
+    good: &[PatternWords<L>],
+    scratch: &mut FaultSimScratch<L>,
+) -> PatternWords<L> {
+    event_pass::<L, true>(graph, fault, block_mask, good, scratch)
+}
+
+/// The one event-driven kernel, behind [`event_detect_mask`] and the
+/// signature-row loop of [`capture`]. It returns the detection mask and
+/// leaves the faulty word of every disturbed signal stamped in
+/// `scratch`. With `SATURATE` it stops the moment the mask covers
+/// `block_mask`; without it, it never stops early, so signature capture
+/// can read complete per-PO responses — a saturated *detection* mask
+/// does not mean every *output* difference has been seen.
+fn event_pass<const L: usize, const SATURATE: bool>(
     graph: &SimGraph,
     fault: StuckAtFault,
     block_mask: PatternWords<L>,
@@ -412,7 +440,7 @@ pub(crate) fn event_detect_mask<const L: usize>(
             scratch.stamp[s.0] = epoch;
             if graph.po_bit(s) != 0 {
                 detect |= (good[s.0] ^ stuck) & block_mask;
-                if detect == block_mask {
+                if SATURATE && detect == block_mask {
                     return detect;
                 }
             }
@@ -472,7 +500,7 @@ pub(crate) fn event_detect_mask<const L: usize>(
             scratch.stamp[o] = epoch;
             if graph.po_bit(osig) != 0 {
                 detect |= (out ^ good[o]) & block_mask;
-                if detect == block_mask {
+                if SATURATE && detect == block_mask {
                     // Saturated: every valid pattern already detects the
                     // fault, so the rest of the cone cannot change the
                     // answer. Clear the pending buckets and stop.
@@ -496,119 +524,6 @@ pub(crate) fn event_detect_mask<const L: usize>(
         lvl += 1;
     }
     detect
-}
-
-/// The event-driven faulty pass in **signature-capture** form: instead of
-/// OR-ing PO differences into one detection mask (and short-circuiting on
-/// saturation), propagate the fault effect through the whole disturbed
-/// cone and report the per-PO difference words.
-///
-/// `po_diff[o]` receives, for primary output `o` of `po_signals`, the
-/// bitmask of patterns in the block whose faulty response differs from the
-/// good machine at that output. The cone restriction and the cheap
-/// undetectability proofs of [`event_detect_mask`] are preserved; only the
-/// early exit on mask saturation is dropped (a saturated *detection* mask
-/// does not mean every *output* difference has been seen).
-///
-/// `scratch` must have been sized by `ensure_graph` for `graph`.
-pub(crate) fn event_po_diffs<const L: usize>(
-    graph: &SimGraph,
-    fault: StuckAtFault,
-    block_mask: PatternWords<L>,
-    good: &[PatternWords<L>],
-    scratch: &mut FaultSimScratch<L>,
-    po_signals: &[SignalId],
-    po_diff: &mut [PatternWords<L>],
-) {
-    debug_assert_eq!(po_signals.len(), po_diff.len());
-    po_diff.fill(PatternWords::ZERO);
-    let stuck = PatternWords::<L>::stuck(fault.value);
-    let epoch = scratch.begin_pass();
-    let (mut lo, mut hi) = (usize::MAX, 0usize);
-
-    // Seed at the fault site, with the same two bail-outs as the
-    // detect-mask kernel: an unexcited fault or an unobservable site
-    // cannot produce any PO difference.
-    match fault.site {
-        FaultSite::Signal(s) => {
-            if graph.po_reach(s) == 0 || good[s.0] == stuck {
-                return;
-            }
-            scratch.faulty[s.0] = stuck;
-            scratch.stamp[s.0] = epoch;
-            for &g in graph.consumers(s) {
-                scratch.enqueue(graph, g, epoch, &mut lo, &mut hi);
-            }
-        }
-        FaultSite::GatePin(g, pin) => {
-            let out = graph.gate_output(g);
-            let in_sig = graph.gate_inputs(g)[pin] as usize;
-            if graph.po_reach(out) == 0 || good[in_sig] == stuck {
-                return;
-            }
-            scratch.enqueue(graph, g.0 as u32, epoch, &mut lo, &mut hi);
-        }
-    }
-
-    // Drain levels in ascending order, exactly as in the detect-mask
-    // kernel, but never stop early: the final faulty word of every
-    // disturbed signal is needed to read complete PO responses.
-    if lo != usize::MAX {
-        let mut lvl = lo;
-        while lvl <= hi {
-            let mut bucket = std::mem::take(&mut scratch.buckets[lvl]);
-            for &gi in &bucket {
-                let gate = GateId(gi as usize);
-                let gate_ins = graph.gate_inputs(gate);
-                let mut ins = [PatternWords::<L>::ZERO; 3];
-                for (pin, &s) in gate_ins.iter().enumerate() {
-                    let s = s as usize;
-                    ins[pin] = if scratch.stamp[s] == epoch {
-                        scratch.faulty[s]
-                    } else {
-                        good[s]
-                    };
-                }
-                if let FaultSite::GatePin(fg, fpin) = fault.site {
-                    if fg == gate {
-                        ins[fpin] = stuck;
-                    }
-                }
-                let out = eval_word(graph.kind(gate), &ins[..gate_ins.len()]);
-                let osig = graph.gate_output(gate);
-                let o = osig.0;
-                let cur = if scratch.stamp[o] == epoch {
-                    scratch.faulty[o]
-                } else {
-                    good[o]
-                };
-                if out == cur {
-                    continue;
-                }
-                scratch.faulty[o] = out;
-                scratch.stamp[o] = epoch;
-                if graph.po_reach(osig) != 0 {
-                    for &g in graph.consumers(osig) {
-                        debug_assert!(graph.gate_level(GateId(g as usize)) > lvl);
-                        scratch.enqueue(graph, g, epoch, &mut lo, &mut hi);
-                    }
-                }
-            }
-            bucket.clear();
-            scratch.buckets[lvl] = bucket;
-            lvl += 1;
-        }
-    }
-
-    // Read the complete per-PO responses off the settled scratch:
-    // undisturbed outputs read straight from the good machine and
-    // contribute a zero diff word.
-    for (slot, po) in po_diff.iter_mut().zip(po_signals) {
-        let SignalId(s) = *po;
-        if scratch.stamp[s] == epoch {
-            *slot = (scratch.faulty[s] ^ good[s]) & block_mask;
-        }
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -695,55 +610,137 @@ impl FaultSimReport {
     }
 }
 
-/// Pattern blocks plus their shared good-machine values, computed once per
-/// simulation run and shared read-only across threads.
-struct PreparedPatterns<const L: usize> {
-    blocks: Vec<(PatternBlock<L>, Vec<PatternWords<L>>)>,
+/// A packed pattern block together with its good-machine words.
+pub(crate) struct GoodBlock<const L: usize> {
+    pub(crate) block: PatternBlock<L>,
+    pub(crate) good: Vec<PatternWords<L>>,
 }
 
-fn prepare<const L: usize>(
-    circuit: &Circuit,
-    patterns: &[Vec<bool>],
-    block_size: usize,
-) -> PreparedPatterns<L> {
-    debug_assert!(block_size >= 1 && block_size <= PatternBlock::<L>::CAPACITY);
-    let blocks = patterns
-        .chunks(block_size)
-        .map(|chunk| {
-            let block = PatternBlock::pack(circuit, chunk);
-            let good = good_sim(circuit, &block);
-            (block, good)
-        })
-        .collect();
-    PreparedPatterns { blocks }
+impl<const L: usize> GoodBlock<L> {
+    /// Pack `patterns` and simulate the good machine over them.
+    pub(crate) fn new(circuit: &Circuit, patterns: &[Vec<bool>]) -> Self {
+        let block = PatternBlock::pack(circuit, patterns);
+        let good = good_sim(circuit, &block);
+        GoodBlock { block, good }
+    }
 }
 
-/// Core loop skeleton shared by the event-driven engines and the
-/// full-pass oracle: for each fault in `faults`, the index of the first
-/// pattern that detects it (`None` = undetected). With `drop_detected`, a
-/// fault's remaining blocks are skipped after its first detection;
-/// without it, every block is still evaluated (the honest baseline for
-/// the dropping ablation), which does not change the result.
+/// How a fault model drives the event kernel over a circuit and its
+/// shared [`SimGraph`]. It packs a slice of its patterns into one block,
+/// good machine included, and per (fault, block) it yields the stuck-at
+/// fault to inject, the effective block mask (the patterns that may
+/// detect the fault) and the good-machine words the faulty pass runs
+/// against: the block's valid-pattern mask for stuck-at faults, the
+/// launch-initialisation mask for transition faults.
+pub(crate) trait FaultModel<const L: usize>: Sync {
+    /// One fault of the model.
+    type Fault: Copy + Sync;
+    /// One input pattern of the model.
+    type Pattern;
+    /// One prepared pattern block of the model.
+    type Block: Sync;
+
+    /// The circuit under test.
+    fn circuit(&self) -> &Circuit;
+
+    /// The circuit's graph precompute.
+    fn graph(&self) -> &SimGraph;
+
+    /// Pack at most `64 * L` patterns into one block and simulate its
+    /// good machine.
+    fn block(&self, patterns: &[Self::Pattern]) -> Self::Block;
+
+    /// The event kernel's inputs for `fault` over `block`.
+    fn kernel_args<'b>(
+        &self,
+        fault: Self::Fault,
+        block: &'b Self::Block,
+    ) -> (StuckAtFault, PatternWords<L>, &'b [PatternWords<L>]);
+
+    /// Detection mask of `fault` over `block` on the event kernel.
+    fn detect_mask(
+        &self,
+        fault: Self::Fault,
+        block: &Self::Block,
+        scratch: &mut FaultSimScratch<L>,
+    ) -> PatternWords<L> {
+        let (stuck_at, mask, good) = self.kernel_args(fault, block);
+        if mask.is_zero() {
+            return PatternWords::ZERO;
+        }
+        event_detect_mask(self.graph(), stuck_at, mask, good, scratch)
+    }
+}
+
+/// The stuck-at fault model.
+pub(crate) struct StuckAt<'c> {
+    circuit: &'c Circuit,
+    graph: &'c SimGraph,
+}
+
+impl<'c> StuckAt<'c> {
+    /// `graph` must have been built from `circuit` (checked by debug
+    /// assertion).
+    pub(crate) fn new(circuit: &'c Circuit, graph: &'c SimGraph) -> Self {
+        debug_assert_eq!(graph.signal_count(), circuit.signal_count());
+        debug_assert_eq!(graph.gate_count(), circuit.gates().len());
+        StuckAt { circuit, graph }
+    }
+}
+
+impl<const L: usize> FaultModel<L> for StuckAt<'_> {
+    type Fault = StuckAtFault;
+    type Pattern = Vec<bool>;
+    type Block = GoodBlock<L>;
+
+    fn circuit(&self) -> &Circuit {
+        self.circuit
+    }
+
+    fn graph(&self) -> &SimGraph {
+        self.graph
+    }
+
+    fn block(&self, patterns: &[Vec<bool>]) -> GoodBlock<L> {
+        GoodBlock::new(self.circuit, patterns)
+    }
+
+    fn kernel_args<'b>(
+        &self,
+        fault: StuckAtFault,
+        block: &'b GoodBlock<L>,
+    ) -> (StuckAtFault, PatternWords<L>, &'b [PatternWords<L>]) {
+        (fault, block.block.mask(), &block.good)
+    }
+}
+
+/// The one first-detection loop, shared by every engine of both fault
+/// models and by the full-pass oracle: for each fault, the index of the
+/// first pattern that detects it (`None` = undetected), given blocks of
+/// `block_size` patterns. With `drop_detected`, a fault's remaining
+/// blocks are skipped after its first detection; without it, every
+/// block is still evaluated (the honest baseline for the dropping
+/// ablation), which does not change the result.
 ///
 /// `mask_of` computes the per-(fault, block) detection mask — the only
-/// thing the engine variants differ in, so dropping and first-index
-/// semantics cannot silently diverge between the oracle and the kernel.
-fn first_detections_with<const L: usize>(
-    faults: &[StuckAtFault],
-    prepared: &PreparedPatterns<L>,
+/// thing the engines differ in, so dropping and first-index semantics
+/// cannot silently diverge between the oracle and the kernel.
+fn first_detections<F: Copy, B, const L: usize>(
+    faults: &[F],
+    blocks: &[B],
     block_size: usize,
     drop_detected: bool,
-    mut mask_of: impl FnMut(StuckAtFault, &PatternBlock<L>, &[PatternWords<L>]) -> PatternWords<L>,
+    mut mask_of: impl FnMut(F, &B) -> PatternWords<L>,
 ) -> Vec<Option<usize>> {
     faults
         .iter()
         .map(|&fault| {
             let mut first: Option<usize> = None;
-            for (bi, (block, good)) in prepared.blocks.iter().enumerate() {
+            for (bi, block) in blocks.iter().enumerate() {
                 if first.is_some() && drop_detected {
                     break;
                 }
-                let mask = mask_of(fault, block, good);
+                let mask = mask_of(fault, block);
                 if mask.any() && first.is_none() {
                     first = Some(bi * block_size + mask.trailing_zeros());
                 }
@@ -753,20 +750,133 @@ fn first_detections_with<const L: usize>(
         .collect()
 }
 
-/// [`first_detections_with`] on the event-driven kernel, with a fresh
-/// per-worker scratch.
-fn first_detections_for<const L: usize>(
-    graph: &SimGraph,
-    faults: &[StuckAtFault],
-    prepared: &PreparedPatterns<L>,
-    block_size: usize,
+/// The fan-out of the single-threaded engines: one worker, one chunk.
+pub(crate) const ONE_WORKER: (usize, usize) = (1, usize::MAX);
+
+/// The fan-out of a threaded engine, as `(workers, chunk)`: `threads`
+/// workers (0 = every core), never more than there are faults, stealing
+/// chunks of nominally eight per worker so there is slack to steal,
+/// capped at 64 faults so big universes stay fine-grained.
+pub(crate) fn stealing(threads: usize, n_faults: usize) -> (usize, usize) {
+    let workers = match threads {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        t => t,
+    };
+    let workers = workers.min(n_faults.max(1));
+    (workers, n_faults.div_ceil(workers * 8).clamp(1, 64))
+}
+
+/// The detection driver of both fault models: pack and good-simulate
+/// `patterns` once in blocks of `block_size`, fan the fault list out
+/// over `(workers, chunk)` with a private scratch per worker, run the
+/// first-detection loop on each chunk between `admit` (which may stop
+/// the run) and `finished`, and merge in chunk order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn detect<M: FaultModel<L>, E: Send, const L: usize>(
+    model: &M,
+    faults: &[M::Fault],
+    patterns: &[M::Pattern],
     drop_detected: bool,
-) -> Vec<Option<usize>> {
-    let mut scratch = FaultSimScratch::new();
-    scratch.ensure_graph(graph);
-    first_detections_with(faults, prepared, block_size, drop_detected, {
-        |fault, block, good| event_detect_mask(graph, fault, block.mask(), good, &mut scratch)
-    })
+    block_size: usize,
+    (workers, chunk): (usize, usize),
+    admit: &(impl Fn() -> Result<(), E> + Sync),
+    finished: &(impl Fn() + Sync),
+) -> Result<(FaultSimReport, StealStats), E> {
+    let blocks: Vec<M::Block> = patterns
+        .chunks(block_size)
+        .map(|p| model.block(p))
+        .collect();
+    let (chunks, stats) = fan_out(
+        faults.len(),
+        workers,
+        chunk,
+        |_| FaultSimScratch::for_graph(model.graph()),
+        |scratch, range| {
+            admit()?;
+            let firsts = first_detections(
+                &faults[range],
+                &blocks,
+                block_size,
+                drop_detected,
+                |f, b| model.detect_mask(f, b, scratch),
+            );
+            finished();
+            Ok(firsts)
+        },
+    )?;
+    Ok((report_from(concat(chunks), patterns.len()), stats))
+}
+
+/// The capture driver of both fault models: [`detect`]'s prepare and
+/// fan-out around the one signature-row loop, rows merged in chunk
+/// order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn capture<M: FaultModel<L>, E: Send, const L: usize>(
+    model: &M,
+    faults: &[M::Fault],
+    patterns: &[M::Pattern],
+    block_size: usize,
+    (workers, chunk): (usize, usize),
+    admit: &(impl Fn() -> Result<(), E> + Sync),
+    finished: &(impl Fn() + Sync),
+) -> Result<(SignatureMatrix, StealStats), E> {
+    let blocks: Vec<M::Block> = patterns
+        .chunks(block_size)
+        .map(|p| model.block(p))
+        .collect();
+    let outputs = model.circuit().primary_outputs();
+    let words_per_row = (patterns.len() * outputs.len()).div_ceil(64);
+    let (chunks, stats) = fan_out(
+        faults.len(),
+        workers,
+        chunk,
+        |_| FaultSimScratch::for_graph(model.graph()),
+        |scratch, range| {
+            admit()?;
+            // One packed row per fault: bit `pattern * outputs + output`
+            // is set where the fault's response differs from the good
+            // machine.
+            let mut rows = vec![0u64; range.len() * words_per_row];
+            for (fi, &fault) in faults[range].iter().enumerate() {
+                let row = &mut rows[fi * words_per_row..(fi + 1) * words_per_row];
+                for (bi, block) in blocks.iter().enumerate() {
+                    let (stuck_at, mask, good) = model.kernel_args(fault, block);
+                    if mask.is_zero() {
+                        continue;
+                    }
+                    event_pass::<L, false>(model.graph(), stuck_at, mask, good, scratch);
+                    for (o, &SignalId(s)) in outputs.iter().enumerate() {
+                        if scratch.stamp[s] != scratch.epoch {
+                            continue; // undisturbed output: no difference
+                        }
+                        for k in ((scratch.faulty[s] ^ good[s]) & mask).set_bits() {
+                            let bit = (bi * block_size + k) * outputs.len() + o;
+                            row[bit / 64] |= 1u64 << (bit % 64);
+                        }
+                    }
+                }
+            }
+            finished();
+            Ok(rows)
+        },
+    )?;
+    let matrix = SignatureMatrix {
+        n_faults: faults.len(),
+        n_patterns: patterns.len(),
+        n_outputs: outputs.len(),
+        words_per_row,
+        bits: concat(chunks),
+    };
+    Ok((matrix, stats))
+}
+
+/// Join per-chunk results in chunk order, moving a lone chunk rather
+/// than copying it (a single-worker signature matrix can be megabytes).
+fn concat<T: Clone>(parts: Vec<Vec<T>>) -> Vec<T> {
+    match <[Vec<T>; 1]>::try_from(parts) {
+        Ok([only]) => only,
+        Err(parts) => parts.concat(),
+    }
 }
 
 pub(crate) fn report_from(firsts: Vec<Option<usize>>, n_patterns: usize) -> FaultSimReport {
@@ -807,53 +917,36 @@ pub fn configured_lanes() -> usize {
     }
 }
 
-/// Monomorphise a generic engine call over the supported lane widths.
+/// Monomorphise an expression over the supported lane widths:
+/// `dispatch_lanes!(lanes, L => f::<L>(..))` evaluates the body with the
+/// const `L` bound to `lanes`.
 macro_rules! dispatch_lanes {
-    ($lanes:expr, $func:ident($($arg:expr),* $(,)?)) => {
+    ($lanes:expr, $l:ident => $body:expr) => {
         match $lanes {
-            1 => $func::<1>($($arg),*),
-            2 => $func::<2>($($arg),*),
-            4 => $func::<4>($($arg),*),
-            8 => $func::<8>($($arg),*),
+            1 => {
+                const $l: usize = 1;
+                $body
+            }
+            2 => {
+                const $l: usize = 2;
+                $body
+            }
+            4 => {
+                const $l: usize = 4;
+                $body
+            }
+            8 => {
+                const $l: usize = 8;
+                $body
+            }
             other => panic!(
                 "unsupported lane count {other}; supported: {:?}",
-                SUPPORTED_LANES
+                $crate::faultsim::SUPPORTED_LANES
             ),
         }
     };
 }
-
-/// Worker count resolution shared by the threaded engines: 0 = auto.
-pub(crate) fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    }
-}
-
-/// Chunk granularity for the work-stealing queue: nominally eight chunks
-/// per worker so there is slack to steal, capped at 64 faults per chunk
-/// so big universes stay fine-grained, floored at one.
-pub(crate) fn steal_chunk_size(n_faults: usize, workers: usize) -> usize {
-    n_faults.div_ceil(workers * 8).clamp(1, 64)
-}
-
-/// How a thread-parallel run distributed its work: the observability
-/// counters of the work-stealing queue, returned by the `*_stats` engine
-/// variants and recorded by the scaling benches (and asserted non-zero by
-/// the work-stealing determinism test).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StealStats {
-    /// Workers actually spawned (after clamping to the fault count).
-    pub workers: usize,
-    /// Chunks the fault list was cut into.
-    pub chunks: usize,
-    /// Faults per chunk (the last chunk may be short).
-    pub chunk_size: usize,
-    /// Successful steal operations across all workers.
-    pub steals: usize,
-}
+pub(crate) use dispatch_lanes;
 
 /// Wide bit-parallel fault simulation of a whole fault list, with
 /// optional fault dropping (a dropped fault is not re-simulated in later
@@ -883,59 +976,16 @@ pub fn simulate_faults_lanes(
     drop_detected: bool,
     lanes: usize,
 ) -> FaultSimReport {
-    dispatch_lanes!(lanes, sim_event(circuit, faults, patterns, drop_detected))
-}
-
-fn sim_event<const L: usize>(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    drop_detected: bool,
-) -> FaultSimReport {
     let graph = SimGraph::build(circuit);
-    sim_event_with::<L>(circuit, &graph, faults, patterns, drop_detected)
+    simulate_faults_with_graph_lanes(circuit, &graph, faults, patterns, drop_detected, lanes)
 }
 
-fn sim_event_with<const L: usize>(
-    circuit: &Circuit,
-    graph: &SimGraph,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    drop_detected: bool,
-) -> FaultSimReport {
-    let block = PatternBlock::<L>::CAPACITY;
-    let prepared = prepare::<L>(circuit, patterns, block);
-    let firsts = first_detections_for(graph, faults, &prepared, block, drop_detected);
-    report_from(firsts, patterns.len())
-}
-
-/// [`simulate_faults`] against a caller-supplied [`SimGraph`] precompute,
-/// skipping the per-call graph build — the entry point of the
-/// `sinw-server` compiled-circuit registry, whose hot path must not
-/// rebuild anything the registry already caches. Reports bit-identically
-/// to [`simulate_faults`]. Runs at [`configured_lanes`].
+/// [`simulate_faults_lanes`] against a caller-supplied [`SimGraph`]
+/// precompute, skipping the per-call graph build. Reports
+/// bit-identically to [`simulate_faults`].
 ///
 /// `graph` must have been built from `circuit` (checked by debug
 /// assertion).
-#[must_use]
-pub fn simulate_faults_with_graph(
-    circuit: &Circuit,
-    graph: &SimGraph,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    drop_detected: bool,
-) -> FaultSimReport {
-    simulate_faults_with_graph_lanes(
-        circuit,
-        graph,
-        faults,
-        patterns,
-        drop_detected,
-        configured_lanes(),
-    )
-}
-
-/// [`simulate_faults_with_graph`] at an explicit lane width.
 ///
 /// # Panics
 ///
@@ -949,12 +999,52 @@ pub fn simulate_faults_with_graph_lanes(
     drop_detected: bool,
     lanes: usize,
 ) -> FaultSimReport {
-    debug_assert_eq!(graph.signal_count(), circuit.signal_count());
-    debug_assert_eq!(graph.gate_count(), circuit.gates().len());
-    dispatch_lanes!(
-        lanes,
-        sim_event_with(circuit, graph, faults, patterns, drop_detected)
-    )
+    let model = StuckAt::new(circuit, graph);
+    let run = dispatch_lanes!(lanes, L => detect::<_, _, L>(
+        &model, faults, patterns, drop_detected, PatternBlock::<L>::CAPACITY, ONE_WORKER,
+        &|| Ok(()), &|| {}
+    ));
+    run.unwrap_or_else(|e: Infallible| match e {}).0
+}
+
+/// Faults per chunk of [`simulate_faults_checked`] and
+/// [`capture_signatures_checked`]: small enough that progress,
+/// cancellation and deadlines have real granularity on the workspace's
+/// fixture circuits, large enough that per-chunk overhead is noise.
+pub const JOB_CHUNK: usize = 32;
+
+/// [`simulate_faults`] against a caller-supplied [`SimGraph`], fanned out
+/// over at most `threads` workers (at least one) in [`JOB_CHUNK`]-fault
+/// chunks: `admit` runs before every chunk and may stop the run,
+/// `finished` runs after it. This is the entry point of the `sinw-server`
+/// job engine, whose cancellation, deadline and progress live in the two
+/// closures. Pattern widths are checked and the patterns packed and
+/// good-simulated once, before the fan-out. Runs at [`configured_lanes`]
+/// and reports bit-identically to [`simulate_faults`].
+///
+/// # Errors
+///
+/// The first error `admit` returned, or [`PackError::ArityMismatch`]
+/// (converted) for the first pattern whose width does not match the
+/// circuit.
+#[allow(clippy::too_many_arguments)]
+pub fn simulate_faults_checked<E: From<PackError> + Send>(
+    circuit: &Circuit,
+    graph: &SimGraph,
+    faults: &[StuckAtFault],
+    patterns: &[Vec<bool>],
+    drop_detected: bool,
+    threads: usize,
+    admit: impl Fn() -> Result<(), E> + Sync,
+    finished: impl Fn() + Sync,
+) -> Result<FaultSimReport, E> {
+    check_arity(circuit, patterns)?;
+    let model = StuckAt::new(circuit, graph);
+    let run = dispatch_lanes!(configured_lanes(), L => detect::<_, _, L>(
+        &model, faults, patterns, drop_detected, PatternBlock::<L>::CAPACITY,
+        (threads, JOB_CHUNK), &admit, &finished
+    ));
+    Ok(run?.0)
 }
 
 /// 64-way bit-parallel fault simulation on the retained **full-pass**
@@ -971,10 +1061,13 @@ pub fn simulate_faults_full_pass(
     patterns: &[Vec<bool>],
     drop_detected: bool,
 ) -> FaultSimReport {
-    let prepared = prepare::<1>(circuit, patterns, 64);
+    let blocks: Vec<GoodBlock<1>> = patterns
+        .chunks(64)
+        .map(|p| GoodBlock::new(circuit, p))
+        .collect();
     let mut scratch = vec![PatternWords::<1>::ZERO; circuit.signal_count()];
-    let firsts = first_detections_with(faults, &prepared, 64, drop_detected, {
-        |fault, block, good| full_pass_detect_mask(circuit, fault, block, good, &mut scratch)
+    let firsts = first_detections(faults, &blocks, 64, drop_detected, |fault, b| {
+        full_pass_detect_mask(circuit, fault, &b.block, &b.good, &mut scratch)
     });
     report_from(firsts, patterns.len())
 }
@@ -988,13 +1081,22 @@ pub fn simulate_faults_serial(
     patterns: &[Vec<bool>],
     drop_detected: bool,
 ) -> FaultSimReport {
-    let prepared = prepare::<1>(circuit, patterns, 1);
     let graph = SimGraph::build(circuit);
-    let firsts = first_detections_for(&graph, faults, &prepared, 1, drop_detected);
-    report_from(firsts, patterns.len())
+    let model = StuckAt::new(circuit, &graph);
+    let run = detect::<_, _, 1>(
+        &model,
+        faults,
+        patterns,
+        drop_detected,
+        1,
+        ONE_WORKER,
+        &|| Ok(()),
+        &|| {},
+    );
+    run.unwrap_or_else(|e: Infallible| match e {}).0
 }
 
-/// Thread-parallel PPSFP over a **work-stealing** chunk queue: the fault
+/// Thread-parallel PPSFP over the work-stealing [`fan_out`]: the fault
 /// list is cut into fixed chunks ([`StealStats::chunk_size`] faults each)
 /// dealt out as contiguous per-worker spans; a worker that exhausts its
 /// span steals the upper half of a peer's. `threads = 0` uses
@@ -1003,10 +1105,10 @@ pub fn simulate_faults_serial(
 /// The [`SimGraph`] precompute and the per-block good-machine words are
 /// computed once and shared read-only; each worker owns a private
 /// [`FaultSimScratch`]. Chunk boundaries are a pure function of the
-/// input, and every chunk's result lands in its own disjoint slice of
-/// the output, so the report is bit-identical to [`simulate_faults`]
-/// (and to [`simulate_faults_serial`]) no matter how chunks migrate
-/// between workers.
+/// input and chunk results merge in chunk order, so the report is
+/// bit-identical to [`simulate_faults`] (and to
+/// [`simulate_faults_serial`]) no matter how chunks migrate between
+/// workers.
 #[must_use]
 pub fn simulate_faults_threaded(
     circuit: &Circuit,
@@ -1058,112 +1160,14 @@ pub fn simulate_faults_threaded_stats(
     threads: usize,
     lanes: usize,
 ) -> (FaultSimReport, StealStats) {
-    dispatch_lanes!(
-        lanes,
-        sim_threaded(circuit, faults, patterns, drop_detected, threads)
-    )
-}
-
-fn sim_threaded<const L: usize>(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    drop_detected: bool,
-    threads: usize,
-) -> (FaultSimReport, StealStats) {
-    if faults.is_empty() {
-        return (
-            report_from(Vec::new(), patterns.len()),
-            StealStats::default(),
-        );
-    }
-    let workers = resolve_threads(threads).min(faults.len());
-    let block = PatternBlock::<L>::CAPACITY;
-    let prepared = prepare::<L>(circuit, patterns, block);
     let graph = SimGraph::build(circuit);
-    let chunk = steal_chunk_size(faults.len(), workers);
-    let queue = WorkQueue::new(faults.len(), workers, chunk);
-    let mut firsts: Vec<Option<usize>> = vec![None; faults.len()];
-    {
-        // One lock-protected output slot per chunk. Chunk boundaries are
-        // fixed up front, so whoever claims a chunk writes the same bytes
-        // to the same slot; locks are uncontended (a chunk has exactly
-        // one owner at a time) and exist to satisfy the borrow checker
-        // across workers.
-        let slots: Vec<Mutex<&mut [Option<usize>]>> =
-            firsts.chunks_mut(chunk).map(Mutex::new).collect();
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let queue = &queue;
-                let slots = &slots;
-                let prepared = &prepared;
-                let graph = &graph;
-                s.spawn(move || {
-                    let mut scratch = FaultSimScratch::new();
-                    scratch.ensure_graph(graph);
-                    while let Some(cid) = queue.pop(w) {
-                        let local = first_detections_with(
-                            &faults[queue.item_range(cid)],
-                            prepared,
-                            block,
-                            drop_detected,
-                            |fault, blk, good| {
-                                event_detect_mask(graph, fault, blk.mask(), good, &mut scratch)
-                            },
-                        );
-                        slots[cid]
-                            .lock()
-                            .expect("chunk slot poisoned")
-                            .copy_from_slice(&local);
-                    }
-                });
-            }
-        });
-    }
-    let stats = StealStats {
-        workers,
-        chunks: queue.chunk_count(),
-        chunk_size: chunk,
-        steals: queue.steals(),
-    };
-    (report_from(firsts, patterns.len()), stats)
-}
-
-/// The retained **static-partition** thread-parallel engine: one
-/// contiguous fault chunk per worker, no stealing, `L = 1` blocks — the
-/// pre-work-stealing baseline the `ppsfp_scaling` ablation measures the
-/// lane-wide stealing engine against. Reports bit-identically to
-/// [`simulate_faults_threaded`].
-#[must_use]
-pub fn simulate_faults_threaded_static(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    drop_detected: bool,
-    threads: usize,
-) -> FaultSimReport {
-    if faults.is_empty() {
-        return report_from(Vec::new(), patterns.len());
-    }
-    let threads = resolve_threads(threads).min(faults.len());
-    let prepared = prepare::<1>(circuit, patterns, 64);
-    let graph = SimGraph::build(circuit);
-    let chunk = faults.len().div_ceil(threads);
-    let mut firsts: Vec<Option<usize>> = Vec::with_capacity(faults.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = faults
-            .chunks(chunk)
-            .map(|slice| {
-                let prepared = &prepared;
-                let graph = &graph;
-                s.spawn(move || first_detections_for(graph, slice, prepared, 64, drop_detected))
-            })
-            .collect();
-        for h in handles {
-            firsts.extend(h.join().expect("fault-sim worker panicked"));
-        }
-    });
-    report_from(firsts, patterns.len())
+    let model = StuckAt::new(circuit, &graph);
+    let fan = stealing(threads, faults.len());
+    let run = dispatch_lanes!(lanes, L => detect::<_, _, L>(
+        &model, faults, patterns, drop_detected, PatternBlock::<L>::CAPACITY, fan,
+        &|| Ok(()), &|| {}
+    ));
+    run.unwrap_or_else(|e: Infallible| match e {})
 }
 
 /// The deterministic stream generator behind [`seeded_patterns`] and the
@@ -1215,21 +1219,38 @@ pub fn compact_reverse(
     patterns: &[Vec<bool>],
 ) -> Vec<Vec<bool>> {
     let graph = SimGraph::build(circuit);
-    let mut scratch: FaultSimScratch = FaultSimScratch::new();
-    scratch.ensure_graph(&graph);
-    let mut good = vec![PatternWords::<1>::ZERO; circuit.signal_count()];
-    let mut kept: Vec<Vec<bool>> = Vec::new();
-    let mut remaining: Vec<StuckAtFault> = faults.to_vec();
+    let mut scratch = FaultSimScratch::for_graph(&graph);
+    compact(
+        &StuckAt::new(circuit, &graph),
+        faults,
+        patterns,
+        &mut scratch,
+    )
+}
+
+/// The one reverse-order compaction loop, under either fault model:
+/// replay `patterns` backwards one at a time with fault dropping and
+/// keep only those that detect a fault of `faults` no later pattern
+/// detects. The detected-fault set is preserved exactly.
+pub(crate) fn compact<M: FaultModel<1>>(
+    model: &M,
+    faults: &[M::Fault],
+    patterns: &[M::Pattern],
+    scratch: &mut FaultSimScratch,
+) -> Vec<M::Pattern>
+where
+    M::Pattern: Clone,
+{
+    let mut live = faults.to_vec();
+    let mut kept = Vec::new();
     for p in patterns.iter().rev() {
-        if remaining.is_empty() {
+        if live.is_empty() {
             break;
         }
-        let block: PatternBlock = PatternBlock::pack(circuit, std::slice::from_ref(p));
-        good_sim_into(circuit, &block, &mut good);
-        let before = remaining.len();
-        remaining
-            .retain(|f| event_detect_mask(&graph, *f, block.mask(), &good, &mut scratch).is_zero());
-        if remaining.len() < before {
+        let block = model.block(std::slice::from_ref(p));
+        let before = live.len();
+        live.retain(|f| model.detect_mask(*f, &block, scratch).is_zero());
+        if live.len() < before {
             kept.push(p.clone());
         }
     }
@@ -1268,17 +1289,6 @@ pub struct SignatureMatrix {
 }
 
 impl SignatureMatrix {
-    fn zeroed(n_faults: usize, n_patterns: usize, n_outputs: usize) -> Self {
-        let words_per_row = (n_patterns * n_outputs).div_ceil(64);
-        SignatureMatrix {
-            n_faults,
-            n_patterns,
-            n_outputs,
-            words_per_row,
-            bits: vec![0u64; n_faults * words_per_row],
-        }
-    }
-
     /// Number of faults (rows).
     #[must_use]
     pub fn fault_count(&self) -> usize {
@@ -1355,9 +1365,7 @@ impl SignatureMatrix {
     /// Rebuild a matrix from its raw parts (the inverse of [`bits`]):
     /// `bits` must hold exactly `n_faults * ceil(n_patterns * n_outputs /
     /// 64)` row-major words, with no stray bit above `n_patterns *
-    /// n_outputs` in any row. Used by `.sinw` snapshot decoding and by
-    /// the job engine to merge per-chunk capture results in deterministic
-    /// chunk order.
+    /// n_outputs` in any row. Used by `.sinw` snapshot decoding.
     ///
     /// [`bits`]: SignatureMatrix::bits
     ///
@@ -1406,113 +1414,12 @@ impl SignatureMatrix {
     }
 }
 
-/// Capture rows for a contiguous chunk of faults into `out` (row-major,
-/// `words_per_row` words per fault), reusing the caller's scratch and
-/// per-PO diff buffer — the per-chunk inner loop of every capture engine.
-#[allow(clippy::too_many_arguments)]
-fn capture_rows<const L: usize>(
-    graph: &SimGraph,
-    po_signals: &[SignalId],
-    faults: &[StuckAtFault],
-    prepared: &PreparedPatterns<L>,
-    block_size: usize,
-    n_outputs: usize,
-    words_per_row: usize,
-    scratch: &mut FaultSimScratch<L>,
-    po_diff: &mut [PatternWords<L>],
-    out: &mut [u64],
-) {
-    for (fi, &fault) in faults.iter().enumerate() {
-        let row = &mut out[fi * words_per_row..(fi + 1) * words_per_row];
-        for (bi, (block, good)) in prepared.blocks.iter().enumerate() {
-            event_po_diffs(
-                graph,
-                fault,
-                block.mask(),
-                good,
-                scratch,
-                po_signals,
-                po_diff,
-            );
-            for (o, diff) in po_diff.iter().enumerate() {
-                for k in diff.set_bits() {
-                    let bit = (bi * block_size + k) * n_outputs + o;
-                    row[bit / 64] |= 1u64 << (bit % 64);
-                }
-            }
-        }
-    }
-}
-
-/// Single-threaded capture engine at lane width `L`: allocate the matrix,
-/// prepare the blocks and the [`SimGraph`] once, fill every row on this
-/// thread.
-fn capture_single<const L: usize>(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    block_size: usize,
-) -> SignatureMatrix {
-    let graph = SimGraph::build(circuit);
-    capture_single_with::<L>(circuit, &graph, faults, patterns, block_size)
-}
-
-/// [`capture_single`] against a caller-supplied graph precompute.
-fn capture_single_with<const L: usize>(
-    circuit: &Circuit,
-    graph: &SimGraph,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    block_size: usize,
-) -> SignatureMatrix {
-    let mut sig = SignatureMatrix::zeroed(
-        faults.len(),
-        patterns.len(),
-        circuit.primary_outputs().len(),
-    );
-    if sig.bits.is_empty() {
-        return sig;
-    }
-    let prepared = prepare::<L>(circuit, patterns, block_size);
-    let words_per_row = sig.words_per_row;
-    let n_outputs = sig.n_outputs;
-    let mut scratch = FaultSimScratch::new();
-    scratch.ensure_graph(graph);
-    let mut po_diff = vec![PatternWords::<L>::ZERO; n_outputs];
-    capture_rows(
-        graph,
-        circuit.primary_outputs(),
-        faults,
-        &prepared,
-        block_size,
-        n_outputs,
-        words_per_row,
-        &mut scratch,
-        &mut po_diff,
-        &mut sig.bits,
-    );
-    sig
-}
-
-/// [`capture_signatures`] against a caller-supplied [`SimGraph`]
-/// precompute, skipping the per-call graph build — the signature-capture
-/// entry point of the `sinw-server` compiled-circuit registry. The matrix
-/// is bit-identical to [`capture_signatures`]. Runs at
-/// [`configured_lanes`].
+/// [`capture_signatures_lanes`] against a caller-supplied [`SimGraph`]
+/// precompute, skipping the per-call graph build. The matrix is
+/// bit-identical to [`capture_signatures`].
 ///
 /// `graph` must have been built from `circuit` (checked by debug
 /// assertion).
-#[must_use]
-pub fn capture_signatures_with_graph(
-    circuit: &Circuit,
-    graph: &SimGraph,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-) -> SignatureMatrix {
-    capture_signatures_with_graph_lanes(circuit, graph, faults, patterns, configured_lanes())
-}
-
-/// [`capture_signatures_with_graph`] at an explicit lane width.
 ///
 /// # Panics
 ///
@@ -1525,95 +1432,40 @@ pub fn capture_signatures_with_graph_lanes(
     patterns: &[Vec<bool>],
     lanes: usize,
 ) -> SignatureMatrix {
-    debug_assert_eq!(graph.signal_count(), circuit.signal_count());
-    debug_assert_eq!(graph.gate_count(), circuit.gates().len());
-    fn go<const L: usize>(
-        circuit: &Circuit,
-        graph: &SimGraph,
-        faults: &[StuckAtFault],
-        patterns: &[Vec<bool>],
-    ) -> SignatureMatrix {
-        capture_single_with::<L>(
-            circuit,
-            graph,
-            faults,
-            patterns,
-            PatternBlock::<L>::CAPACITY,
-        )
-    }
-    dispatch_lanes!(lanes, go(circuit, graph, faults, patterns))
+    let model = StuckAt::new(circuit, graph);
+    let run = dispatch_lanes!(lanes, L => capture::<_, _, L>(
+        &model, faults, patterns, PatternBlock::<L>::CAPACITY, ONE_WORKER, &|| Ok(()), &|| {}
+    ));
+    run.unwrap_or_else(|e: Infallible| match e {}).0
 }
 
-/// Thread-parallel capture engine at lane width `L`, on the same
-/// work-stealing chunk queue as [`simulate_faults_threaded`]. A chunk of
-/// faults owns a disjoint `chunk * words_per_row` slice of the bit
-/// matrix, so rows land bit-identically regardless of which worker
-/// processes which chunk.
-fn capture_stealing<const L: usize>(
+/// [`capture_signatures`] against a caller-supplied [`SimGraph`] — the
+/// signature-capture twin of [`simulate_faults_checked`], with the same
+/// [`JOB_CHUNK`] fan-out, per-chunk `admit` and `finished`, and
+/// prepare-once contract. Runs at [`configured_lanes`]; the matrix is
+/// bit-identical to [`capture_signatures`].
+///
+/// # Errors
+///
+/// The first error `admit` returned, or [`PackError::ArityMismatch`]
+/// (converted) for the first pattern whose width does not match the
+/// circuit.
+pub fn capture_signatures_checked<E: From<PackError> + Send>(
     circuit: &Circuit,
+    graph: &SimGraph,
     faults: &[StuckAtFault],
     patterns: &[Vec<bool>],
     threads: usize,
-) -> (SignatureMatrix, StealStats) {
-    let mut sig = SignatureMatrix::zeroed(
-        faults.len(),
-        patterns.len(),
-        circuit.primary_outputs().len(),
-    );
-    if sig.bits.is_empty() {
-        return (sig, StealStats::default());
-    }
-    let block_size = PatternBlock::<L>::CAPACITY;
-    let prepared = prepare::<L>(circuit, patterns, block_size);
-    let graph = SimGraph::build(circuit);
-    let words_per_row = sig.words_per_row;
-    let n_outputs = sig.n_outputs;
-    let workers = resolve_threads(threads).min(faults.len());
-    let chunk = steal_chunk_size(faults.len(), workers);
-    let queue = WorkQueue::new(faults.len(), workers, chunk);
-    {
-        let slots: Vec<Mutex<&mut [u64]>> = sig
-            .bits
-            .chunks_mut(chunk * words_per_row)
-            .map(Mutex::new)
-            .collect();
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let queue = &queue;
-                let slots = &slots;
-                let prepared = &prepared;
-                let graph = &graph;
-                let po_signals = circuit.primary_outputs();
-                s.spawn(move || {
-                    let mut scratch = FaultSimScratch::new();
-                    scratch.ensure_graph(graph);
-                    let mut po_diff = vec![PatternWords::<L>::ZERO; n_outputs];
-                    while let Some(cid) = queue.pop(w) {
-                        let mut guard = slots[cid].lock().expect("row slot poisoned");
-                        capture_rows(
-                            graph,
-                            po_signals,
-                            &faults[queue.item_range(cid)],
-                            prepared,
-                            block_size,
-                            n_outputs,
-                            words_per_row,
-                            &mut scratch,
-                            &mut po_diff,
-                            &mut guard,
-                        );
-                    }
-                });
-            }
-        });
-    }
-    let stats = StealStats {
-        workers,
-        chunks: queue.chunk_count(),
-        chunk_size: chunk,
-        steals: queue.steals(),
-    };
-    (sig, stats)
+    admit: impl Fn() -> Result<(), E> + Sync,
+    finished: impl Fn() + Sync,
+) -> Result<SignatureMatrix, E> {
+    check_arity(circuit, patterns)?;
+    let model = StuckAt::new(circuit, graph);
+    let run = dispatch_lanes!(configured_lanes(), L => capture::<_, _, L>(
+        &model, faults, patterns, PatternBlock::<L>::CAPACITY, (threads, JOB_CHUNK),
+        &admit, &finished
+    ));
+    Ok(run?.0)
 }
 
 /// Signature capture on the bit-parallel engine: the full per-fault ×
@@ -1647,14 +1499,8 @@ pub fn capture_signatures_lanes(
     patterns: &[Vec<bool>],
     lanes: usize,
 ) -> SignatureMatrix {
-    fn go<const L: usize>(
-        circuit: &Circuit,
-        faults: &[StuckAtFault],
-        patterns: &[Vec<bool>],
-    ) -> SignatureMatrix {
-        capture_single::<L>(circuit, faults, patterns, PatternBlock::<L>::CAPACITY)
-    }
-    dispatch_lanes!(lanes, go(circuit, faults, patterns))
+    let graph = SimGraph::build(circuit);
+    capture_signatures_with_graph_lanes(circuit, &graph, faults, patterns, lanes)
 }
 
 /// [`capture_signatures`] one pattern at a time — the ablation baseline
@@ -1665,11 +1511,14 @@ pub fn capture_signatures_serial(
     faults: &[StuckAtFault],
     patterns: &[Vec<bool>],
 ) -> SignatureMatrix {
-    capture_single::<1>(circuit, faults, patterns, 1)
+    let graph = SimGraph::build(circuit);
+    let model = StuckAt::new(circuit, &graph);
+    let run = capture::<_, _, 1>(&model, faults, patterns, 1, ONE_WORKER, &|| Ok(()), &|| {});
+    run.unwrap_or_else(|e: Infallible| match e {}).0
 }
 
-/// Thread-parallel signature capture: fault chunks are claimed from the
-/// same work-stealing queue as [`simulate_faults_threaded`], on
+/// Thread-parallel signature capture: fault chunks are claimed through
+/// the same work-stealing [`fan_out`] as [`simulate_faults_threaded`], on
 /// top of the lane blocks [`configured_lanes`] selects, with the shared
 /// read-only [`SimGraph`]/good-machine precompute and one private
 /// [`FaultSimScratch`] per worker. `threads = 0` auto-detects.
@@ -1700,7 +1549,13 @@ pub fn capture_signatures_threaded_stats(
     threads: usize,
     lanes: usize,
 ) -> (SignatureMatrix, StealStats) {
-    dispatch_lanes!(lanes, capture_stealing(circuit, faults, patterns, threads))
+    let graph = SimGraph::build(circuit);
+    let model = StuckAt::new(circuit, &graph);
+    let fan = stealing(threads, faults.len());
+    let run = dispatch_lanes!(lanes, L => capture::<_, _, L>(
+        &model, faults, patterns, PatternBlock::<L>::CAPACITY, fan, &|| Ok(()), &|| {}
+    ));
+    run.unwrap_or_else(|e: Infallible| match e {})
 }
 
 #[cfg(test)]
@@ -1798,6 +1653,19 @@ mod tests {
         let empty = simulate_faults_threaded(&c, &[], &patterns, true, 4);
         assert!(empty.detected.is_empty() && empty.undetected.is_empty());
         assert_eq!(empty.coverage(), 1.0);
+    }
+
+    #[test]
+    fn huge_thread_counts_clamp_to_the_fault_count() {
+        assert_eq!(stealing(usize::MAX, 10), (10, 1));
+        assert_eq!(stealing(usize::MAX, 0), (1, 1));
+        let c = Circuit::c17();
+        let faults = enumerate_stuck_at(&c);
+        let patterns = random_patterns(5, 16, 9);
+        let (r, stats) =
+            simulate_faults_threaded_stats(&c, &faults, &patterns, true, usize::MAX, 1);
+        assert_eq!(r, simulate_faults(&c, &faults, &patterns, true));
+        assert!(stats.workers <= faults.len());
     }
 
     #[test]
@@ -1996,16 +1864,18 @@ mod tests {
         }
     }
 
+    /// The work-stealing engine matches the single-lane, single-worker
+    /// reference with dropping on and off.
     #[test]
     fn work_stealing_matches_static_partitioning() {
         let c = Circuit::parity_tree(9);
         let faults = enumerate_stuck_at(&c);
         let patterns = random_patterns(c.primary_inputs().len(), 96, 23);
         for drop_detected in [false, true] {
-            let stat = simulate_faults_threaded_static(&c, &faults, &patterns, drop_detected, 4);
+            let serial = simulate_faults_lanes(&c, &faults, &patterns, drop_detected, 1);
             let (steal, stats) =
                 simulate_faults_threaded_stats(&c, &faults, &patterns, drop_detected, 4, 1);
-            assert_eq!(stat, steal, "drop = {drop_detected}");
+            assert_eq!(serial, steal, "drop = {drop_detected}");
             assert!(stats.chunks > 0 && stats.chunk_size > 0);
         }
     }

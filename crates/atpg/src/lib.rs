@@ -75,14 +75,13 @@ pub use diagnose::{
 };
 pub use fault_list::{enumerate_stuck_at, FaultSite, StuckAtFault};
 pub use faultsim::{
-    capture_signatures, capture_signatures_lanes, capture_signatures_serial,
-    capture_signatures_threaded, capture_signatures_threaded_stats, capture_signatures_with_graph,
+    capture_signatures, capture_signatures_checked, capture_signatures_lanes,
+    capture_signatures_serial, capture_signatures_threaded, capture_signatures_threaded_stats,
     capture_signatures_with_graph_lanes, configured_lanes, seeded_patterns, simulate_faults,
-    simulate_faults_full_pass, simulate_faults_lanes, simulate_faults_serial,
-    simulate_faults_threaded, simulate_faults_threaded_lanes, simulate_faults_threaded_static,
-    simulate_faults_threaded_stats, simulate_faults_with_graph, simulate_faults_with_graph_lanes,
-    FaultSimReport, FaultSimScratch, PackError, PatternBlock, SignatureMatrix, StealStats,
-    SUPPORTED_LANES,
+    simulate_faults_checked, simulate_faults_full_pass, simulate_faults_lanes,
+    simulate_faults_serial, simulate_faults_threaded, simulate_faults_threaded_lanes,
+    simulate_faults_threaded_stats, simulate_faults_with_graph_lanes, FaultSimReport,
+    FaultSimScratch, PackError, PatternBlock, SignatureMatrix, StealStats, SUPPORTED_LANES,
 };
 pub use graph::SimGraph;
 pub use lanes::PatternWords;

@@ -1,17 +1,20 @@
-//! Work-stealing fault-chunk queue for the thread-parallel engines.
+//! The one work-stealing fan-out every thread-parallel engine runs on.
 //!
-//! The old `*_threaded` engines split the fault list into one contiguous
-//! chunk per worker up front. That is bit-exact but load-blind: skewed
-//! fault universes (the csa16 all-pass class is the canonical example —
-//! its faults bail out of the event kernel immediately, while deep-cone
-//! faults cost thousands of gate evaluations) leave some workers idle
-//! while others grind. [`WorkQueue`] replaces the static split with
-//! chunked claiming plus steal-half-on-exhaustion:
+//! [`fan_out`] owns the threads: it cuts `n` items into fixed chunks,
+//! runs them on at most `min(workers, chunk count)` scoped workers, and
+//! hands back one result per chunk **in chunk order**. Each worker keeps
+//! one private state (a fault-sim scratch, say) across the chunks it
+//! claims; the first `Err` a chunk returns stops further claims.
 //!
-//! * the fault list is cut into fixed chunks of `chunk_size` faults;
-//!   chunk boundaries are a pure function of the input, **not** of
-//!   scheduling, which is what keeps the merged output bit-identical to
-//!   the serial engine no matter who processes what;
+//! Chunks are dealt by a [`WorkQueue`]: chunked claiming plus
+//! steal-half-on-exhaustion, so skewed fault universes (the csa16
+//! all-pass class is the canonical example — its faults bail out of the
+//! event kernel immediately, while deep-cone faults cost thousands of
+//! gate evaluations) do not leave workers idle while others grind:
+//!
+//! * chunk boundaries are a pure function of the input, **not** of
+//!   scheduling, which is what keeps merged output bit-identical to the
+//!   serial engine no matter who processes what;
 //! * each worker starts with a contiguous span of chunks, packed as
 //!   `head:u32 | tail:u32` (half-open, in chunk units) in one
 //!   `AtomicU64`, and claims from its own head by CAS;
@@ -27,7 +30,8 @@
 //! flight belong to the worker that claimed them, so early retirement
 //! never loses work.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Pack a half-open chunk span `[head, tail)` into one word.
 const fn pack(head: u32, tail: u32) -> u64 {
@@ -40,14 +44,8 @@ const fn unpack(v: u64) -> (u32, u32) {
     ((v >> 32) as u32, v as u32)
 }
 
-/// A chunked work-stealing queue over `n_items` items.
-///
-/// The fault-sim engines expose its effect through
-/// [`crate::faultsim::StealStats`]; `sinw-server` reuses it directly to
-/// deal job chunks (fault-sim rows, signature rows) across the worker
-/// threads of its bounded job engine with the same determinism argument:
-/// chunk boundaries are a pure function of the input, so merged output
-/// is independent of which worker claims which chunk.
+/// A chunked work-stealing queue over `n_items` items — the dealer
+/// under [`fan_out`], whose effect the engines report as [`StealStats`].
 pub struct WorkQueue {
     chunk_size: usize,
     n_items: usize,
@@ -160,9 +158,100 @@ impl WorkQueue {
     }
 }
 
+/// How a [`fan_out`] distributed its work: the observability counters
+/// the `*_stats` engine variants return, the scaling benches record and
+/// the work-stealing determinism test asserts on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StealStats {
+    /// Workers actually run (after clamping to the chunk count).
+    pub workers: usize,
+    /// Chunks the item list was cut into.
+    pub chunks: usize,
+    /// Items per chunk (the last chunk may be short).
+    pub chunk_size: usize,
+    /// Successful steal operations across all workers.
+    pub steals: usize,
+}
+
+/// Run `body` over `n_items` items cut into chunks of `chunk_size`, on at
+/// most `min(workers, chunk count)` workers claiming chunks from a
+/// [`WorkQueue`], and return the per-chunk results in chunk order.
+///
+/// Worker `w` builds its private state once with `init(w)` and passes it
+/// to `body` for every chunk it claims, together with the chunk's item
+/// range. The first `Err` a chunk returns stops further claims. A lone
+/// worker runs on the calling thread; more are scoped threads, and a
+/// panicking body resumes its panic here.
+///
+/// `workers` and `chunk_size` are clamped to at least one; a chunk never
+/// exceeds the item count.
+///
+/// # Errors
+///
+/// An error a chunk's `body` returned: with several failing workers,
+/// the one of the lowest-numbered worker.
+pub fn fan_out<S, T: Send, E: Send>(
+    n_items: usize,
+    workers: usize,
+    chunk_size: usize,
+    init: impl Fn(usize) -> S + Sync,
+    body: impl Fn(&mut S, Range<usize>) -> Result<T, E> + Sync,
+) -> Result<(Vec<T>, StealStats), E> {
+    if n_items == 0 {
+        return Ok((Vec::new(), StealStats::default()));
+    }
+    let chunk_size = chunk_size.clamp(1, n_items);
+    let n_chunks = n_items.div_ceil(chunk_size);
+    let workers = workers.clamp(1, n_chunks);
+    let queue = WorkQueue::new(n_items, workers, chunk_size);
+    let stop = AtomicBool::new(false);
+    let run = |w: usize| {
+        let mut state = init(w);
+        let mut done = Vec::new();
+        while !stop.load(Ordering::SeqCst) {
+            let Some(chunk) = queue.pop(w) else { break };
+            match body(&mut state, queue.item_range(chunk)) {
+                Ok(t) => done.push((chunk, t)),
+                Err(e) => {
+                    stop.store(true, Ordering::SeqCst);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(done)
+    };
+    let per_worker: Vec<Result<Vec<(usize, T)>, E>> = if workers == 1 {
+        vec![run(0)]
+    } else {
+        std::thread::scope(|s| {
+            let run = &run;
+            let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || run(w))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    };
+    let mut claimed = Vec::with_capacity(n_chunks);
+    for done in per_worker {
+        claimed.extend(done?);
+    }
+    debug_assert_eq!(claimed.len(), n_chunks, "every chunk ran once");
+    claimed.sort_unstable_by_key(|&(chunk, _)| chunk);
+    let results = claimed.into_iter().map(|(_, t)| t).collect();
+    let stats = StealStats {
+        workers,
+        chunks: n_chunks,
+        chunk_size,
+        steals: queue.steals(),
+    };
+    Ok((results, stats))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     #[test]
     fn single_worker_drains_every_chunk_once_in_order() {
@@ -228,5 +317,69 @@ mod tests {
         }
         claimed.sort_unstable();
         assert_eq!(claimed, vec![0, 1]);
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_chunk_order() {
+        for workers in [1usize, 2, 4, 7] {
+            let (results, stats) = fan_out(
+                1000,
+                workers,
+                9,
+                |_| (),
+                |(), range| {
+                    // Skewed cost: the first chunks are far heavier, so
+                    // later ones finish (and get stolen) out of order.
+                    if range.start < 50 {
+                        std::thread::sleep(std::time::Duration::from_millis(3));
+                    }
+                    Ok::<_, ()>(range)
+                },
+            )
+            .expect("no chunk fails");
+            assert_eq!(stats.chunks, 112, "workers = {workers}");
+            let expected: Vec<_> = (0..112).map(|c| c * 9..(c * 9 + 9).min(1000)).collect();
+            assert_eq!(results, expected, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn fan_out_stops_claiming_after_the_first_error() {
+        let ran = AtomicUsize::new(0);
+        let result = fan_out(
+            100,
+            1,
+            10,
+            |_| (),
+            |(), range| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                if range.start == 0 {
+                    Err("chunk 0 failed")
+                } else {
+                    Ok(())
+                }
+            },
+        );
+        assert_eq!(result.unwrap_err(), "chunk 0 failed");
+        assert_eq!(ran.load(Ordering::SeqCst), 1, "no chunk after chunk 0 ran");
+    }
+
+    #[test]
+    fn fan_out_starts_no_more_workers_than_chunks() {
+        // Every started worker builds its state once, so the distinct
+        // indices `init` sees count the workers that ran.
+        let seen = Mutex::new(std::collections::BTreeSet::new());
+        let (results, stats) = fan_out(
+            5,
+            16,
+            2,
+            |w| seen.lock().unwrap().insert(w),
+            |_, range| Ok::<_, ()>(range.len()),
+        )
+        .expect("no chunk fails");
+        assert_eq!(results, vec![2, 2, 1]);
+        assert_eq!(stats.workers, 3);
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen, (0..3).collect(), "16 workers asked, 3 chunks");
     }
 }

@@ -35,7 +35,8 @@
 use crate::collapse::{collapse, CollapsedFaults};
 use crate::fault_list::{enumerate_stuck_at, StuckAtFault};
 use crate::faultsim::{
-    event_detect_mask, good_sim_into, FaultSimScratch, PatternBlock, PatternWords, SplitMix64,
+    compact, event_detect_mask, good_sim_into, simulate_faults_with_graph_lanes, FaultSimScratch,
+    PatternBlock, PatternWords, SplitMix64, StuckAt,
 };
 use crate::graph::SimGraph;
 use crate::podem::{generate_test, PodemConfig, PodemResult};
@@ -275,41 +276,13 @@ impl<'a> AtpgEngine<'a> {
         event_detect_mask(&self.graph, fault, block.mask(), good, scratch)
     }
 
-    /// Which of `faults` the pattern set detects (one flag per fault),
-    /// chunked through 64-wide blocks with dropping.
-    fn detect_flags(
-        &self,
-        faults: &[StuckAtFault],
-        patterns: &[Vec<bool>],
-        good: &mut [PatternWords],
-        scratch: &mut FaultSimScratch,
-    ) -> Vec<bool> {
-        let mut det = vec![false; faults.len()];
-        let mut alive = faults.len();
-        for chunk in patterns.chunks(64) {
-            if alive == 0 {
-                break;
-            }
-            let block = PatternBlock::pack(self.circuit, chunk);
-            good_sim_into(self.circuit, &block, good);
-            for (fi, fault) in faults.iter().enumerate() {
-                if !det[fi] && self.mask_of(*fault, &block, good, scratch).any() {
-                    det[fi] = true;
-                    alive -= 1;
-                }
-            }
-        }
-        det
-    }
-
     /// Run the full campaign over `faults` (usually collapsed
     /// representatives; duplicates are simply detected together).
     #[must_use]
     pub fn run(&self, faults: &[StuckAtFault]) -> AtpgReport {
         let n_pi = self.circuit.primary_inputs().len();
         let mut statuses = vec![FaultStatus::Undetected; faults.len()];
-        let mut scratch = FaultSimScratch::new();
-        scratch.ensure_graph(&self.graph);
+        let mut scratch = FaultSimScratch::for_graph(&self.graph);
         let mut good = vec![PatternWords::ZERO; self.circuit.signal_count()];
         let mut rng = SplitMix64::new(self.config.seed);
         let mut podem_calls = 0usize;
@@ -440,7 +413,18 @@ impl<'a> AtpgEngine<'a> {
             // merge, but *collaterally* dropped faults were credited to one
             // particular fill that merging may have rewritten. Re-simulate
             // the assembled set and top up any fault that slipped through.
-            let mut det = self.detect_flags(faults, &patterns, &mut good, &mut scratch);
+            let report = simulate_faults_with_graph_lanes(
+                self.circuit,
+                &self.graph,
+                faults,
+                &patterns,
+                true,
+                1,
+            );
+            let mut det = vec![false; faults.len()];
+            for fi in report.detected {
+                det[fi] = true;
+            }
             for fi in 0..faults.len() {
                 if det[fi] || !statuses[fi].is_detected() {
                     continue;
@@ -472,27 +456,14 @@ impl<'a> AtpgEngine<'a> {
             // fault. The detected set is preserved exactly: every detected
             // fault is caught by the *last* pattern in the final set that
             // detects it.
-            let mut live: Vec<StuckAtFault> = faults
+            let live: Vec<StuckAtFault> = faults
                 .iter()
                 .zip(&statuses)
                 .filter(|(_, s)| s.is_detected())
                 .map(|(f, _)| *f)
                 .collect();
-            let mut compacted: Vec<Vec<bool>> = Vec::new();
-            for p in patterns.iter().rev() {
-                if live.is_empty() {
-                    break;
-                }
-                let block = PatternBlock::pack(self.circuit, std::slice::from_ref(p));
-                good_sim_into(self.circuit, &block, &mut good);
-                let before = live.len();
-                live.retain(|f| self.mask_of(*f, &block, &good, &mut scratch).is_zero());
-                if live.len() < before {
-                    compacted.push(p.clone());
-                }
-            }
-            compacted.reverse();
-            patterns = compacted;
+            let model = StuckAt::new(self.circuit, &self.graph);
+            patterns = compact(&model, &live, &patterns, &mut scratch);
         }
         let compaction_ms = ms(t2);
 

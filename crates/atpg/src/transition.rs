@@ -29,41 +29,22 @@
 
 use crate::fault_list::{enumerate_stuck_at, FaultSite, StuckAtFault};
 use crate::faultsim::{
-    event_detect_mask, event_po_diffs, good_sim, report_from, resolve_threads, steal_chunk_size,
-    FaultSimReport, FaultSimScratch, PatternBlock, SignatureMatrix, SplitMix64, SUPPORTED_LANES,
+    capture, compact, configured_lanes, detect, dispatch_lanes, good_sim, report_from, stealing,
+    FaultModel, FaultSimReport, FaultSimScratch, GoodBlock, PatternBlock, SignatureMatrix,
+    SplitMix64, ONE_WORKER,
 };
 use crate::graph::SimGraph;
 use crate::lanes::PatternWords;
 use crate::podem::{generate_test_constrained, PodemConfig, PodemResult};
 use crate::sof::CircuitTwoPattern;
-use crate::steal::WorkQueue;
 use crate::tpg::FaultStatus;
 use crate::unroll::{unroll, UnrollConfig, UnrolledCircuit};
 use sinw_switch::gate::{eval_cell, Circuit, GateId, SignalId};
 use sinw_switch::scan::{insert_scan, ScanCircuit, ScanPlan};
 use sinw_switch::seq::SeqCircuit;
 use sinw_switch::value::Logic;
-use std::sync::Mutex;
+use std::convert::Infallible;
 use std::time::Instant;
-
-use crate::faultsim::configured_lanes;
-
-/// Monomorphise a generic pair-engine call over the supported lane
-/// widths (the transition twin of `faultsim`'s `dispatch_lanes!`).
-macro_rules! dispatch_pair_lanes {
-    ($lanes:expr, $func:ident($($arg:expr),* $(,)?)) => {
-        match $lanes {
-            1 => $func::<1>($($arg),*),
-            2 => $func::<2>($($arg),*),
-            4 => $func::<4>($($arg),*),
-            8 => $func::<8>($($arg),*),
-            other => panic!(
-                "unsupported lane count {other}; supported: {:?}",
-                SUPPORTED_LANES
-            ),
-        }
-    };
-}
 
 /// The two transition-delay polarities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,103 +152,84 @@ fn site_signal(circuit: &Circuit, site: FaultSite) -> SignalId {
 /// with its good words (for the stuck-at pass).
 struct PairBlock<const L: usize> {
     launch_good: Vec<PatternWords<L>>,
-    capture: PatternBlock<L>,
-    capture_good: Vec<PatternWords<L>>,
+    capture: GoodBlock<L>,
 }
 
-/// Pack pattern pairs into blocks and precompute both good machines once
-/// per block, shared read-only by every engine and worker.
-struct PreparedPairs<const L: usize> {
-    blocks: Vec<PairBlock<L>>,
-}
-
-fn prepare_pairs<const L: usize>(
-    circuit: &Circuit,
-    pairs: &[CircuitTwoPattern],
-    block_size: usize,
-) -> PreparedPairs<L> {
-    debug_assert!(block_size >= 1 && block_size <= PatternBlock::<L>::CAPACITY);
-    let blocks = pairs
-        .chunks(block_size)
-        .map(|chunk| {
-            let launch: Vec<Vec<bool>> = chunk.iter().map(|p| p.init.clone()).collect();
-            let capture: Vec<Vec<bool>> = chunk.iter().map(|p| p.eval.clone()).collect();
-            let launch_block = PatternBlock::<L>::pack(circuit, &launch);
-            let launch_good = good_sim(circuit, &launch_block);
-            let capture_block = PatternBlock::<L>::pack(circuit, &capture);
-            let capture_good = good_sim(circuit, &capture_block);
-            PairBlock {
-                launch_good,
-                capture: capture_block,
-                capture_good,
-            }
-        })
-        .collect();
-    PreparedPairs { blocks }
-}
-
-/// Initialisation mask of a fault over a pair block: the pairs whose
-/// launch vector sets the site to the fault's initial value.
-fn init_mask<const L: usize>(
-    circuit: &Circuit,
-    fault: TransitionFault,
-    blk: &PairBlock<L>,
-) -> PatternWords<L> {
-    let stem = site_signal(circuit, fault.site);
-    let want = PatternWords::<L>::stuck(fault.init_value());
-    !(blk.launch_good[stem.0] ^ want) & blk.capture.mask()
-}
-
-/// Pair-detection mask of `fault` over one block: initialisation mask
-/// fed to the event-driven stuck-at kernel as the block mask.
-fn pair_detect_mask<const L: usize>(
-    circuit: &Circuit,
-    graph: &SimGraph,
-    fault: TransitionFault,
-    blk: &PairBlock<L>,
-    scratch: &mut FaultSimScratch<L>,
-) -> PatternWords<L> {
-    let init_ok = init_mask(circuit, fault, blk);
-    if init_ok.is_zero() {
-        return PatternWords::ZERO;
+impl<const L: usize> PairBlock<L> {
+    /// Pack `pairs` and simulate both good machines once.
+    fn new(circuit: &Circuit, pairs: &[CircuitTwoPattern]) -> Self {
+        let launch: Vec<Vec<bool>> = pairs.iter().map(|p| p.init.clone()).collect();
+        let capture: Vec<Vec<bool>> = pairs.iter().map(|p| p.eval.clone()).collect();
+        PairBlock {
+            launch_good: good_sim(circuit, &PatternBlock::<L>::pack(circuit, &launch)),
+            capture: GoodBlock::new(circuit, &capture),
+        }
     }
-    event_detect_mask(
-        graph,
-        fault.as_stuck_at(),
-        init_ok,
-        &blk.capture_good,
-        scratch,
-    )
 }
 
-/// The shared first-detection loop of the pair engines (the transition
-/// twin of the stuck-at engines' skeleton): for each fault, the index of
-/// the first detecting pair, with optional fault dropping.
-fn pair_first_detections<const L: usize>(
+/// The transition fault model: the residual stuck-at fault of the
+/// capture vector, with the block's initialisation mask — the pairs
+/// whose launch vector sets the site to the initial value — handed to
+/// the event kernel *as the block mask*, so uninitialised pairs can
+/// never count as detections.
+struct Transition<'c> {
+    circuit: &'c Circuit,
+    graph: &'c SimGraph,
+}
+
+impl<const L: usize> FaultModel<L> for Transition<'_> {
+    type Fault = TransitionFault;
+    type Pattern = CircuitTwoPattern;
+    type Block = PairBlock<L>;
+
+    fn circuit(&self) -> &Circuit {
+        self.circuit
+    }
+
+    fn graph(&self) -> &SimGraph {
+        self.graph
+    }
+
+    fn block(&self, pairs: &[CircuitTwoPattern]) -> PairBlock<L> {
+        PairBlock::new(self.circuit, pairs)
+    }
+
+    fn kernel_args<'b>(
+        &self,
+        fault: TransitionFault,
+        blk: &'b PairBlock<L>,
+    ) -> (StuckAtFault, PatternWords<L>, &'b [PatternWords<L>]) {
+        let stem = site_signal(self.circuit, fault.site);
+        let want = PatternWords::<L>::stuck(fault.init_value());
+        let init_ok = !(blk.launch_good[stem.0] ^ want) & blk.capture.block.mask();
+        (fault.as_stuck_at(), init_ok, &blk.capture.good)
+    }
+}
+
+/// The transition detection engine behind every `simulate_transition*`
+/// entry point: the shared detection driver under the transition model,
+/// over blocks of `block_size` pairs fanned out as `(workers, chunk)`.
+fn pair_sim<const L: usize>(
     circuit: &Circuit,
-    graph: &SimGraph,
     faults: &[TransitionFault],
-    prepared: &PreparedPairs<L>,
-    block_size: usize,
+    pairs: &[CircuitTwoPattern],
     drop_detected: bool,
-    scratch: &mut FaultSimScratch<L>,
-) -> Vec<Option<usize>> {
-    faults
-        .iter()
-        .map(|&fault| {
-            let mut first: Option<usize> = None;
-            for (bi, blk) in prepared.blocks.iter().enumerate() {
-                if first.is_some() && drop_detected {
-                    break;
-                }
-                let mask = pair_detect_mask(circuit, graph, fault, blk, scratch);
-                if mask.any() && first.is_none() {
-                    first = Some(bi * block_size + mask.trailing_zeros());
-                }
-            }
-            first
-        })
-        .collect()
+    block_size: usize,
+    fan: (usize, usize),
+) -> FaultSimReport {
+    let graph = &SimGraph::build(circuit);
+    let model = Transition { circuit, graph };
+    let run = detect::<_, _, L>(
+        &model,
+        faults,
+        pairs,
+        drop_detected,
+        block_size,
+        fan,
+        &|| Ok(()),
+        &|| {},
+    );
+    run.unwrap_or_else(|e: Infallible| match e {}).0
 }
 
 // ----------------------------------------------------------------------
@@ -292,7 +254,7 @@ pub fn simulate_transition(
 ///
 /// # Panics
 ///
-/// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
+/// Panics if `lanes` is not one of [`SUPPORTED_LANES`](crate::SUPPORTED_LANES).
 #[must_use]
 pub fn simulate_transition_lanes(
     circuit: &Circuit,
@@ -301,7 +263,9 @@ pub fn simulate_transition_lanes(
     drop_detected: bool,
     lanes: usize,
 ) -> FaultSimReport {
-    dispatch_pair_lanes!(lanes, pair_sim_event(circuit, faults, pairs, drop_detected))
+    dispatch_lanes!(lanes, L => pair_sim::<L>(
+        circuit, faults, pairs, drop_detected, PatternBlock::<L>::CAPACITY, ONE_WORKER
+    ))
 }
 
 /// Serial (one pair at a time) transition simulation — the ablation
@@ -314,55 +278,13 @@ pub fn simulate_transition_serial(
     pairs: &[CircuitTwoPattern],
     drop_detected: bool,
 ) -> FaultSimReport {
-    if pairs.is_empty() {
-        return report_from(vec![None; faults.len()], 0);
-    }
-    let graph = SimGraph::build(circuit);
-    let prepared = prepare_pairs::<1>(circuit, pairs, 1);
-    let mut scratch = FaultSimScratch::new();
-    scratch.ensure_graph(&graph);
-    let firsts = pair_first_detections(
-        circuit,
-        &graph,
-        faults,
-        &prepared,
-        1,
-        drop_detected,
-        &mut scratch,
-    );
-    report_from(firsts, pairs.len())
-}
-
-fn pair_sim_event<const L: usize>(
-    circuit: &Circuit,
-    faults: &[TransitionFault],
-    pairs: &[CircuitTwoPattern],
-    drop_detected: bool,
-) -> FaultSimReport {
-    if pairs.is_empty() {
-        return report_from(vec![None; faults.len()], 0);
-    }
-    let block = PatternBlock::<L>::CAPACITY;
-    let graph = SimGraph::build(circuit);
-    let prepared = prepare_pairs::<L>(circuit, pairs, block);
-    let mut scratch = FaultSimScratch::new();
-    scratch.ensure_graph(&graph);
-    let firsts = pair_first_detections(
-        circuit,
-        &graph,
-        faults,
-        &prepared,
-        block,
-        drop_detected,
-        &mut scratch,
-    );
-    report_from(firsts, pairs.len())
+    pair_sim::<1>(circuit, faults, pairs, drop_detected, 1, ONE_WORKER)
 }
 
 /// Thread-parallel transition simulation over the same work-stealing
-/// chunk queue as the stuck-at engines, at [`configured_lanes`]. Chunk
-/// boundaries are a pure function of the input and every chunk writes
-/// its own disjoint output slice, so the report is bit-identical to
+/// fan-out as the stuck-at engines, at [`configured_lanes`]. Chunk
+/// boundaries are a pure function of the input and chunk results merge
+/// in chunk order, so the report is bit-identical to
 /// [`simulate_transition`] and [`simulate_transition_serial`] no matter
 /// how chunks migrate between workers. `threads = 0` uses
 /// [`std::thread::available_parallelism`].
@@ -388,7 +310,7 @@ pub fn simulate_transition_threaded(
 ///
 /// # Panics
 ///
-/// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
+/// Panics if `lanes` is not one of [`SUPPORTED_LANES`](crate::SUPPORTED_LANES).
 #[must_use]
 pub fn simulate_transition_threaded_lanes(
     circuit: &Circuit,
@@ -398,61 +320,10 @@ pub fn simulate_transition_threaded_lanes(
     threads: usize,
     lanes: usize,
 ) -> FaultSimReport {
-    dispatch_pair_lanes!(
-        lanes,
-        pair_sim_threaded(circuit, faults, pairs, drop_detected, threads)
-    )
-}
-
-fn pair_sim_threaded<const L: usize>(
-    circuit: &Circuit,
-    faults: &[TransitionFault],
-    pairs: &[CircuitTwoPattern],
-    drop_detected: bool,
-    threads: usize,
-) -> FaultSimReport {
-    if faults.is_empty() || pairs.is_empty() {
-        return report_from(vec![None; faults.len()], pairs.len());
-    }
-    let workers = resolve_threads(threads).min(faults.len());
-    let block = PatternBlock::<L>::CAPACITY;
-    let prepared = prepare_pairs::<L>(circuit, pairs, block);
-    let graph = SimGraph::build(circuit);
-    let chunk = steal_chunk_size(faults.len(), workers);
-    let queue = WorkQueue::new(faults.len(), workers, chunk);
-    let mut firsts: Vec<Option<usize>> = vec![None; faults.len()];
-    {
-        let slots: Vec<Mutex<&mut [Option<usize>]>> =
-            firsts.chunks_mut(chunk).map(Mutex::new).collect();
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let queue = &queue;
-                let slots = &slots;
-                let prepared = &prepared;
-                let graph = &graph;
-                s.spawn(move || {
-                    let mut scratch = FaultSimScratch::new();
-                    scratch.ensure_graph(graph);
-                    while let Some(cid) = queue.pop(w) {
-                        let local = pair_first_detections(
-                            circuit,
-                            graph,
-                            &faults[queue.item_range(cid)],
-                            prepared,
-                            block,
-                            drop_detected,
-                            &mut scratch,
-                        );
-                        slots[cid]
-                            .lock()
-                            .expect("chunk slot poisoned")
-                            .copy_from_slice(&local);
-                    }
-                });
-            }
-        });
-    }
-    report_from(firsts, pairs.len())
+    let fan = stealing(threads, faults.len());
+    dispatch_lanes!(lanes, L => pair_sim::<L>(
+        circuit, faults, pairs, drop_detected, PatternBlock::<L>::CAPACITY, fan
+    ))
 }
 
 // ----------------------------------------------------------------------
@@ -551,7 +422,7 @@ pub fn capture_transition_signatures(
 ///
 /// # Panics
 ///
-/// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
+/// Panics if `lanes` is not one of [`SUPPORTED_LANES`](crate::SUPPORTED_LANES).
 #[must_use]
 pub fn capture_transition_signatures_lanes(
     circuit: &Circuit,
@@ -559,7 +430,7 @@ pub fn capture_transition_signatures_lanes(
     pairs: &[CircuitTwoPattern],
     lanes: usize,
 ) -> SignatureMatrix {
-    dispatch_pair_lanes!(lanes, pair_capture(circuit, faults, pairs))
+    dispatch_lanes!(lanes, L => pair_capture::<L>(circuit, faults, pairs))
 }
 
 fn pair_capture<const L: usize>(
@@ -567,43 +438,19 @@ fn pair_capture<const L: usize>(
     faults: &[TransitionFault],
     pairs: &[CircuitTwoPattern],
 ) -> SignatureMatrix {
-    let n_outputs = circuit.primary_outputs().len();
-    let words_per_row = (pairs.len() * n_outputs).div_ceil(64);
-    let mut bits = vec![0u64; faults.len() * words_per_row];
-    if !bits.is_empty() {
-        let block = PatternBlock::<L>::CAPACITY;
-        let graph = SimGraph::build(circuit);
-        let prepared = prepare_pairs::<L>(circuit, pairs, block);
-        let mut scratch = FaultSimScratch::new();
-        scratch.ensure_graph(&graph);
-        let mut po_diff = vec![PatternWords::<L>::ZERO; n_outputs];
-        for (fi, &fault) in faults.iter().enumerate() {
-            let row = &mut bits[fi * words_per_row..(fi + 1) * words_per_row];
-            for (bi, blk) in prepared.blocks.iter().enumerate() {
-                let init_ok = init_mask(circuit, fault, blk);
-                if init_ok.is_zero() {
-                    continue;
-                }
-                event_po_diffs(
-                    &graph,
-                    fault.as_stuck_at(),
-                    init_ok,
-                    &blk.capture_good,
-                    &mut scratch,
-                    circuit.primary_outputs(),
-                    &mut po_diff,
-                );
-                for (o, diff) in po_diff.iter().enumerate() {
-                    for k in diff.set_bits() {
-                        let bit = (bi * block + k) * n_outputs + o;
-                        row[bit / 64] |= 1u64 << (bit % 64);
-                    }
-                }
-            }
-        }
-    }
-    SignatureMatrix::from_raw_parts(faults.len(), pairs.len(), n_outputs, bits)
-        .expect("capture geometry is consistent by construction")
+    let graph = &SimGraph::build(circuit);
+    let model = Transition { circuit, graph };
+    let block_size = PatternBlock::<L>::CAPACITY;
+    let run = capture::<_, _, L>(
+        &model,
+        faults,
+        pairs,
+        block_size,
+        ONE_WORKER,
+        &|| Ok(()),
+        &|| {},
+    );
+    run.unwrap_or_else(|e: Infallible| match e {}).0
 }
 
 // ----------------------------------------------------------------------
@@ -805,8 +652,11 @@ impl TransitionAtpg {
         let mut statuses = vec![FaultStatus::Undetected; faults.len()];
         let mut remaining: Vec<usize> = (0..faults.len()).collect();
         let mut pairs: Vec<CircuitTwoPattern> = Vec::new();
-        let mut scratch: FaultSimScratch = FaultSimScratch::new();
-        scratch.ensure_graph(&self.graph);
+        let model = Transition {
+            circuit,
+            graph: &self.graph,
+        };
+        let mut scratch: FaultSimScratch = FaultSimScratch::for_graph(&self.graph);
         let mut podem_calls = 0usize;
 
         // Random phase: blocks of 64 free launch vectors, broadside
@@ -828,17 +678,14 @@ impl TransitionAtpg {
                         .eval
                 })
                 .collect();
-            let capture_block: PatternBlock = PatternBlock::pack(circuit, &capture);
-            let capture_good = good_sim(circuit, &capture_block);
             let blk = PairBlock {
                 launch_good,
-                capture: capture_block,
-                capture_good,
+                capture: GoodBlock::new(circuit, &capture),
             };
             let mut credited = 0u64;
             let before = remaining.len();
             remaining.retain(|&fi| {
-                let mask = pair_detect_mask(circuit, &self.graph, faults[fi], &blk, &mut scratch);
+                let mask = model.detect_mask(faults[fi], &blk, &mut scratch);
                 if mask.any() {
                     statuses[fi] = FaultStatus::DetectedRandom;
                     credited |= 1u64 << mask.trailing_zeros();
@@ -915,24 +762,13 @@ impl TransitionAtpg {
                         let pair = self.pair_from(launch, &launch_good, 0, pi1);
                         // Collateral dropping: one deterministic pair
                         // usually kills more than its target.
-                        let capture_block: PatternBlock =
-                            PatternBlock::pack(circuit, std::slice::from_ref(&pair.eval));
-                        let capture_good = good_sim(circuit, &capture_block);
                         let blk = PairBlock {
                             launch_good,
-                            capture: capture_block,
-                            capture_good,
+                            capture: GoodBlock::new(circuit, std::slice::from_ref(&pair.eval)),
                         };
                         for (gi, status) in statuses.iter_mut().enumerate() {
                             if *status == FaultStatus::Undetected
-                                && pair_detect_mask(
-                                    circuit,
-                                    &self.graph,
-                                    faults[gi],
-                                    &blk,
-                                    &mut scratch,
-                                )
-                                .any()
+                                && model.detect_mask(faults[gi], &blk, &mut scratch).any()
                             {
                                 *status = FaultStatus::DetectedDeterministic;
                             }
@@ -953,36 +789,13 @@ impl TransitionAtpg {
         // keep only pairs that detect something new. Preserves the
         // detected-fault set exactly.
         if cfg.compact && !pairs.is_empty() {
-            let mut live: Vec<TransitionFault> = statuses
+            let live: Vec<TransitionFault> = statuses
                 .iter()
                 .zip(faults)
                 .filter(|(s, _)| s.is_detected())
                 .map(|(_, f)| *f)
                 .collect();
-            let mut kept: Vec<CircuitTwoPattern> = Vec::new();
-            for p in pairs.iter().rev() {
-                if live.is_empty() {
-                    break;
-                }
-                let launch_block: PatternBlock =
-                    PatternBlock::pack(circuit, std::slice::from_ref(&p.init));
-                let capture_block: PatternBlock =
-                    PatternBlock::pack(circuit, std::slice::from_ref(&p.eval));
-                let blk = PairBlock {
-                    launch_good: good_sim(circuit, &launch_block),
-                    capture_good: good_sim(circuit, &capture_block),
-                    capture: capture_block,
-                };
-                let before = live.len();
-                live.retain(|f| {
-                    pair_detect_mask(circuit, &self.graph, *f, &blk, &mut scratch).is_zero()
-                });
-                if live.len() < before {
-                    kept.push(p.clone());
-                }
-            }
-            kept.reverse();
-            pairs = kept;
+            pairs = compact(&model, &live, &pairs, &mut scratch);
         }
         let deterministic_ms = t1.elapsed().as_secs_f64() * 1e3;
 
@@ -1005,7 +818,7 @@ impl TransitionAtpg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faultsim::seeded_patterns;
+    use crate::faultsim::{seeded_patterns, SUPPORTED_LANES};
     use sinw_switch::cells::CellKind;
     use sinw_switch::seq::Dff;
 

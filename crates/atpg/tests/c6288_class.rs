@@ -14,10 +14,7 @@
 
 use sinw_atpg::collapse::collapse;
 use sinw_atpg::fault_list::enumerate_stuck_at;
-use sinw_atpg::faultsim::{
-    seeded_patterns, simulate_faults_lanes, simulate_faults_threaded_static,
-    simulate_faults_threaded_stats,
-};
+use sinw_atpg::faultsim::{seeded_patterns, simulate_faults_lanes, simulate_faults_threaded_stats};
 use sinw_switch::generate::c6288_class;
 
 /// The shared seeded pattern set every golden number below is pinned
@@ -64,8 +61,9 @@ fn c6288_class_shape_and_sampled_coverage_are_pinned() {
 }
 
 /// Full-universe golden run: all collapsed representatives under the
-/// seeded 96-pattern set, work-stealing vs static partitioning required
-/// to agree. Ignored by default — run with
+/// seeded 96-pattern set, work-stealing required to agree with the
+/// serial single-lane reference with fault dropping on and off. Ignored
+/// by default — run with
 /// `cargo test -p sinw-atpg --test c6288_class --release -- --ignored`.
 #[test]
 #[ignore = "full 80k-fault universe; minutes in debug builds"]
@@ -73,20 +71,22 @@ fn c6288_class_full_coverage_is_pinned() {
     let c = c6288_class();
     let faults = enumerate_stuck_at(&c);
     let collapsed = collapse(&c, &faults);
+    let reps = &collapsed.representatives;
     let patterns = seeded_patterns(c.primary_inputs().len(), GOLDEN_PATTERNS, GOLDEN_SEED);
-    let (steal, stats) =
-        simulate_faults_threaded_stats(&c, &collapsed.representatives, &patterns, true, 0, 4);
-    let static_part =
-        simulate_faults_threaded_static(&c, &collapsed.representatives, &patterns, true, 0);
-    assert_eq!(
-        steal, static_part,
-        "work-stealing and static partitioning must agree"
-    );
-    assert!(stats.chunks > 0);
-    assert_eq!(steal.detected.len(), 80758, "detected faults");
-    let coverage = steal.coverage();
-    assert!(
-        (coverage - 0.999_876).abs() < 0.000_05,
-        "coverage {coverage} drifted from the pinned 99.9876%"
-    );
+    for drop_detected in [true, false] {
+        let (steal, stats) =
+            simulate_faults_threaded_stats(&c, reps, &patterns, drop_detected, 0, 4);
+        let serial = simulate_faults_lanes(&c, reps, &patterns, drop_detected, 1);
+        assert_eq!(
+            steal, serial,
+            "work-stealing and the serial reference must agree (drop = {drop_detected})"
+        );
+        assert!(stats.chunks > 0);
+        assert_eq!(steal.detected.len(), 80758, "detected faults");
+        let coverage = steal.coverage();
+        assert!(
+            (coverage - 0.999_876).abs() < 0.000_05,
+            "coverage {coverage} drifted from the pinned 99.9876%"
+        );
+    }
 }

@@ -37,16 +37,19 @@
 //!
 //! ## Determinism
 //!
-//! Heavy jobs (fault simulation, signature capture) fan out internally
-//! over the same work-stealing chunk queue
-//! ([`sinw_atpg::steal::WorkQueue`]) as the PPSFP engines. The chunk
-//! boundaries are a pure function of the fault-list length, each chunk
-//! is simulated independently (per-fault detection and first-detection
-//! credit do not depend on any other fault in the list), and the merge
-//! walks chunks in index order — so a job's outcome is **bit-identical**
-//! to the direct serial engine call on the whole fault list, no matter
-//! how many threads ran it, how chunks migrated between them, or how
-//! many transient-failure retries preceded the successful attempt.
+//! Heavy jobs (fault simulation, signature capture) pack their patterns
+//! and run the good machine **once per attempt**, then fan out over the
+//! same work-stealing driver as the PPSFP engines
+//! ([`sinw_atpg::steal::fan_out`]) in [`JOB_CHUNK`]-fault chunks, with
+//! cancellation, the deadline, the `jobs.*.chunk` fail points and
+//! [`JobProgress`] checked around every chunk. The chunk boundaries are
+//! a pure function of the fault-list length, each chunk is simulated
+//! independently (per-fault detection and first-detection credit do not
+//! depend on any other fault in the list), and results merge in chunk
+//! order — so a job's outcome is **bit-identical** to the direct serial
+//! engine call on the whole fault list, no matter how many threads ran
+//! it, how chunks migrated between them, or how many transient-failure
+//! retries preceded the successful attempt.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -56,19 +59,13 @@ use std::time::{Duration, Instant};
 
 use sinw_atpg::diagnose::{DiagnosisReport, FaultDictionary};
 use sinw_atpg::faultsim::{
-    capture_signatures_with_graph, simulate_faults_with_graph, FaultSimReport, SignatureMatrix,
+    capture_signatures_checked, simulate_faults_checked, FaultSimReport, PackError,
+    SignatureMatrix, JOB_CHUNK,
 };
-use sinw_atpg::steal::WorkQueue;
 use sinw_atpg::tpg::{AtpgConfig, AtpgEngine, AtpgReport};
 
-use crate::failpoint::{self, InjectedError};
+use crate::failpoint;
 use crate::registry::{panic_reason, CompiledCircuit};
-
-/// Fault-list chunk size for intra-job fan-out. Small enough that
-/// progress, cancellation, and deadlines have real granularity on the
-/// workspace's fixture circuits, large enough that per-chunk overhead is
-/// noise.
-const JOB_CHUNK: usize = 32;
 
 /// Ceiling on a single retry backoff sleep, whatever the exponential
 /// schedule asks for.
@@ -233,11 +230,6 @@ impl JobShared {
 
     fn deadline_exceeded(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// The cooperative stop check shared by chunk claims and retries.
-    fn should_stop(&self) -> bool {
-        self.cancel.load(Ordering::SeqCst) || self.deadline_exceeded()
     }
 
     fn finish(&self, outcome: JobOutcome) {
@@ -574,12 +566,21 @@ fn worker_loop(queue: &EngineQueue) {
     }
 }
 
-/// Why one execution attempt failed, split by whether a retry can help.
+/// Why one execution attempt ended without a result, split by whether a
+/// retry can help.
 enum RunFailure {
     /// An injected transient fault: retryable under the job's policy.
     Transient(String),
     /// A validation failure or an isolated panic: never retried.
     Permanent(String),
+    /// Cancellation or the deadline stopped the job at a chunk boundary.
+    Stopped(JobOutcome),
+}
+
+impl From<PackError> for RunFailure {
+    fn from(e: PackError) -> Self {
+        RunFailure::Permanent(e.to_string())
+    }
 }
 
 /// The retry loop around single execution attempts: panics are isolated
@@ -626,6 +627,7 @@ fn execute_with_retries(spec: &JobSpec, policy: &JobPolicy, shared: &JobShared) 
                 }
             }
             RunFailure::Permanent(reason) => return JobOutcome::Failed { reason },
+            RunFailure::Stopped(outcome) => return outcome,
         }
     }
 }
@@ -640,12 +642,37 @@ fn run_job(spec: JobSpec, shared: &JobShared) -> Result<JobOutcome, RunFailure> 
             patterns,
             drop_detected,
             threads,
-        } => run_fault_sim(&compiled, &patterns, drop_detected, threads, shared),
+        } => {
+            let faults = &compiled.collapsed().representatives;
+            let report = simulate_faults_checked(
+                compiled.circuit(),
+                compiled.graph(),
+                faults,
+                &patterns,
+                drop_detected,
+                threads,
+                chunk_admit(shared, faults.len(), "jobs.faultsim.chunk"),
+                || _ = shared.done.fetch_add(1, Ordering::SeqCst),
+            )?;
+            Ok(JobOutcome::FaultSim(report))
+        }
         JobSpec::Signatures {
             compiled,
             patterns,
             threads,
-        } => run_signatures(&compiled, &patterns, threads, shared),
+        } => {
+            let faults = &compiled.collapsed().representatives;
+            let matrix = capture_signatures_checked(
+                compiled.circuit(),
+                compiled.graph(),
+                faults,
+                &patterns,
+                threads,
+                chunk_admit(shared, faults.len(), "jobs.signatures.chunk"),
+                || _ = shared.done.fetch_add(1, Ordering::SeqCst),
+            )?;
+            Ok(JobOutcome::Signatures(matrix))
+        }
         JobSpec::Campaign { compiled, config } => {
             shared.total.store(1, Ordering::SeqCst);
             failpoint::hit("jobs.campaign.run")
@@ -679,188 +706,25 @@ fn run_job(spec: JobSpec, shared: &JobShared) -> Result<JobOutcome, RunFailure> 
     }
 }
 
-/// Validate a pattern set against the compiled circuit before fan-out,
-/// so malformed requests fail typed instead of panicking inside a pool
-/// thread.
-fn check_patterns(compiled: &CompiledCircuit, patterns: &[Vec<bool>]) -> Result<(), RunFailure> {
-    let n_pi = compiled.circuit().primary_inputs().len();
-    for (k, p) in patterns.iter().enumerate() {
-        if p.len() != n_pi {
-            return Err(RunFailure::Permanent(format!(
-                "pattern {k} has {} bits, circuit '{}' has {n_pi} primary inputs",
-                p.len(),
-                compiled.name()
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// How a chunked fan-out ended.
-enum ChunkExit<T> {
-    /// Every chunk ran; results in chunk-index order.
-    Done(Vec<T>),
-    /// The cancel flag stopped the fan-out at a chunk boundary.
-    Cancelled,
-    /// The deadline stopped the fan-out at a chunk boundary.
-    TimedOut,
-    /// A chunk hit an injected fault; the fan-out aborted early.
-    Injected(String),
-}
-
-/// Fan a fault-list computation out over `threads` scoped threads
-/// claiming [`JOB_CHUNK`]-sized chunks from a [`WorkQueue`], collecting
-/// one result per chunk **in chunk-index order**. Cancellation, the
-/// deadline, and injected faults are all checked at chunk granularity.
-fn chunked<T: Send>(
+/// The check run before each [`JOB_CHUNK`] chunk of a fault-sim or
+/// signature job — cancellation, the deadline, then the job kind's chunk
+/// fail point — after sizing the job's progress at one step per chunk.
+fn chunk_admit<'a>(
+    shared: &'a JobShared,
     n_faults: usize,
-    threads: usize,
-    shared: &JobShared,
-    run_chunk: impl Fn(std::ops::Range<usize>) -> Result<T, InjectedError> + Sync,
-) -> ChunkExit<T> {
-    let threads = threads.max(1);
-    let queue = WorkQueue::new(n_faults, threads, JOB_CHUNK);
-    shared.total.store(queue.chunk_count(), Ordering::SeqCst);
-    let slots: Vec<Mutex<Option<T>>> = (0..queue.chunk_count()).map(|_| Mutex::new(None)).collect();
-    let abort = AtomicBool::new(false);
-    let injected: Mutex<Option<String>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let queue = &queue;
-            let slots = &slots;
-            let run_chunk = &run_chunk;
-            let abort = &abort;
-            let injected = &injected;
-            scope.spawn(move || {
-                while let Some(chunk) = queue.pop(w) {
-                    if abort.load(Ordering::SeqCst) || shared.should_stop() {
-                        return;
-                    }
-                    match run_chunk(queue.item_range(chunk)) {
-                        Ok(result) => {
-                            *lock_clean(&slots[chunk]) = Some(result);
-                            shared.done.fetch_add(1, Ordering::SeqCst);
-                        }
-                        Err(e) => {
-                            lock_clean(injected).get_or_insert_with(|| e.to_string());
-                            abort.store(true, Ordering::SeqCst);
-                            return;
-                        }
-                    }
-                }
-            });
+    failpoint: &'static str,
+) -> impl Fn() -> Result<(), RunFailure> + Sync + 'a {
+    shared
+        .total
+        .store(n_faults.div_ceil(JOB_CHUNK), Ordering::SeqCst);
+    move || {
+        if shared.cancel.load(Ordering::SeqCst) {
+            return Err(RunFailure::Stopped(JobOutcome::Cancelled));
         }
-    });
-    if let Some(e) = lock_clean(&injected).take() {
-        return ChunkExit::Injected(e);
-    }
-    if shared.cancel.load(Ordering::SeqCst) {
-        return ChunkExit::Cancelled;
-    }
-    if shared.deadline_exceeded() {
-        return ChunkExit::TimedOut;
-    }
-    let mut out = Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            Some(v) => out.push(v),
-            // A worker observed a stop signal that has since cleared is
-            // impossible (cancel latches, deadlines only move forward),
-            // but be safe: treat a hole as a stop.
-            None => {
-                return if shared.cancel.load(Ordering::SeqCst) {
-                    ChunkExit::Cancelled
-                } else {
-                    ChunkExit::TimedOut
-                }
-            }
+        if shared.deadline_exceeded() {
+            return Err(RunFailure::Stopped(JobOutcome::TimedOut));
         }
-    }
-    ChunkExit::Done(out)
-}
-
-fn run_fault_sim(
-    compiled: &CompiledCircuit,
-    patterns: &[Vec<bool>],
-    drop_detected: bool,
-    threads: usize,
-    shared: &JobShared,
-) -> Result<JobOutcome, RunFailure> {
-    check_patterns(compiled, patterns)?;
-    let faults = &compiled.collapsed().representatives;
-    let chunks = match chunked(faults.len(), threads, shared, |range| {
-        failpoint::hit("jobs.faultsim.chunk")?;
-        let offset = range.start;
-        let report = simulate_faults_with_graph(
-            compiled.circuit(),
-            compiled.graph(),
-            &faults[range],
-            patterns,
-            drop_detected,
-        );
-        Ok((offset, report))
-    }) {
-        ChunkExit::Done(chunks) => chunks,
-        ChunkExit::Cancelled => return Ok(JobOutcome::Cancelled),
-        ChunkExit::TimedOut => return Ok(JobOutcome::TimedOut),
-        ChunkExit::Injected(e) => return Err(RunFailure::Transient(e)),
-    };
-    // Chunk-order merge: indices shift by the chunk's offset (ascending
-    // across chunks, so the merged index lists stay sorted) and
-    // first-detection credit sums per pattern.
-    let mut merged = FaultSimReport {
-        detected: Vec::new(),
-        undetected: Vec::new(),
-        first_detections: vec![0usize; patterns.len()],
-    };
-    for (offset, report) in chunks {
-        merged
-            .detected
-            .extend(report.detected.iter().map(|f| f + offset));
-        merged
-            .undetected
-            .extend(report.undetected.iter().map(|f| f + offset));
-        for (p, n) in report.first_detections.iter().enumerate() {
-            merged.first_detections[p] += n;
-        }
-    }
-    Ok(JobOutcome::FaultSim(merged))
-}
-
-fn run_signatures(
-    compiled: &CompiledCircuit,
-    patterns: &[Vec<bool>],
-    threads: usize,
-    shared: &JobShared,
-) -> Result<JobOutcome, RunFailure> {
-    check_patterns(compiled, patterns)?;
-    let faults = &compiled.collapsed().representatives;
-    let chunks = match chunked(faults.len(), threads, shared, |range| {
-        failpoint::hit("jobs.signatures.chunk")?;
-        Ok(capture_signatures_with_graph(
-            compiled.circuit(),
-            compiled.graph(),
-            &faults[range],
-            patterns,
-        ))
-    }) {
-        ChunkExit::Done(chunks) => chunks,
-        ChunkExit::Cancelled => return Ok(JobOutcome::Cancelled),
-        ChunkExit::TimedOut => return Ok(JobOutcome::TimedOut),
-        ChunkExit::Injected(e) => return Err(RunFailure::Transient(e)),
-    };
-    // Row-concatenate in chunk order; every chunk shares the pattern /
-    // output geometry, so the packed words line up exactly.
-    let n_outputs = compiled.circuit().primary_outputs().len();
-    let mut bits = Vec::new();
-    for chunk in &chunks {
-        bits.extend_from_slice(chunk.bits());
-    }
-    match SignatureMatrix::from_raw_parts(faults.len(), patterns.len(), n_outputs, bits) {
-        Ok(matrix) => Ok(JobOutcome::Signatures(matrix)),
-        Err(e) => Err(RunFailure::Permanent(format!(
-            "signature merge rejected: {e}"
-        ))),
+        failpoint::hit(failpoint).map_err(|e| RunFailure::Transient(e.to_string()))
     }
 }
 
@@ -943,14 +807,33 @@ mod tests {
     #[test]
     fn malformed_patterns_fail_typed() {
         let compiled = Arc::new(compile_circuit("c17", Circuit::c17()));
+        let patterns = Arc::new(vec![vec![true; 5], vec![true; 3]]);
         let engine = JobEngine::new(1);
-        let handle = engine.submit(JobSpec::FaultSim {
-            compiled,
-            patterns: Arc::new(vec![vec![true; 3]]),
+        let fault_sim = engine.submit(JobSpec::FaultSim {
+            compiled: Arc::clone(&compiled),
+            patterns: Arc::clone(&patterns),
             drop_detected: false,
             threads: 1,
         });
-        assert!(matches!(handle.wait(), JobOutcome::Failed { .. }));
+        let signatures = engine.submit(JobSpec::Signatures {
+            compiled,
+            patterns,
+            threads: 1,
+        });
+        for handle in [fault_sim, signatures] {
+            match handle.wait() {
+                JobOutcome::Failed { reason } => {
+                    assert!(
+                        reason.contains("pattern 1")
+                            && reason.contains("3 bits")
+                            && reason.contains("5 primary inputs"),
+                        "reason must name the pattern and both widths: {reason}"
+                    );
+                }
+                other => panic!("unexpected outcome {other:?}"),
+            }
+            assert_eq!(handle.attempts(), 1, "a malformed request is never retried");
+        }
         engine.shutdown();
     }
 

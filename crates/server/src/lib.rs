@@ -25,9 +25,9 @@
 //!   of workers multiplexing concurrent fault-sim / signature-capture /
 //!   campaign / diagnosis requests over shared compiled artifacts, with
 //!   per-job progress, cooperative cancellation, and graceful drain on
-//!   shutdown. Heavy jobs fan out internally over the same work-stealing
-//!   chunk queue ([`sinw_atpg::steal::WorkQueue`]) as the PPSFP engines,
-//!   with the same determinism argument: chunk boundaries are a pure
+//!   shutdown. Heavy jobs prepare their patterns once, then fan out over
+//!   the same work-stealing driver ([`sinw_atpg::steal::fan_out`]) as the
+//!   PPSFP engines, with the same determinism argument: chunk boundaries are a pure
 //!   function of the input, so results are bit-identical to direct
 //!   serial engine calls no matter how chunks migrate between workers.
 //!

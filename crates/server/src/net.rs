@@ -296,6 +296,13 @@ fn send(stream: &mut TcpStream, response: &Response) -> Result<(), WireError> {
     wire::write_frame(stream, ty, &payload)
 }
 
+/// Intra-job workers for a wire-supplied thread count: at least one, at
+/// most the host's available parallelism.
+fn job_threads(requested: u32) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    usize::try_from(requested).map_or(cores, |t| t.clamp(1, cores))
+}
+
 fn error_response(code: ErrorCode, message: impl Into<String>) -> Response {
     Response::Error {
         code,
@@ -492,47 +499,37 @@ fn handle_request(
                 );
             };
             let n_pi = compiled.circuit().primary_inputs().len();
+            if let WireJob::FaultSim { patterns, .. } | WireJob::Signatures { patterns, .. } = &job
+            {
+                if patterns.iter().any(|p| p.len() != n_pi) {
+                    return send(
+                        stream,
+                        &error_response(
+                            ErrorCode::BadFrame,
+                            format!("patterns must be {n_pi} bits wide for this circuit"),
+                        ),
+                    );
+                }
+            }
             let spec = match job {
                 WireJob::FaultSim {
                     patterns,
                     drop_detected,
                     threads,
                     ..
-                } => {
-                    if patterns.iter().any(|p| p.len() != n_pi) {
-                        return send(
-                            stream,
-                            &error_response(
-                                ErrorCode::BadFrame,
-                                format!("patterns must be {n_pi} bits wide for this circuit"),
-                            ),
-                        );
-                    }
-                    JobSpec::FaultSim {
-                        compiled,
-                        patterns: Arc::new(patterns),
-                        drop_detected,
-                        threads: (threads as usize).max(1),
-                    }
-                }
+                } => JobSpec::FaultSim {
+                    compiled,
+                    patterns: Arc::new(patterns),
+                    drop_detected,
+                    threads: job_threads(threads),
+                },
                 WireJob::Signatures {
                     patterns, threads, ..
-                } => {
-                    if patterns.iter().any(|p| p.len() != n_pi) {
-                        return send(
-                            stream,
-                            &error_response(
-                                ErrorCode::BadFrame,
-                                format!("patterns must be {n_pi} bits wide for this circuit"),
-                            ),
-                        );
-                    }
-                    JobSpec::Signatures {
-                        compiled,
-                        patterns: Arc::new(patterns),
-                        threads: (threads as usize).max(1),
-                    }
-                }
+                } => JobSpec::Signatures {
+                    compiled,
+                    patterns: Arc::new(patterns),
+                    threads: job_threads(threads),
+                },
                 WireJob::Campaign { seed, .. } => JobSpec::Campaign {
                     compiled,
                     config: AtpgConfig {

@@ -639,7 +639,8 @@ pub enum WireJob {
         patterns: Vec<Vec<bool>>,
         /// Drop faults after first detection.
         drop_detected: bool,
-        /// Intra-job worker threads (clamped server-side to ≥ 1).
+        /// Intra-job worker threads (clamped server-side to between one
+        /// and the host's available parallelism).
         threads: u32,
         /// Deadline in milliseconds; 0 means none.
         timeout_ms: u64,
@@ -650,7 +651,8 @@ pub enum WireJob {
         key: u64,
         /// Patterns, one `bool` per primary input each.
         patterns: Vec<Vec<bool>>,
-        /// Intra-job worker threads (clamped server-side to ≥ 1).
+        /// Intra-job worker threads (clamped server-side to between one
+        /// and the host's available parallelism).
         threads: u32,
         /// Deadline in milliseconds; 0 means none.
         timeout_ms: u64,

@@ -7,12 +7,14 @@
 //! panics, never allocates past the configured cap, and the server
 //! stays serviceable afterward.
 
+use sinw_atpg::{seeded_patterns, simulate_faults};
 use sinw_server::net::{NetClient, NetConfig, NetServer};
+use sinw_server::registry::compile_circuit;
 use sinw_server::wire::{
     self, decode_frame, encode_frame, frame_type, ErrorCode, FrameEvent, Request, Response,
-    WireError, WireJob, WIRE_MAGIC, WIRE_VERSION,
+    WireError, WireJob, WireOutcome, WIRE_MAGIC, WIRE_VERSION,
 };
-use sinw_switch::iscas::C17_BENCH;
+use sinw_switch::iscas::{parse_bench, C17_BENCH};
 
 /// A rich reference frame: a `SubmitJob` request with inline patterns,
 /// so every payload section (tags, counts, bools, integers) is in the
@@ -400,5 +402,37 @@ fn version_and_checksum_attacks_get_typed_rejections() {
     // And the server still serves.
     let mut client = NetClient::connect(addr).expect("connect");
     assert!(client.stats().is_ok());
+    server.shutdown();
+}
+
+#[test]
+fn an_unbounded_thread_count_is_clamped_and_the_server_keeps_serving() {
+    // A hostile `threads = u32::MAX` must size nothing by itself: sized
+    // per worker, it is an allocation abort no `catch_unwind` can stop.
+    // The server clamps it, runs the job, and serves the next request.
+    let compiled = compile_circuit("c17", parse_bench(C17_BENCH).expect("fixture parses"));
+    let patterns = seeded_patterns(compiled.circuit().primary_inputs().len(), 64, 0x7EAD);
+    let reference = WireOutcome::from_fault_sim(&simulate_faults(
+        compiled.circuit(),
+        &compiled.collapsed().representatives,
+        &patterns,
+        true,
+    ));
+    let server = serve();
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let (key, _) = client.register_bench("c17", C17_BENCH).expect("register");
+    for threads in [u32::MAX, 2] {
+        let job = client
+            .submit(WireJob::FaultSim {
+                key,
+                patterns: patterns.clone(),
+                drop_detected: true,
+                threads,
+                timeout_ms: 60_000,
+            })
+            .expect("submit");
+        let outcome = client.await_job(job, |_, _| {}).expect("await");
+        assert_eq!(outcome, reference, "threads = {threads}");
+    }
     server.shutdown();
 }
