@@ -15,12 +15,10 @@
 //!   request shares the same immutable [`CompiledCircuit`] artifact
 //!   through an [`Arc`](std::sync::Arc). Hit / miss / compile counters
 //!   make the "exactly one compile" contract observable (and testable).
-//! * [`snapshot`] — the versioned binary **`.sinw` snapshot format**
-//!   (magic + version + checksum): circuits, fault universes, collapsed
-//!   classes, and [`FaultDictionary`] instances survive process restarts
-//!   without re-parsing `.bench` text. Decoding is fully defensive —
-//!   truncated, corrupted, or fuzzed bytes produce a typed
-//!   [`SnapshotError`], never a panic or an unbounded allocation.
+//! * [`snapshot`] — the versioned binary **`.sinw` snapshot format**:
+//!   circuits, fault universes, collapsed classes, and
+//!   [`FaultDictionary`] instances survive process restarts without
+//!   re-parsing `.bench` text.
 //! * [`jobs`] — the bounded **job engine** ([`JobEngine`]): a fixed pool
 //!   of workers multiplexing concurrent fault-sim / signature-capture /
 //!   campaign / diagnosis requests over shared compiled artifacts, with
@@ -54,14 +52,20 @@
 //!   [`RegistryError`]s; eviction never invalidates an
 //!   [`Arc`](std::sync::Arc) already handed to a job.
 //!
+//! Both binary formats share one crate-private codec: the 24-byte
+//! header (magic, version, a `u16`, payload length, FNV-1a 64
+//! checksum), the checksum itself (also the registry's content key),
+//! one bounds-checked reader, and one error type, [`CodecError`].
+//! Decoding either format is total — truncated, corrupted, or fuzzed
+//! bytes produce a typed [`CodecError`], never a panic, and hostile
+//! lengths or counts die before allocation.
+//!
 //! And a service nobody can reach is a library, so the crate puts the
 //! engine **on a wire**:
 //!
-//! * [`wire`] — the length-prefixed binary frame protocol (magic,
-//!   version, type, length, FNV-1a checksum — the `.sinw` header idiom
-//!   over TCP) with fully total decoding: any byte string produces a
-//!   typed [`WireError`], never a panic, and hostile lengths die before
-//!   allocation.
+//! * [`wire`] — the length-prefixed binary frame protocol: `SINP`
+//!   frames whose header carries the frame type where a snapshot keeps
+//!   a reserved zero.
 //! * [`session`] — per-client sessions with byte and in-flight-job
 //!   quotas ([`SessionLimits`]), typed backpressure
 //!   ([`SessionError`]), and idle reaping that never strands a running
@@ -86,7 +90,6 @@
 //! [`FaultDictionary`]: sinw_atpg::FaultDictionary
 //! [`CircuitRegistry`]: registry::CircuitRegistry
 //! [`CompiledCircuit`]: registry::CompiledCircuit
-//! [`SnapshotError`]: snapshot::SnapshotError
 //! [`JobEngine`]: jobs::JobEngine
 //! [`JobOutcome::Failed`]: jobs::JobOutcome::Failed
 //! [`JobOutcome::TimedOut`]: jobs::JobOutcome::TimedOut
@@ -94,7 +97,6 @@
 //! [`SnapshotStore`]: store::SnapshotStore
 //! [`RegistryError`]: registry::RegistryError
 //! [`CircuitRegistry::with_capacity_bytes`]: registry::CircuitRegistry::with_capacity_bytes
-//! [`WireError`]: wire::WireError
 //! [`SessionLimits`]: session::SessionLimits
 //! [`SessionError`]: session::SessionError
 //! [`NetServer`]: net::NetServer
@@ -103,6 +105,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod codec;
 pub mod failpoint;
 pub mod jobs;
 pub mod net;
@@ -112,15 +115,15 @@ pub mod snapshot;
 pub mod store;
 pub mod wire;
 
+pub use codec::{checksum, CodecError};
 pub use jobs::{JobEngine, JobHandle, JobOutcome, JobPolicy, JobProgress, JobSpec};
 pub use net::{ClientError, NetClient, NetConfig, NetServer};
 pub use registry::{
     compile_circuit, CircuitRegistry, CompiledCircuit, RegistryError, RegistryStats,
 };
 pub use session::{SessionError, SessionLimits, SessionManager};
-pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use snapshot::{Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use store::{RecoveryReport, SnapshotStore, WarmStartReport};
 pub use wire::{
-    ErrorCode, Request, Response, WireError, WireJob, WireOutcome, WireStats, WIRE_MAGIC,
-    WIRE_VERSION,
+    ErrorCode, Request, Response, WireJob, WireOutcome, WireStats, WIRE_MAGIC, WIRE_VERSION,
 };

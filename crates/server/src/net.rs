@@ -48,14 +48,15 @@ use std::time::{Duration, Instant};
 
 use sinw_atpg::tpg::AtpgConfig;
 
+use crate::codec::CodecError;
 use crate::failpoint;
-use crate::jobs::{JobEngine, JobPolicy, JobSpec};
-use crate::registry::{CircuitRegistry, RegistryError};
+use crate::jobs::{JobEngine, JobPolicy, JobProgress, JobSpec};
+use crate::registry::{CircuitRegistry, CompiledCircuit, RegistryError};
 use crate::session::{SessionError, SessionLimits, SessionManager};
 use crate::snapshot::Snapshot;
 use crate::store::SnapshotStore;
 use crate::wire::{
-    self, ErrorCode, FrameEvent, Request, Response, WireError, WireJob, WireOutcome, WireStats,
+    self, ErrorCode, FrameEvent, Request, Response, WireJob, WireOutcome, WireStats,
 };
 
 /// Server configuration: pool sizes, quotas, persistence, and protocol
@@ -187,12 +188,6 @@ impl NetServer {
         &self.shared.registry
     }
 
-    /// The server's session table.
-    #[must_use]
-    pub fn sessions(&self) -> &SessionManager {
-        &self.shared.sessions
-    }
-
     /// Jobs accepted over the server's lifetime.
     #[must_use]
     pub fn jobs_submitted(&self) -> u64 {
@@ -287,11 +282,8 @@ impl Drop for SessionCloser<'_> {
 }
 
 /// Send one response, honoring the `net.frame.write` fail point.
-fn send(stream: &mut TcpStream, response: &Response) -> Result<(), WireError> {
-    failpoint::hit("net.frame.write").map_err(|e| WireError::Io {
-        kind: std::io::ErrorKind::Interrupted,
-        detail: e.to_string(),
-    })?;
+fn send(stream: &mut TcpStream, response: &Response) -> Result<(), CodecError> {
+    failpoint::hit("net.frame.write").map_err(std::io::Error::from)?;
     let (ty, payload) = response.encode();
     wire::write_frame(stream, ty, &payload)
 }
@@ -329,6 +321,34 @@ fn registry_error_response(e: &RegistryError) -> Response {
         RegistryError::Oversized { .. } => ErrorCode::Oversized,
     };
     error_response(code, e.to_string())
+}
+
+fn progress_frame(job: u64, p: JobProgress, finished: bool) -> Response {
+    Response::Progress {
+        job,
+        done: p.done as u64,
+        total: p.total as u64,
+        finished,
+    }
+}
+
+/// Charge a successful registration to the session, persist it
+/// best-effort (a failed save costs durability, not the registration),
+/// and answer with its key.
+fn registered(
+    shared: &ServerShared,
+    session: u64,
+    payload_len: u64,
+    artifact: &CompiledCircuit,
+) -> Response {
+    let _ = shared.sessions.charge_bytes(session, payload_len);
+    if let Some(store) = &shared.store {
+        let _ = store.save_artifact(artifact);
+    }
+    Response::Registered {
+        key: artifact.key(),
+        approx_bytes: artifact.approx_bytes() as u64,
+    }
 }
 
 /// One connection's request → response loop.
@@ -376,7 +396,7 @@ fn handle_connection(shared: &Arc<ServerShared>, mut stream: TcpStream) {
                     Ok(request) => {
                         handle_request(shared, session, &mut stream, request, payload.len() as u64)
                     }
-                    Err(e @ WireError::UnknownFrameType { .. }) => {
+                    Err(e @ CodecError::UnknownFrameType { .. }) => {
                         // Well-framed, just not a request we serve: the
                         // stream is still synchronized, so the
                         // connection keeps serving.
@@ -416,57 +436,31 @@ fn handle_request(
     stream: &mut TcpStream,
     request: Request,
     payload_len: u64,
-) -> Result<(), WireError> {
+) -> Result<(), CodecError> {
     match request {
         Request::RegisterBench { name, source } => {
             if let Err(e) = shared.sessions.check_bytes(session, payload_len) {
                 return send(stream, &session_error_response(&e));
             }
-            match shared.registry.register_bench(&name, &source) {
-                Ok(artifact) => {
-                    let _ = shared.sessions.charge_bytes(session, payload_len);
-                    if let Some(store) = &shared.store {
-                        // Persistence is best-effort: a failed save
-                        // costs durability, not the registration.
-                        let _ = store.save_artifact(&artifact);
-                    }
-                    send(
-                        stream,
-                        &Response::Registered {
-                            key: artifact.key(),
-                            approx_bytes: artifact.approx_bytes() as u64,
-                        },
-                    )
-                }
-                Err(e) => send(stream, &registry_error_response(&e)),
-            }
+            let response = match shared.registry.register_bench(&name, &source) {
+                Ok(artifact) => registered(shared, session, payload_len, &artifact),
+                Err(e) => registry_error_response(&e),
+            };
+            send(stream, &response)
         }
         Request::RegisterSnapshot { bytes } => {
             if let Err(e) = shared.sessions.check_bytes(session, payload_len) {
                 return send(stream, &session_error_response(&e));
             }
-            match Snapshot::decode(&bytes) {
+            let response = match Snapshot::decode(&bytes) {
                 Ok(snapshot) => {
-                    let artifact = shared.registry.insert(Arc::new(
-                        crate::registry::CompiledCircuit::from_snapshot(snapshot),
-                    ));
-                    let _ = shared.sessions.charge_bytes(session, payload_len);
-                    if let Some(store) = &shared.store {
-                        let _ = store.save_artifact(&artifact);
-                    }
-                    send(
-                        stream,
-                        &Response::Registered {
-                            key: artifact.key(),
-                            approx_bytes: artifact.approx_bytes() as u64,
-                        },
-                    )
+                    let artifact = CompiledCircuit::from_snapshot(snapshot);
+                    let artifact = shared.registry.insert(Arc::new(artifact));
+                    registered(shared, session, payload_len, &artifact)
                 }
-                Err(e) => send(
-                    stream,
-                    &error_response(ErrorCode::SnapshotRejected, e.to_string()),
-                ),
-            }
+                Err(e) => error_response(ErrorCode::SnapshotRejected, e.to_string()),
+            };
+            send(stream, &response)
         }
         Request::SubmitJob(job) => {
             if shared.draining.load(Ordering::SeqCst) {
@@ -552,15 +546,7 @@ fn handle_request(
         Request::JobProgress { job } => match shared.sessions.job(session, job) {
             Ok(handle) => {
                 let p = handle.progress();
-                send(
-                    stream,
-                    &Response::Progress {
-                        job,
-                        done: p.done as u64,
-                        total: p.total as u64,
-                        finished: handle.is_finished(),
-                    },
-                )
+                send(stream, &progress_frame(job, p, handle.is_finished()))
             }
             Err(e) => send(stream, &session_error_response(&e)),
         },
@@ -568,15 +554,7 @@ fn handle_request(
             Ok(handle) => {
                 handle.cancel();
                 let p = handle.progress();
-                send(
-                    stream,
-                    &Response::Progress {
-                        job,
-                        done: p.done as u64,
-                        total: p.total as u64,
-                        finished: handle.is_finished(),
-                    },
-                )
+                send(stream, &progress_frame(job, p, handle.is_finished()))
             }
             Err(e) => send(stream, &session_error_response(&e)),
         },
@@ -586,15 +564,7 @@ fn handle_request(
                 // change, then the terminal (finished) frame and the
                 // outcome.
                 let mut last = handle.progress();
-                send(
-                    stream,
-                    &Response::Progress {
-                        job,
-                        done: last.done as u64,
-                        total: last.total as u64,
-                        finished: false,
-                    },
-                )?;
+                send(stream, &progress_frame(job, last, false))?;
                 while !handle.is_finished() {
                     // Delay injections stretch the cadence; an ioerr arm
                     // is ignored (polling is retried, not abandoned).
@@ -603,28 +573,12 @@ fn handle_request(
                     let p = handle.progress();
                     if p != last {
                         last = p;
-                        send(
-                            stream,
-                            &Response::Progress {
-                                job,
-                                done: p.done as u64,
-                                total: p.total as u64,
-                                finished: false,
-                            },
-                        )?;
+                        send(stream, &progress_frame(job, p, false))?;
                     }
                 }
                 let outcome = handle.wait();
                 let p = handle.progress();
-                send(
-                    stream,
-                    &Response::Progress {
-                        job,
-                        done: p.done as u64,
-                        total: p.total as u64,
-                        finished: true,
-                    },
-                )?;
+                send(stream, &progress_frame(job, p, true))?;
                 send(
                     stream,
                     &Response::Outcome {
@@ -678,7 +632,7 @@ fn handle_request(
 #[derive(Debug)]
 pub enum ClientError {
     /// The wire layer failed (socket, framing, decode).
-    Wire(WireError),
+    Wire(CodecError),
     /// The server answered with a typed error frame.
     Server {
         /// The server's error class.
@@ -708,8 +662,8 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-impl From<WireError> for ClientError {
-    fn from(e: WireError) -> Self {
+impl From<CodecError> for ClientError {
+    fn from(e: CodecError) -> Self {
         ClientError::Wire(e)
     }
 }
@@ -736,31 +690,18 @@ impl std::fmt::Debug for NetClient {
 }
 
 impl NetClient {
-    /// Connect to a [`NetServer`] with the default 120 s per-frame read
-    /// timeout.
+    /// Connect to a [`NetServer`] with a 120 s per-frame read timeout —
+    /// the client's bound on a hung server.
     ///
     /// # Errors
     ///
     /// [`ClientError::Wire`] on connect/configure failure.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
-        Self::connect_with_timeout(addr, Duration::from_secs(120))
-    }
-
-    /// Connect with a custom per-frame read timeout — the client's
-    /// bound on a hung server.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Wire`] on connect/configure failure.
-    pub fn connect_with_timeout(
-        addr: impl ToSocketAddrs,
-        read_timeout: Duration,
-    ) -> Result<Self, ClientError> {
-        let stream = TcpStream::connect(addr).map_err(WireError::from)?;
-        stream.set_nodelay(true).map_err(WireError::from)?;
+        let stream = TcpStream::connect(addr).map_err(CodecError::from)?;
+        stream.set_nodelay(true).map_err(CodecError::from)?;
         stream
-            .set_read_timeout(Some(read_timeout))
-            .map_err(WireError::from)?;
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .map_err(CodecError::from)?;
         Ok(NetClient {
             stream,
             max_payload: wire::DEFAULT_MAX_PAYLOAD,
@@ -840,23 +781,6 @@ impl NetClient {
         }
     }
 
-    /// Poll a job's progress; returns `(done, total, finished)`.
-    ///
-    /// # Errors
-    ///
-    /// Wire failures, or the server's typed unknown-job error.
-    pub fn progress(&mut self, job: u64) -> Result<(u64, u64, bool), ClientError> {
-        match self.exchange(&Request::JobProgress { job })? {
-            Response::Progress {
-                done,
-                total,
-                finished,
-                ..
-            } => Ok((done, total, finished)),
-            other => Err(unexpected("Progress", &other)),
-        }
-    }
-
     /// Cooperatively cancel a job; returns its progress at cancel time.
     ///
     /// # Errors
@@ -929,8 +853,8 @@ impl NetClient {
     /// [`ClientError::Wire`] on socket failure.
     pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), ClientError> {
         use std::io::Write;
-        self.stream.write_all(bytes).map_err(WireError::from)?;
-        self.stream.flush().map_err(WireError::from)?;
+        self.stream.write_all(bytes).map_err(CodecError::from)?;
+        self.stream.flush().map_err(CodecError::from)?;
         Ok(())
     }
 
@@ -944,7 +868,7 @@ impl NetClient {
     pub fn shutdown_write(&mut self) -> Result<(), ClientError> {
         self.stream
             .shutdown(std::net::Shutdown::Write)
-            .map_err(WireError::from)?;
+            .map_err(CodecError::from)?;
         Ok(())
     }
 
@@ -952,7 +876,7 @@ impl NetClient {
     ///
     /// # Errors
     ///
-    /// The typed [`WireError`] of the failed read.
+    /// The typed [`CodecError`] of the failed read.
     pub fn recv_raw(&mut self) -> Result<FrameEvent, ClientError> {
         Ok(wire::read_frame(&mut self.stream, self.max_payload)?)
     }
@@ -978,7 +902,7 @@ impl NetClient {
                     })
                 }
                 // A reset counts as closed for this observation.
-                Err(WireError::Io { .. }) => return Ok(frames),
+                Err(CodecError::Io { .. }) => return Ok(frames),
                 Err(e) => return Err(e.into()),
             }
         }

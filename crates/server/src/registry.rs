@@ -46,6 +46,7 @@
 //! empty and **retryable**, and no lock is left poisoned (all registry
 //! locks recover from poisoning).
 
+use crate::codec::fnv1a;
 use crate::failpoint;
 use crate::snapshot::Snapshot;
 use sinw_atpg::collapse::{collapse, CollapsedFaults};
@@ -56,16 +57,6 @@ use sinw_switch::iscas::{parse_bench, BenchParseError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// FNV-1a 64 content hash with a one-byte domain tag, so `.bench` text
-/// and canonical circuit bytes can never alias onto the same key.
-fn fnv1a(domain: u8, bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64 ^ u64::from(domain);
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Key domain for `.bench` source text.
 const DOMAIN_BENCH: u8 = 0xB5;
@@ -401,12 +392,6 @@ impl CircuitRegistry {
             compiles: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// The configured byte capacity (`usize::MAX` when unbounded).
-    #[must_use]
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity
     }
 
     /// The per-key slot, created empty on first sight. The global map

@@ -156,12 +156,6 @@ impl SessionManager {
         }
     }
 
-    /// The shared per-session limits.
-    #[must_use]
-    pub fn limits(&self) -> SessionLimits {
-        self.limits
-    }
-
     fn table(&self) -> MutexGuard<'_, HashMap<u64, SessionState>> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -309,13 +303,6 @@ impl SessionManager {
     #[must_use]
     pub fn in_flight(&self, id: u64) -> usize {
         self.table().get_mut(&id).map_or(0, SessionState::prune)
-    }
-
-    /// Unfinished jobs across every open session.
-    #[must_use]
-    pub fn total_in_flight(&self) -> usize {
-        let mut table = self.table();
-        table.values_mut().map(SessionState::prune).sum()
     }
 
     /// Point-in-time view of one session's accounts.

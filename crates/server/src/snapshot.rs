@@ -9,16 +9,13 @@
 //! [`SimGraph`](sinw_atpg::SimGraph) precompute, which is derived state
 //! and cheaper to rebuild than to ship.
 //!
-//! ## Container layout (all integers little-endian)
+//! ## Container
 //!
-//! | offset | size | field |
-//! |--------|------|-------|
-//! | 0      | 4    | magic `b"SINW"` |
-//! | 4      | 2    | format version (currently 1) |
-//! | 6      | 2    | reserved (must be 0) |
-//! | 8      | 8    | payload length in bytes |
-//! | 16     | 8    | FNV-1a 64 checksum of the payload |
-//! | 24     | n    | payload (sections below) |
+//! The payload sits in the shared 24-byte header of the crate's binary
+//! codec: magic `b"SINW"`, version [`SNAPSHOT_VERSION`], a reserved
+//! `u16` that must be 0, the payload length, and the FNV-1a 64 checksum
+//! of the payload. The same header fronts every `SINP` wire frame (see
+//! [`crate::wire`]). All integers are little-endian.
 //!
 //! ## Payload sections, in order
 //!
@@ -39,7 +36,7 @@
 //! ## Decode discipline
 //!
 //! Decoding is total: any byte string produces either a [`Snapshot`] or
-//! a typed [`SnapshotError`] — never a panic and never an allocation
+//! a typed [`CodecError`] — never a panic and never an allocation
 //! larger than the input justifies. Every count is bounds-checked
 //! against the remaining payload *before* any allocation, every signal /
 //! gate / pin / class index is range-checked against the structure
@@ -52,150 +49,16 @@ use sinw_atpg::fault_list::{FaultSite, StuckAtFault};
 use sinw_switch::cells::CellKind;
 use sinw_switch::gate::{Circuit, GateId, SignalId};
 
+use crate::codec::{
+    encode_container, io_error, parse_header, put_count, put_str, put_u64, CodecError, Reader,
+    HEADER_LEN,
+};
+
 /// The four magic bytes every `.sinw` file starts with.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SINW";
 
 /// The current format version.
 pub const SNAPSHOT_VERSION: u16 = 1;
-
-/// Container header size in bytes.
-const HEADER_LEN: usize = 24;
-
-/// FNV-1a 64 over the payload — the integrity checksum of the container.
-fn checksum(payload: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in payload {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Typed decode failure. Every malformed input maps onto one of these —
-/// decoding never panics and never allocates more than the input's own
-/// length.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// The input ended before a read completed.
-    Truncated {
-        /// Byte offset of the failed read (payload-relative after the
-        /// header is consumed).
-        offset: usize,
-        /// Bytes the read needed.
-        needed: usize,
-        /// Bytes that remained.
-        available: usize,
-    },
-    /// The first four bytes are not [`SNAPSHOT_MAGIC`].
-    BadMagic {
-        /// The bytes found instead.
-        found: [u8; 4],
-    },
-    /// The version field names a format this build does not speak.
-    UnsupportedVersion {
-        /// The version found.
-        found: u16,
-    },
-    /// The header's reserved field is non-zero.
-    ReservedNonZero {
-        /// The value found.
-        found: u16,
-    },
-    /// The container holds more bytes than header + declared payload.
-    TrailingBytes {
-        /// How many bytes too many.
-        extra: usize,
-    },
-    /// The payload checksum does not match the header.
-    ChecksumMismatch {
-        /// Checksum declared in the header.
-        declared: u64,
-        /// Checksum computed over the payload.
-        computed: u64,
-    },
-    /// A structurally invalid payload: bad tag, out-of-range index,
-    /// arity violation, non-UTF-8 string, inconsistent section.
-    Malformed {
-        /// Which section or field was being decoded.
-        context: &'static str,
-        /// What was wrong.
-        detail: String,
-    },
-    /// Filesystem failure in [`Snapshot::read_file`] /
-    /// [`Snapshot::write_file`] (anything but not-found, which is
-    /// [`SnapshotError::NotFound`]). Carries the offending path so store
-    /// recovery reports are actionable.
-    Io {
-        /// The path the failed operation touched.
-        path: String,
-        /// The OS error class.
-        kind: std::io::ErrorKind,
-        /// The OS error text.
-        detail: String,
-    },
-    /// The file (or its directory) does not exist — distinguished from
-    /// other I/O failures because "nothing saved yet" and "disk broke"
-    /// call for different responses.
-    NotFound {
-        /// The path that was not found.
-        path: String,
-    },
-}
-
-/// Map an OS error on `path` onto the typed snapshot error, splitting
-/// not-found from everything else.
-pub(crate) fn io_error(path: &std::path::Path, e: &std::io::Error) -> SnapshotError {
-    if e.kind() == std::io::ErrorKind::NotFound {
-        SnapshotError::NotFound {
-            path: path.display().to_string(),
-        }
-    } else {
-        SnapshotError::Io {
-            path: path.display().to_string(),
-            kind: e.kind(),
-            detail: e.to_string(),
-        }
-    }
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::Truncated {
-                offset,
-                needed,
-                available,
-            } => write!(
-                f,
-                "truncated at byte {offset}: needed {needed} bytes, {available} remain"
-            ),
-            SnapshotError::BadMagic { found } => {
-                write!(f, "bad magic {found:02x?} (expected {SNAPSHOT_MAGIC:02x?})")
-            }
-            SnapshotError::UnsupportedVersion { found } => {
-                write!(f, "unsupported format version {found} (speak {SNAPSHOT_VERSION})")
-            }
-            SnapshotError::ReservedNonZero { found } => {
-                write!(f, "reserved header field is {found:#06x}, expected 0")
-            }
-            SnapshotError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after the declared payload")
-            }
-            SnapshotError::ChecksumMismatch { declared, computed } => write!(
-                f,
-                "checksum mismatch: header declares {declared:#018x}, payload hashes to {computed:#018x}"
-            ),
-            SnapshotError::Malformed { context, detail } => {
-                write!(f, "malformed {context}: {detail}")
-            }
-            SnapshotError::Io { path, kind, detail } => {
-                write!(f, "snapshot i/o on {path} ({kind:?}): {detail}")
-            }
-            SnapshotError::NotFound { path } => write!(f, "snapshot not found: {path}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
 
 /// A decoded (or to-be-encoded) `.sinw` snapshot.
 #[derive(Debug, Clone)]
@@ -217,38 +80,16 @@ pub struct Snapshot {
 // Encoding
 // ---------------------------------------------------------------------
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_usize(out: &mut Vec<u8>, v: usize, what: &str) {
-    let v = u32::try_from(v).unwrap_or_else(|_| panic!("{what} count {v} overflows u32"));
-    put_u32(out, v);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_usize(out, s.len(), "string byte");
-    out.extend_from_slice(s.as_bytes());
-}
-
 fn put_fault(out: &mut Vec<u8>, fault: StuckAtFault) {
     match fault.site {
         FaultSite::Signal(s) => {
             out.push(0);
-            put_usize(out, s.0, "signal id");
+            put_count(out, s.0, "signal id");
         }
         FaultSite::GatePin(g, pin) => {
             out.push(1);
-            put_usize(out, g.0, "gate id");
-            put_usize(out, pin, "pin");
+            put_count(out, g.0, "gate id");
+            put_count(out, pin, "pin");
         }
     }
     out.push(u8::from(fault.value));
@@ -258,7 +99,7 @@ fn put_fault(out: &mut Vec<u8>, fault: StuckAtFault) {
 /// order). Also the byte string [`crate::registry`] hashes to key
 /// circuits that have no `.bench` source text.
 fn put_circuit(out: &mut Vec<u8>, circuit: &Circuit) {
-    put_usize(out, circuit.signal_count(), "signal");
+    put_count(out, circuit.signal_count(), "signal");
     for s in 0..circuit.signal_count() {
         let sig = SignalId(s);
         match circuit.driver(sig) {
@@ -272,15 +113,15 @@ fn put_circuit(out: &mut Vec<u8>, circuit: &Circuit) {
                 out.push(gate.kind.code());
                 put_str(out, &gate.name);
                 for input in &gate.inputs {
-                    put_usize(out, input.0, "gate input id");
+                    put_count(out, input.0, "gate input id");
                 }
                 put_str(out, circuit.signal_name(sig));
             }
         }
     }
-    put_usize(out, circuit.primary_outputs().len(), "primary output");
+    put_count(out, circuit.primary_outputs().len(), "primary output");
     for po in circuit.primary_outputs() {
-        put_usize(out, po.0, "primary output id");
+        put_count(out, po.0, "primary output id");
     }
 }
 
@@ -312,7 +153,7 @@ impl Snapshot {
         put_str(&mut payload, &self.name);
         put_circuit(&mut payload, &self.circuit);
 
-        put_usize(&mut payload, self.faults.len(), "fault");
+        put_count(&mut payload, self.faults.len(), "fault");
         for &fault in &self.faults {
             put_fault(&mut payload, fault);
         }
@@ -321,7 +162,7 @@ impl Snapshot {
             None => payload.push(0),
             Some(collapsed) => {
                 payload.push(1);
-                put_usize(
+                put_count(
                     &mut payload,
                     collapsed.representatives.len(),
                     "representative",
@@ -329,9 +170,9 @@ impl Snapshot {
                 for &rep in &collapsed.representatives {
                     put_fault(&mut payload, rep);
                 }
-                put_usize(&mut payload, collapsed.class_of.len(), "collapse class");
+                put_count(&mut payload, collapsed.class_of.len(), "collapse class");
                 for &class in &collapsed.class_of {
-                    put_usize(&mut payload, class, "collapse class index");
+                    put_count(&mut payload, class, "collapse class index");
                 }
             }
         }
@@ -340,101 +181,49 @@ impl Snapshot {
             None => payload.push(0),
             Some(dict) => {
                 payload.push(1);
-                put_usize(&mut payload, dict.pattern_count(), "dictionary pattern");
-                put_usize(&mut payload, dict.output_count(), "dictionary output");
-                put_usize(&mut payload, dict.class_count(), "dictionary class");
-                put_usize(&mut payload, dict.fault_count(), "dictionary fault");
+                put_count(&mut payload, dict.pattern_count(), "dictionary pattern");
+                put_count(&mut payload, dict.output_count(), "dictionary output");
+                put_count(&mut payload, dict.class_count(), "dictionary class");
+                put_count(&mut payload, dict.fault_count(), "dictionary fault");
                 for class in 0..dict.class_count() {
                     for &word in dict.class_signature(class) {
                         put_u64(&mut payload, word);
                     }
                 }
                 for &class in dict.class_of() {
-                    put_usize(&mut payload, class, "dictionary class index");
+                    put_count(&mut payload, class, "dictionary class index");
                 }
             }
         }
 
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        put_u16(&mut out, SNAPSHOT_VERSION);
-        put_u16(&mut out, 0);
-        put_u64(&mut out, payload.len() as u64);
-        put_u64(&mut out, checksum(&payload));
-        out.extend_from_slice(&payload);
-        out
+        encode_container(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 0, &payload)
     }
 
     /// Decode a `.sinw` byte string.
     ///
     /// # Errors
     ///
-    /// Returns the typed [`SnapshotError`] describing the first problem
+    /// Returns the typed [`CodecError`] describing the first problem
     /// found; see the module docs for the decode discipline.
-    pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        crate::failpoint::hit("snapshot.decode").map_err(|e| SnapshotError::Malformed {
+    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+        crate::failpoint::hit("snapshot.decode").map_err(|e| CodecError::Malformed {
             context: "fail point",
             detail: e.to_string(),
         })?;
-        if bytes.len() < HEADER_LEN {
-            return Err(SnapshotError::Truncated {
-                offset: 0,
-                needed: HEADER_LEN,
-                available: bytes.len(),
-            });
+        let header = parse_header(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, u64::MAX)?;
+        if header.kind != 0 {
+            return Err(CodecError::ReservedNonZero { found: header.kind });
         }
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("4-byte slice");
-        if magic != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic { found: magic });
-        }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2-byte slice"));
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion { found: version });
-        }
-        let reserved = u16::from_le_bytes(bytes[6..8].try_into().expect("2-byte slice"));
-        if reserved != 0 {
-            return Err(SnapshotError::ReservedNonZero { found: reserved });
-        }
-        let declared = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
-        let body = &bytes[HEADER_LEN..];
-        let declared_usize = usize::try_from(declared).unwrap_or(usize::MAX);
-        if body.len() < declared_usize {
-            return Err(SnapshotError::Truncated {
-                offset: 0,
-                needed: declared_usize,
-                available: body.len(),
-            });
-        }
-        if body.len() > declared_usize {
-            return Err(SnapshotError::TrailingBytes {
-                extra: body.len() - declared_usize,
-            });
-        }
-        let declared_sum = u64::from_le_bytes(bytes[16..24].try_into().expect("8-byte slice"));
-        let computed = checksum(body);
-        if computed != declared_sum {
-            return Err(SnapshotError::ChecksumMismatch {
-                declared: declared_sum,
-                computed,
-            });
-        }
-
-        let mut r = Reader {
-            bytes: body,
-            pos: 0,
-        };
+        let mut r = Reader::new(header.verify(&bytes[HEADER_LEN..])?);
         let name = r.str("name")?;
         let circuit = read_circuit(&mut r)?;
         let faults = read_faults(&mut r, &circuit)?;
         let collapsed = read_collapse(&mut r, &circuit, &faults)?;
         let dictionary = read_dictionary(&mut r)?;
-        if r.pos != body.len() {
-            return Err(SnapshotError::Malformed {
+        if r.remaining() != 0 {
+            return Err(CodecError::Malformed {
                 context: "payload",
-                detail: format!(
-                    "{} undecoded bytes after the last section",
-                    body.len() - r.pos
-                ),
+                detail: format!("{} undecoded bytes after the last section", r.remaining()),
             });
         }
         Ok(Snapshot {
@@ -456,9 +245,9 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Io`] / [`SnapshotError::NotFound`] on
+    /// Returns [`CodecError::Io`] / [`CodecError::NotFound`] on
     /// filesystem failure.
-    pub fn write_file(&self, path: impl AsRef<std::path::Path>) -> Result<(), SnapshotError> {
+    pub fn write_file(&self, path: impl AsRef<std::path::Path>) -> Result<(), CodecError> {
         write_bytes_atomic(path.as_ref(), &self.encode())
     }
 
@@ -466,10 +255,10 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::NotFound`] when the file does not exist,
-    /// [`SnapshotError::Io`] on any other filesystem failure, else any
+    /// Returns [`CodecError::NotFound`] when the file does not exist,
+    /// [`CodecError::Io`] on any other filesystem failure, else any
     /// decode error of the file's contents.
-    pub fn read_file(path: impl AsRef<std::path::Path>) -> Result<Self, SnapshotError> {
+    pub fn read_file(path: impl AsRef<std::path::Path>) -> Result<Self, CodecError> {
         let path = path.as_ref();
         let bytes = std::fs::read(path).map_err(|e| io_error(path, &e))?;
         crate::failpoint::hit("snapshot.read.io")
@@ -484,20 +273,16 @@ impl Snapshot {
 /// [`failpoint`](crate::failpoint) catalog); an injected fault between
 /// fsync and rename deliberately leaves the temp file behind to simulate
 /// crash debris.
-pub(crate) fn write_bytes_atomic(
-    path: &std::path::Path,
-    bytes: &[u8],
-) -> Result<(), SnapshotError> {
+pub(crate) fn write_bytes_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<(), CodecError> {
     use std::io::Write as _;
 
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| SnapshotError::Io {
-            path: path.display().to_string(),
-            kind: std::io::ErrorKind::InvalidInput,
-            detail: String::from("path has no usable file name"),
-        })?;
+    let file_name = path.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
+        let e = std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "path has no usable file name",
+        );
+        io_error(path, &e)
+    })?;
     let dir = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
         _ => std::path::PathBuf::from("."),
@@ -535,82 +320,7 @@ pub(crate) fn write_bytes_atomic(
 // Decoding
 // ---------------------------------------------------------------------
 
-/// Bounds-checked cursor over the payload. Every read is total; every
-/// count is validated against the remaining bytes before any allocation
-/// sized by it.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.remaining() < n {
-            return Err(SnapshotError::Truncated {
-                offset: self.pos,
-                needed: n,
-                available: self.remaining(),
-            });
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4-byte slice"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8-byte slice"),
-        ))
-    }
-
-    /// A `u32` element count whose elements each consume at least
-    /// `min_elem_bytes` — rejected up front if even minimal elements
-    /// cannot fit in the remaining payload, so a hostile count can never
-    /// size an allocation beyond the input's own length.
-    fn count(
-        &mut self,
-        context: &'static str,
-        min_elem_bytes: usize,
-    ) -> Result<usize, SnapshotError> {
-        let n = self.u32()? as usize;
-        let need = n.saturating_mul(min_elem_bytes);
-        if need > self.remaining() {
-            return Err(SnapshotError::Malformed {
-                context,
-                detail: format!(
-                    "count {n} needs at least {need} bytes but only {} remain",
-                    self.remaining()
-                ),
-            });
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self, context: &'static str) -> Result<String, SnapshotError> {
-        let len = self.count(context, 1)?;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|e| SnapshotError::Malformed {
-            context,
-            detail: format!("invalid UTF-8: {e}"),
-        })
-    }
-}
-
-fn read_circuit(r: &mut Reader<'_>) -> Result<Circuit, SnapshotError> {
+fn read_circuit(r: &mut Reader<'_>) -> Result<Circuit, CodecError> {
     // Each signal op consumes at least 2 bytes (tag + empty-name length
     // low byte is already 4 — be conservative and use the tag alone).
     let n_signals = r.count("circuit signal", 1)?;
@@ -623,7 +333,7 @@ fn read_circuit(r: &mut Reader<'_>) -> Result<Circuit, SnapshotError> {
             }
             1 => {
                 let code = r.u8()?;
-                let kind = CellKind::from_code(code).ok_or_else(|| SnapshotError::Malformed {
+                let kind = CellKind::from_code(code).ok_or_else(|| CodecError::Malformed {
                     context: "gate cell kind",
                     detail: format!("unknown cell code {code} at signal {s}"),
                 })?;
@@ -633,7 +343,7 @@ fn read_circuit(r: &mut Reader<'_>) -> Result<Circuit, SnapshotError> {
                     inputs.push(SignalId(r.u32()? as usize));
                 }
                 let out = circuit.try_add_gate(kind, name, &inputs).map_err(|e| {
-                    SnapshotError::Malformed {
+                    CodecError::Malformed {
                         context: "gate",
                         detail: format!("replay of signal {s} rejected: {e}"),
                     }
@@ -642,7 +352,7 @@ fn read_circuit(r: &mut Reader<'_>) -> Result<Circuit, SnapshotError> {
                 circuit.set_signal_name(out, signal_name);
             }
             tag => {
-                return Err(SnapshotError::Malformed {
+                return Err(CodecError::Malformed {
                     context: "circuit signal",
                     detail: format!("unknown creation tag {tag} at signal {s}"),
                 })
@@ -653,7 +363,7 @@ fn read_circuit(r: &mut Reader<'_>) -> Result<Circuit, SnapshotError> {
     for _ in 0..n_outputs {
         let id = r.u32()? as usize;
         if id >= circuit.signal_count() {
-            return Err(SnapshotError::Malformed {
+            return Err(CodecError::Malformed {
                 context: "primary output",
                 detail: format!("output id {id} out of range ({n_signals} signals)"),
             });
@@ -667,12 +377,12 @@ fn read_fault(
     r: &mut Reader<'_>,
     circuit: &Circuit,
     context: &'static str,
-) -> Result<StuckAtFault, SnapshotError> {
+) -> Result<StuckAtFault, CodecError> {
     let site = match r.u8()? {
         0 => {
             let id = r.u32()? as usize;
             if id >= circuit.signal_count() {
-                return Err(SnapshotError::Malformed {
+                return Err(CodecError::Malformed {
                     context,
                     detail: format!("stem signal {id} out of range"),
                 });
@@ -686,12 +396,12 @@ fn read_fault(
                 .gates()
                 .get(gate)
                 .map(|g| g.inputs.len())
-                .ok_or_else(|| SnapshotError::Malformed {
+                .ok_or_else(|| CodecError::Malformed {
                     context,
                     detail: format!("branch gate {gate} out of range"),
                 })?;
             if pin >= arity {
-                return Err(SnapshotError::Malformed {
+                return Err(CodecError::Malformed {
                     context,
                     detail: format!("branch pin {pin} out of range for gate {gate} ({arity} pins)"),
                 });
@@ -699,7 +409,7 @@ fn read_fault(
             FaultSite::GatePin(GateId(gate), pin)
         }
         tag => {
-            return Err(SnapshotError::Malformed {
+            return Err(CodecError::Malformed {
                 context,
                 detail: format!("unknown fault site tag {tag}"),
             })
@@ -709,7 +419,7 @@ fn read_fault(
         0 => false,
         1 => true,
         v => {
-            return Err(SnapshotError::Malformed {
+            return Err(CodecError::Malformed {
                 context,
                 detail: format!("stuck value {v} is neither 0 nor 1"),
             })
@@ -718,7 +428,7 @@ fn read_fault(
     Ok(StuckAtFault { site, value })
 }
 
-fn read_faults(r: &mut Reader<'_>, circuit: &Circuit) -> Result<Vec<StuckAtFault>, SnapshotError> {
+fn read_faults(r: &mut Reader<'_>, circuit: &Circuit) -> Result<Vec<StuckAtFault>, CodecError> {
     // Minimal fault encoding: tag + u32 + value = 6 bytes.
     let n = r.count("fault", 6)?;
     let mut faults = Vec::with_capacity(n);
@@ -732,7 +442,7 @@ fn read_collapse(
     r: &mut Reader<'_>,
     circuit: &Circuit,
     faults: &[StuckAtFault],
-) -> Result<Option<CollapsedFaults>, SnapshotError> {
+) -> Result<Option<CollapsedFaults>, CodecError> {
     match r.u8()? {
         0 => Ok(None),
         1 => {
@@ -743,7 +453,7 @@ fn read_collapse(
             }
             let n_classes = r.count("collapse class", 4)?;
             if n_classes != faults.len() {
-                return Err(SnapshotError::Malformed {
+                return Err(CodecError::Malformed {
                     context: "collapse class",
                     detail: format!(
                         "class map covers {n_classes} faults but the universe holds {}",
@@ -755,7 +465,7 @@ fn read_collapse(
             for i in 0..n_classes {
                 let class = r.u32()? as usize;
                 if class >= representatives.len() {
-                    return Err(SnapshotError::Malformed {
+                    return Err(CodecError::Malformed {
                         context: "collapse class",
                         detail: format!(
                             "fault {i} maps to representative {class}, only {} exist",
@@ -770,14 +480,14 @@ fn read_collapse(
                 class_of,
             }))
         }
-        tag => Err(SnapshotError::Malformed {
+        tag => Err(CodecError::Malformed {
             context: "collapse",
             detail: format!("presence flag {tag} is neither 0 nor 1"),
         }),
     }
 }
 
-fn read_dictionary(r: &mut Reader<'_>) -> Result<Option<FaultDictionary>, SnapshotError> {
+fn read_dictionary(r: &mut Reader<'_>) -> Result<Option<FaultDictionary>, CodecError> {
     match r.u8()? {
         0 => Ok(None),
         1 => {
@@ -788,49 +498,28 @@ fn read_dictionary(r: &mut Reader<'_>) -> Result<Option<FaultDictionary>, Snapsh
             let payload_bits =
                 n_patterns
                     .checked_mul(n_outputs)
-                    .ok_or_else(|| SnapshotError::Malformed {
+                    .ok_or_else(|| CodecError::Malformed {
                         context: "dictionary",
                         detail: String::from("pattern x output bit count overflows"),
                     })?;
-            let words_per_row = payload_bits.div_ceil(64);
-            let n_words =
-                n_classes
-                    .checked_mul(words_per_row)
-                    .ok_or_else(|| SnapshotError::Malformed {
-                        context: "dictionary",
-                        detail: String::from("class x word count overflows"),
-                    })?;
-            let byte_len = n_words
-                .checked_mul(8)
-                .filter(|need| *need <= r.remaining())
-                .ok_or_else(|| SnapshotError::Malformed {
-                    context: "dictionary",
-                    detail: format!(
-                        "{n_classes} classes x {words_per_row} words exceed the remaining payload"
-                    ),
-                })?;
-            let _ = byte_len;
+            let n_words = n_classes.saturating_mul(payload_bits.div_ceil(64));
+            let n_words = r.fits("dictionary signature word", n_words, 8)?;
             let mut class_sigs = Vec::with_capacity(n_words);
             for _ in 0..n_words {
                 class_sigs.push(r.u64()?);
             }
-            if n_faults.saturating_mul(4) > r.remaining() {
-                return Err(SnapshotError::Malformed {
-                    context: "dictionary",
-                    detail: format!("{n_faults} class indices exceed the remaining payload"),
-                });
-            }
+            let n_faults = r.fits("dictionary class index", n_faults, 4)?;
             let mut class_of = Vec::with_capacity(n_faults);
             for _ in 0..n_faults {
                 class_of.push(r.u32()? as usize);
             }
             let dict = FaultDictionary::from_raw_parts(n_patterns, n_outputs, class_sigs, class_of)
-                .map_err(|detail| SnapshotError::Malformed {
+                .map_err(|detail| CodecError::Malformed {
                     context: "dictionary",
                     detail,
                 })?;
             if dict.class_count() != n_classes {
-                return Err(SnapshotError::Malformed {
+                return Err(CodecError::Malformed {
                     context: "dictionary",
                     detail: format!(
                         "header declares {n_classes} classes, class map implies {}",
@@ -840,7 +529,7 @@ fn read_dictionary(r: &mut Reader<'_>) -> Result<Option<FaultDictionary>, Snapsh
             }
             Ok(Some(dict))
         }
-        tag => Err(SnapshotError::Malformed {
+        tag => Err(CodecError::Malformed {
             context: "dictionary",
             detail: format!("presence flag {tag} is neither 0 nor 1"),
         }),
@@ -892,7 +581,7 @@ mod tests {
     fn empty_input_is_truncated_not_panicking() {
         assert!(matches!(
             Snapshot::decode(&[]),
-            Err(SnapshotError::Truncated { .. })
+            Err(CodecError::Truncated { .. })
         ));
     }
 
@@ -911,7 +600,7 @@ mod tests {
     #[test]
     fn missing_file_is_not_found_with_the_path() {
         match Snapshot::read_file("/nonexistent/definitely/not/here.sinw") {
-            Err(SnapshotError::NotFound { path }) => {
+            Err(CodecError::NotFound { path }) => {
                 assert!(path.contains("here.sinw"), "path is carried: {path}");
             }
             other => panic!("expected NotFound, got {other:?}"),
@@ -922,10 +611,12 @@ mod tests {
     fn unwritable_target_is_io_with_path_and_kind() {
         let snap = c17_snapshot();
         match snap.write_file("/proc/definitely-not-writable/x.sinw") {
-            Err(SnapshotError::Io { path, .. }) => {
+            Err(CodecError::Io {
+                path: Some(path), ..
+            }) => {
                 assert!(path.contains("x.sinw"), "path is carried: {path}");
             }
-            Err(SnapshotError::NotFound { path }) => {
+            Err(CodecError::NotFound { path }) => {
                 assert!(path.contains("x.sinw"), "path is carried: {path}");
             }
             other => panic!("expected an i/o error, got {other:?}"),

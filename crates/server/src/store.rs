@@ -44,9 +44,10 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use crate::codec::{io_error, CodecError};
 use crate::failpoint;
 use crate::registry::{canonical_key, CircuitRegistry, CompiledCircuit};
-use crate::snapshot::{io_error, Snapshot, SnapshotError};
+use crate::snapshot::Snapshot;
 
 /// Poison-tolerant lock (a store is often shared with threads running
 /// under fault injection).
@@ -118,9 +119,9 @@ impl SnapshotStore {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Io`] only for directory-level failures: the
+    /// [`CodecError::Io`] only for directory-level failures: the
     /// store directory cannot be created or listed.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<(Self, RecoveryReport), SnapshotError> {
+    pub fn open(dir: impl Into<PathBuf>) -> Result<(Self, RecoveryReport), CodecError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| io_error(&dir, &e))?;
 
@@ -174,12 +175,6 @@ impl SnapshotStore {
         Ok((store, report))
     }
 
-    /// The directory this store owns.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Canonical keys currently indexed, ascending.
     #[must_use]
     pub fn keys(&self) -> Vec<u64> {
@@ -205,10 +200,10 @@ impl SnapshotStore {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Io`] if any step of the atomic write protocol
+    /// [`CodecError::Io`] if any step of the atomic write protocol
     /// fails (including injected `snapshot.write.*` faults); the
     /// previously stored file, if any, survives untouched.
-    pub fn save(&self, snapshot: &Snapshot) -> Result<u64, SnapshotError> {
+    pub fn save(&self, snapshot: &Snapshot) -> Result<u64, CodecError> {
         let key = canonical_key(&snapshot.circuit);
         let path = self.dir.join(format!("{key:016x}.sinw"));
         snapshot.write_file(&path)?;
@@ -221,7 +216,7 @@ impl SnapshotStore {
     /// # Errors
     ///
     /// As [`save`](Self::save).
-    pub fn save_artifact(&self, artifact: &CompiledCircuit) -> Result<u64, SnapshotError> {
+    pub fn save_artifact(&self, artifact: &CompiledCircuit) -> Result<u64, CodecError> {
         self.save(&artifact.snapshot())
     }
 
@@ -229,16 +224,16 @@ impl SnapshotStore {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::NotFound`] if the key is not indexed (or the
+    /// [`CodecError::NotFound`] if the key is not indexed (or the
     /// file vanished since the scan); decode/I/O errors pass through
     /// typed.
-    pub fn load(&self, key: u64) -> Result<Snapshot, SnapshotError> {
+    pub fn load(&self, key: u64) -> Result<Snapshot, CodecError> {
         let path = {
             let index = lock_clean(&self.index);
             match index.get(&key) {
                 Some(p) => p.clone(),
                 None => {
-                    return Err(SnapshotError::NotFound {
+                    return Err(CodecError::NotFound {
                         path: self
                             .dir
                             .join(format!("{key:016x}.sinw"))
@@ -262,7 +257,7 @@ impl SnapshotStore {
     /// Propagates the first load failure. The registry keeps whatever
     /// was installed before the failure — warm-start is incremental, not
     /// transactional.
-    pub fn warm_start(&self, registry: &CircuitRegistry) -> Result<WarmStartReport, SnapshotError> {
+    pub fn warm_start(&self, registry: &CircuitRegistry) -> Result<WarmStartReport, CodecError> {
         let keys = self.keys();
         let mut report = WarmStartReport::default();
         for key in keys {
@@ -403,7 +398,7 @@ mod tests {
         let dir = scratch("unknown");
         let (store, _) = SnapshotStore::open(&dir).expect("open");
         match store.load(0xABCD) {
-            Err(SnapshotError::NotFound { path }) => assert!(path.contains("000000000000abcd")),
+            Err(CodecError::NotFound { path }) => assert!(path.contains("000000000000abcd")),
             other => panic!("expected NotFound, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);

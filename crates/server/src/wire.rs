@@ -1,16 +1,11 @@
 //! The `.sinw` wire protocol: length-prefixed binary frames over TCP.
 //!
-//! Every message on a service connection is one **frame** — a fixed
-//! 24-byte header followed by a checksummed payload, in the same idiom
-//! as the `.sinw` snapshot container header:
-//!
-//! | offset | size | field |
-//! |--------|------|-------|
-//! | 0      | 4    | magic `b"SINP"` |
-//! | 4      | 2    | protocol version (little-endian) |
-//! | 6      | 2    | frame type (little-endian) |
-//! | 8      | 8    | payload length (little-endian) |
-//! | 16     | 8    | FNV-1a 64 checksum of the payload |
+//! Every message on a service connection is one **frame**: the crate's
+//! shared 24-byte codec header (the same one that fronts a `.sinw`
+//! snapshot) followed by a checksummed payload. The frame's header
+//! carries magic `b"SINP"`, version [`WIRE_VERSION`], the **frame type**
+//! in the `u16` at offset 6 (where a snapshot keeps a reserved zero),
+//! the payload length, and the FNV-1a 64 checksum of the payload.
 //!
 //! Request frame types occupy `0x01..=0x7F`, response types
 //! `0x80..=0xFF`; the concrete catalog lives in [`frame_type`]. All
@@ -18,18 +13,23 @@
 //! per bit, strictly `0` or `1`.
 //!
 //! Decoding is **total**: any byte string — truncated, bit-flipped,
-//! hostile lengths, fuzz soup — produces a typed [`WireError`], never a
+//! hostile lengths, fuzz soup — produces a typed [`CodecError`], never a
 //! panic and never an allocation the input's own length does not
 //! justify. Payload lengths are capped *before* any allocation
-//! ([`WireError::Oversized`]), every element count is bounds-checked
-//! against the bytes that remain, and a payload that decodes but leaves
-//! bytes unread is rejected ([`WireError::TrailingBytes`]).
+//! ([`CodecError::Oversized`]), every element count is bounds-checked
+//! against the bytes that remain ([`CodecError::Malformed`]), and a
+//! payload that decodes but leaves bytes unread is rejected
+//! ([`CodecError::TrailingBytes`]).
 
 use std::io::{Read, Write};
 
 use sinw_atpg::faultsim::{FaultSimReport, SignatureMatrix};
 use sinw_atpg::tpg::AtpgReport;
 
+use crate::codec::{
+    encode_container, parse_header, put_indices, put_patterns, put_str, put_u16, put_u32, put_u64,
+    put_u64s, CodecError, Reader, HEADER_LEN,
+};
 use crate::jobs::JobOutcome;
 
 /// The four magic bytes every wire frame starts with (`.sinw`
@@ -39,22 +39,9 @@ pub const WIRE_MAGIC: [u8; 4] = *b"SINP";
 /// The current protocol version.
 pub const WIRE_VERSION: u16 = 1;
 
-/// Frame header size in bytes.
-pub const FRAME_HEADER_LEN: usize = 24;
-
 /// Default cap on a single frame's payload (64 MiB) — the bound
 /// [`read_frame`] enforces before allocating.
 pub const DEFAULT_MAX_PAYLOAD: u64 = 64 * 1024 * 1024;
-
-/// FNV-1a 64 over the payload — same checksum as the `.sinw` container.
-#[must_use]
-pub fn checksum(payload: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in payload {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Frame type codes. Requests are `0x01..=0x7F`, responses
 /// `0x80..=0xFF`.
@@ -92,123 +79,6 @@ pub mod frame_type {
     pub const ERROR: u16 = 0x8F;
 }
 
-/// Typed wire failure. Every malformed frame or payload maps onto one
-/// of these — wire decoding never panics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// The stream or buffer ended before a read completed.
-    Truncated {
-        /// Byte offset of the failed read (frame-relative).
-        offset: usize,
-        /// Bytes the read needed.
-        needed: usize,
-        /// Bytes that remained.
-        available: usize,
-    },
-    /// The first four bytes are not [`WIRE_MAGIC`].
-    BadMagic {
-        /// The bytes found instead.
-        found: [u8; 4],
-    },
-    /// The version field names a protocol this build does not speak.
-    UnsupportedVersion {
-        /// The version found.
-        found: u16,
-    },
-    /// The frame type is not in the catalog (or a request arrived where
-    /// a response was expected, and vice versa).
-    UnknownFrameType {
-        /// The type code found.
-        found: u16,
-    },
-    /// The header declares a payload larger than the configured cap —
-    /// rejected before any allocation.
-    Oversized {
-        /// Declared payload length.
-        declared: u64,
-        /// The configured cap.
-        max: u64,
-    },
-    /// The payload checksum does not match the header.
-    ChecksumMismatch {
-        /// Checksum declared in the header.
-        declared: u64,
-        /// Checksum computed over the payload.
-        computed: u64,
-    },
-    /// The buffer holds more bytes than header + declared payload, or a
-    /// payload decoded without consuming every byte.
-    TrailingBytes {
-        /// How many bytes too many.
-        extra: usize,
-    },
-    /// A structurally invalid payload: bad tag, bad bool byte,
-    /// non-UTF-8 string, inconsistent geometry.
-    Malformed {
-        /// Which field was being decoded.
-        context: &'static str,
-        /// What was wrong.
-        detail: String,
-    },
-    /// The underlying socket failed (or an injected `net.*` fail point
-    /// fired).
-    Io {
-        /// The OS error class.
-        kind: std::io::ErrorKind,
-        /// The OS error text.
-        detail: String,
-    },
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Truncated {
-                offset,
-                needed,
-                available,
-            } => write!(
-                f,
-                "frame truncated at offset {offset}: needed {needed} bytes, {available} available"
-            ),
-            WireError::BadMagic { found } => {
-                write!(f, "bad frame magic {found:02x?} (expected {WIRE_MAGIC:02x?})")
-            }
-            WireError::UnsupportedVersion { found } => {
-                write!(f, "unsupported protocol version {found} (speaking {WIRE_VERSION})")
-            }
-            WireError::UnknownFrameType { found } => {
-                write!(f, "unknown frame type {found:#06x}")
-            }
-            WireError::Oversized { declared, max } => {
-                write!(f, "declared payload of {declared} bytes exceeds the {max}-byte cap")
-            }
-            WireError::ChecksumMismatch { declared, computed } => write!(
-                f,
-                "payload checksum mismatch: header declares {declared:#018x}, payload hashes to {computed:#018x}"
-            ),
-            WireError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after the frame payload")
-            }
-            WireError::Malformed { context, detail } => {
-                write!(f, "malformed {context}: {detail}")
-            }
-            WireError::Io { kind, detail } => write!(f, "socket error ({kind:?}): {detail}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-impl From<std::io::Error> for WireError {
-    fn from(e: std::io::Error) -> Self {
-        WireError::Io {
-            kind: e.kind(),
-            detail: e.to_string(),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------
@@ -236,41 +106,7 @@ pub enum FrameEvent {
 /// Encode one complete frame (header + payload) into a byte string.
 #[must_use]
 pub fn encode_frame(frame_type: u16, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&WIRE_MAGIC);
-    out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    out.extend_from_slice(&frame_type.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Validate a 24-byte header. Returns `(frame_type, payload_len,
-/// declared_checksum)`.
-fn parse_header(
-    header: &[u8; FRAME_HEADER_LEN],
-    max_payload: u64,
-) -> Result<(u16, u64, u64), WireError> {
-    if header[0..4] != WIRE_MAGIC {
-        return Err(WireError::BadMagic {
-            found: [header[0], header[1], header[2], header[3]],
-        });
-    }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != WIRE_VERSION {
-        return Err(WireError::UnsupportedVersion { found: version });
-    }
-    let frame_type = u16::from_le_bytes([header[6], header[7]]);
-    let len = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    if len > max_payload {
-        return Err(WireError::Oversized {
-            declared: len,
-            max: max_payload,
-        });
-    }
-    let declared = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
-    Ok((frame_type, len, declared))
+    encode_container(WIRE_MAGIC, WIRE_VERSION, frame_type, payload)
 }
 
 /// Read one frame from `r`, enforcing `max_payload` before allocating.
@@ -278,22 +114,22 @@ fn parse_header(
 /// EOF on a frame boundary is [`FrameEvent::Closed`]; a read timeout
 /// (`WouldBlock` / `TimedOut`) with no frame bytes pending is
 /// [`FrameEvent::Idle`]; EOF or a timeout *mid-frame* is
-/// [`WireError::Truncated`] — the stream can no longer be resynchronized.
+/// [`CodecError::Truncated`] — the stream can no longer be resynchronized.
 ///
 /// # Errors
 ///
 /// Any framing violation or socket failure maps to a typed
-/// [`WireError`]; this function never panics.
-pub fn read_frame(r: &mut impl Read, max_payload: u64) -> Result<FrameEvent, WireError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
+/// [`CodecError`]; this function never panics.
+pub fn read_frame(r: &mut impl Read, max_payload: u64) -> Result<FrameEvent, CodecError> {
+    let mut header = [0u8; HEADER_LEN];
     let mut filled = 0usize;
-    while filled < FRAME_HEADER_LEN {
+    while filled < HEADER_LEN {
         match r.read(&mut header[filled..]) {
             Ok(0) if filled == 0 => return Ok(FrameEvent::Closed),
             Ok(0) => {
-                return Err(WireError::Truncated {
+                return Err(CodecError::Truncated {
                     offset: filled,
-                    needed: FRAME_HEADER_LEN - filled,
+                    needed: HEADER_LEN - filled,
                     available: 0,
                 })
             }
@@ -311,18 +147,15 @@ pub fn read_frame(r: &mut impl Read, max_payload: u64) -> Result<FrameEvent, Wir
             Err(e) => return Err(e.into()),
         }
     }
-    let (frame_type, declared_len, declared) = parse_header(&header, max_payload)?;
-    let len = usize::try_from(declared_len).map_err(|_| WireError::Oversized {
-        declared: declared_len,
-        max: max_payload,
-    })?;
+    let header = parse_header(&header, WIRE_MAGIC, WIRE_VERSION, max_payload)?;
+    let len = header.len;
     let mut payload = vec![0u8; len];
     let mut got = 0usize;
     while got < len {
         match r.read(&mut payload[got..]) {
             Ok(0) => {
-                return Err(WireError::Truncated {
-                    offset: FRAME_HEADER_LEN + got,
+                return Err(CodecError::Truncated {
+                    offset: HEADER_LEN + got,
                     needed: len - got,
                     available: 0,
                 })
@@ -338,8 +171,8 @@ pub fn read_frame(r: &mut impl Read, max_payload: u64) -> Result<FrameEvent, Wir
                 // A timeout mid-frame: the peer stalled with a frame half
                 // sent. Treated as truncation — the stream cannot be
                 // resynchronized from here.
-                return Err(WireError::Truncated {
-                    offset: FRAME_HEADER_LEN + got,
+                return Err(CodecError::Truncated {
+                    offset: HEADER_LEN + got,
                     needed: len - got,
                     available: got,
                 });
@@ -347,12 +180,9 @@ pub fn read_frame(r: &mut impl Read, max_payload: u64) -> Result<FrameEvent, Wir
             Err(e) => return Err(e.into()),
         }
     }
-    let computed = checksum(&payload);
-    if computed != declared {
-        return Err(WireError::ChecksumMismatch { declared, computed });
-    }
+    header.verify(&payload)?;
     Ok(FrameEvent::Frame {
-        frame_type,
+        frame_type: header.kind,
         payload,
     })
 }
@@ -363,262 +193,23 @@ pub fn read_frame(r: &mut impl Read, max_payload: u64) -> Result<FrameEvent, Wir
 ///
 /// # Errors
 ///
-/// Any framing violation maps to a typed [`WireError`]; never panics.
-pub fn decode_frame(bytes: &[u8], max_payload: u64) -> Result<(u16, Vec<u8>), WireError> {
-    if bytes.len() < FRAME_HEADER_LEN {
-        return Err(WireError::Truncated {
-            offset: 0,
-            needed: FRAME_HEADER_LEN,
-            available: bytes.len(),
-        });
-    }
-    let header: [u8; FRAME_HEADER_LEN] = bytes[..FRAME_HEADER_LEN].try_into().expect("checked");
-    let (frame_type, declared_len, declared) = parse_header(&header, max_payload)?;
-    let len = usize::try_from(declared_len).map_err(|_| WireError::Oversized {
-        declared: declared_len,
-        max: max_payload,
-    })?;
-    let body = &bytes[FRAME_HEADER_LEN..];
-    if body.len() < len {
-        return Err(WireError::Truncated {
-            offset: FRAME_HEADER_LEN,
-            needed: len,
-            available: body.len(),
-        });
-    }
-    if body.len() > len {
-        return Err(WireError::TrailingBytes {
-            extra: body.len() - len,
-        });
-    }
-    let computed = checksum(body);
-    if computed != declared {
-        return Err(WireError::ChecksumMismatch { declared, computed });
-    }
-    Ok((frame_type, body.to_vec()))
+/// Any framing violation maps to a typed [`CodecError`]; never panics.
+pub fn decode_frame(bytes: &[u8], max_payload: u64) -> Result<(u16, Vec<u8>), CodecError> {
+    let header = parse_header(bytes, WIRE_MAGIC, WIRE_VERSION, max_payload)?;
+    let payload = header.verify(&bytes[HEADER_LEN..])?;
+    Ok((header.kind, payload.to_vec()))
 }
 
 /// Write one frame to `w` (header + payload, then flush).
 ///
 /// # Errors
 ///
-/// Returns [`WireError::Io`] when the underlying write or flush fails.
-pub fn write_frame(w: &mut impl Write, frame_type: u16, payload: &[u8]) -> Result<(), WireError> {
+/// Returns [`CodecError::Io`] when the underlying write or flush fails.
+pub fn write_frame(w: &mut impl Write, frame_type: u16, payload: &[u8]) -> Result<(), CodecError> {
     let frame = encode_frame(frame_type, payload);
     w.write_all(&frame)?;
     w.flush()?;
     Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Payload primitives
-// ---------------------------------------------------------------------
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Encode a count that the format addresses with `u32`.
-///
-/// Panics if `v` exceeds `u32::MAX` — beyond the protocol's addressing
-/// and orders of magnitude beyond any workload in the workspace.
-fn put_count(out: &mut Vec<u8>, v: usize, what: &str) {
-    let v = u32::try_from(v).unwrap_or_else(|_| panic!("{what} count {v} exceeds u32"));
-    put_u32(out, v);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_count(out, s.len(), "string byte");
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, b: bool) {
-    out.push(u8::from(b));
-}
-
-/// Encode a uniform-width pattern set: count, width, then one byte per
-/// bit. Panics if the rows are not all the same width (primary-input
-/// patterns always are).
-fn put_patterns(out: &mut Vec<u8>, patterns: &[Vec<bool>]) {
-    let width = patterns.first().map_or(0, Vec::len);
-    put_count(out, patterns.len(), "pattern");
-    put_count(out, width, "pattern width");
-    for p in patterns {
-        assert_eq!(p.len(), width, "wire patterns must be uniform width");
-        for &bit in p {
-            put_bool(out, bit);
-        }
-    }
-}
-
-fn put_u64s(out: &mut Vec<u8>, values: &[u64], what: &str) {
-    put_count(out, values.len(), what);
-    for &v in values {
-        put_u64(out, v);
-    }
-}
-
-fn put_indices(out: &mut Vec<u8>, values: &[usize], what: &str) {
-    put_count(out, values.len(), what);
-    for &v in values {
-        put_u64(out, v as u64);
-    }
-}
-
-/// Bounds-checked payload cursor — the same total-decoding idiom as the
-/// `.sinw` snapshot reader, producing [`WireError`]s.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated {
-                offset: self.pos,
-                needed: n,
-                available: self.remaining(),
-            });
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn bool(&mut self, context: &'static str) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(WireError::Malformed {
-                context,
-                detail: format!("bool byte must be 0 or 1, got {other}"),
-            }),
-        }
-    }
-
-    /// Read a `u32` element count and bounds-check `count *
-    /// min_elem_bytes` against the remaining payload *before* the caller
-    /// allocates anything — hostile counts die here.
-    fn count(&mut self, context: &'static str, min_elem_bytes: usize) -> Result<usize, WireError> {
-        let b = self.take(4)?;
-        let n = u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize;
-        let needed = n
-            .checked_mul(min_elem_bytes.max(1))
-            .ok_or_else(|| WireError::Malformed {
-                context,
-                detail: format!("count {n} overflows the address space"),
-            })?;
-        if needed > self.remaining() {
-            return Err(WireError::Truncated {
-                offset: self.pos,
-                needed,
-                available: self.remaining(),
-            });
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self, context: &'static str) -> Result<String, WireError> {
-        let n = self.count(context, 1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| WireError::Malformed {
-            context,
-            detail: format!("invalid UTF-8: {e}"),
-        })
-    }
-
-    fn u64s(&mut self, context: &'static str) -> Result<Vec<u64>, WireError> {
-        let n = self.count(context, 8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
-    fn indices(&mut self, context: &'static str) -> Result<Vec<usize>, WireError> {
-        let n = self.count(context, 8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()? as usize);
-        }
-        Ok(out)
-    }
-
-    fn patterns(&mut self, context: &'static str) -> Result<Vec<Vec<bool>>, WireError> {
-        let n = self.count(context, 0)?;
-        let width_bytes = self.take(4)?;
-        let width = u32::from_le_bytes(width_bytes.try_into().expect("4 bytes")) as usize;
-        let total = n.checked_mul(width).ok_or_else(|| WireError::Malformed {
-            context,
-            detail: format!("{n} patterns x {width} bits overflows"),
-        })?;
-        if total > self.remaining() {
-            return Err(WireError::Truncated {
-                offset: self.pos,
-                needed: total,
-                available: self.remaining(),
-            });
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut row = Vec::with_capacity(width);
-            for _ in 0..width {
-                row.push(self.bool(context)?);
-            }
-            out.push(row);
-        }
-        Ok(out)
-    }
-
-    /// The rest of the payload as raw bytes (always consumes to the
-    /// end).
-    fn rest(&mut self) -> Vec<u8> {
-        let out = self.bytes[self.pos..].to_vec();
-        self.pos = self.bytes.len();
-        out
-    }
-
-    /// Reject unread payload bytes.
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos != self.bytes.len() {
-            return Err(WireError::TrailingBytes {
-                extra: self.bytes.len() - self.pos,
-            });
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -685,7 +276,7 @@ impl WireJob {
             } => {
                 out.push(JOB_TAG_FAULTSIM);
                 put_u64(out, *key);
-                put_bool(out, *drop_detected);
+                out.push(u8::from(*drop_detected));
                 put_u32(out, *threads);
                 put_u64(out, *timeout_ms);
                 put_patterns(out, patterns);
@@ -715,12 +306,12 @@ impl WireJob {
         }
     }
 
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.u8()? {
             JOB_TAG_FAULTSIM => {
                 let key = r.u64()?;
                 let drop_detected = r.bool("job drop_detected")?;
-                let threads = u32::from_le_bytes(r.take(4)?.try_into().expect("4 bytes"));
+                let threads = r.u32()?;
                 let timeout_ms = r.u64()?;
                 let patterns = r.patterns("job patterns")?;
                 Ok(WireJob::FaultSim {
@@ -733,7 +324,7 @@ impl WireJob {
             }
             JOB_TAG_SIGNATURES => {
                 let key = r.u64()?;
-                let threads = u32::from_le_bytes(r.take(4)?.try_into().expect("4 bytes"));
+                let threads = r.u32()?;
                 let timeout_ms = r.u64()?;
                 let patterns = r.patterns("job patterns")?;
                 Ok(WireJob::Signatures {
@@ -753,7 +344,7 @@ impl WireJob {
                     timeout_ms,
                 })
             }
-            other => Err(WireError::Malformed {
+            other => Err(CodecError::Malformed {
                 context: "job tag",
                 detail: format!("unknown job tag {other}"),
             }),
@@ -844,13 +435,13 @@ impl Request {
     }
 
     /// Decode a request payload. Total: every malformed payload is a
-    /// typed [`WireError`], and the payload must be fully consumed.
+    /// typed [`CodecError`], and the payload must be fully consumed.
     ///
     /// # Errors
     ///
-    /// [`WireError::UnknownFrameType`] when `ty` is not a request code;
+    /// [`CodecError::UnknownFrameType`] when `ty` is not a request code;
     /// otherwise the typed decode failure.
-    pub fn decode(ty: u16, payload: &[u8]) -> Result<Self, WireError> {
+    pub fn decode(ty: u16, payload: &[u8]) -> Result<Self, CodecError> {
         let mut r = Reader::new(payload);
         let req = match ty {
             frame_type::REGISTER_BENCH => Request::RegisterBench {
@@ -864,7 +455,7 @@ impl Request {
             frame_type::AWAIT_JOB => Request::AwaitJob { job: r.u64()? },
             frame_type::FETCH_SNAPSHOT => Request::FetchSnapshot { key: r.u64()? },
             frame_type::STATS => Request::Stats,
-            other => return Err(WireError::UnknownFrameType { found: other }),
+            other => return Err(CodecError::UnknownFrameType { found: other }),
         };
         r.finish()?;
         Ok(req)
@@ -875,71 +466,62 @@ impl Request {
 // Responses
 // ---------------------------------------------------------------------
 
-/// Typed server-side error codes carried by [`Response::Error`].
+/// Typed server-side error codes carried by [`Response::Error`]; the
+/// discriminant is the on-wire code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The frame or payload failed to decode.
-    BadFrame,
+    BadFrame = 1,
     /// The frame decoded but its type is not a request this server
     /// serves.
-    UnknownRequest,
+    UnknownRequest = 2,
     /// The `.bench` source failed to parse.
-    Parse,
+    Parse = 3,
     /// The compile pipeline failed (or panicked) on the source.
-    CompileFailed,
+    CompileFailed = 4,
     /// The artifact exceeds the registry's byte capacity.
-    Oversized,
+    Oversized = 5,
     /// The session's cumulative register-byte quota is exhausted.
-    ByteQuota,
+    ByteQuota = 6,
     /// The session's in-flight job quota is exhausted.
-    JobQuota,
+    JobQuota = 7,
     /// The job id names no job of this session.
-    UnknownJob,
+    UnknownJob = 8,
     /// The key names no registered circuit.
-    UnknownKey,
+    UnknownKey = 9,
     /// The uploaded `.sinw` snapshot failed to decode.
-    SnapshotRejected,
+    SnapshotRejected = 10,
     /// The server is draining: in-flight work finishes, new work is
     /// refused.
-    Draining,
+    Draining = 11,
 }
 
 impl ErrorCode {
     /// The on-wire code.
     #[must_use]
     pub fn code(self) -> u16 {
-        match self {
-            ErrorCode::BadFrame => 1,
-            ErrorCode::UnknownRequest => 2,
-            ErrorCode::Parse => 3,
-            ErrorCode::CompileFailed => 4,
-            ErrorCode::Oversized => 5,
-            ErrorCode::ByteQuota => 6,
-            ErrorCode::JobQuota => 7,
-            ErrorCode::UnknownJob => 8,
-            ErrorCode::UnknownKey => 9,
-            ErrorCode::SnapshotRejected => 10,
-            ErrorCode::Draining => 11,
-        }
+        self as u16
     }
 
     /// Inverse of [`code`](ErrorCode::code).
     #[must_use]
     pub fn from_code(code: u16) -> Option<Self> {
-        Some(match code {
-            1 => ErrorCode::BadFrame,
-            2 => ErrorCode::UnknownRequest,
-            3 => ErrorCode::Parse,
-            4 => ErrorCode::CompileFailed,
-            5 => ErrorCode::Oversized,
-            6 => ErrorCode::ByteQuota,
-            7 => ErrorCode::JobQuota,
-            8 => ErrorCode::UnknownJob,
-            9 => ErrorCode::UnknownKey,
-            10 => ErrorCode::SnapshotRejected,
-            11 => ErrorCode::Draining,
-            _ => return None,
-        })
+        use ErrorCode::*;
+        [
+            BadFrame,
+            UnknownRequest,
+            Parse,
+            CompileFailed,
+            Oversized,
+            ByteQuota,
+            JobQuota,
+            UnknownJob,
+            UnknownKey,
+            SnapshotRejected,
+            Draining,
+        ]
+        .into_iter()
+        .find(|c| c.code() == code)
     }
 }
 
@@ -1056,8 +638,7 @@ impl WireOutcome {
     }
 
     /// Wire form of an [`AtpgReport`] (deterministic fields only).
-    #[must_use]
-    pub fn from_campaign(report: &AtpgReport) -> Self {
+    fn from_campaign(report: &AtpgReport) -> Self {
         WireOutcome::Campaign {
             patterns: report.patterns.clone(),
             total_faults: report.total_faults as u64,
@@ -1066,36 +647,6 @@ impl WireOutcome {
             untestable: report.untestable as u64,
             aborted: report.aborted as u64,
             podem_calls: report.podem_calls as u64,
-        }
-    }
-
-    /// Rebuild the [`SignatureMatrix`] a `Signatures` outcome carries.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Malformed`] when this is not a `Signatures` outcome
-    /// or the geometry does not match the word count.
-    pub fn to_signature_matrix(&self) -> Result<SignatureMatrix, WireError> {
-        match self {
-            WireOutcome::Signatures {
-                faults,
-                patterns,
-                outputs,
-                bits,
-            } => SignatureMatrix::from_raw_parts(
-                *faults as usize,
-                *patterns as usize,
-                *outputs as usize,
-                bits.clone(),
-            )
-            .map_err(|detail| WireError::Malformed {
-                context: "signature matrix",
-                detail,
-            }),
-            _ => Err(WireError::Malformed {
-                context: "signature matrix",
-                detail: String::from("outcome is not a signature capture"),
-            }),
         }
     }
 
@@ -1150,7 +701,7 @@ impl WireOutcome {
         }
     }
 
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.u8()? {
             OUTCOME_TAG_FAULTSIM => Ok(WireOutcome::FaultSim {
                 detected: r.indices("detected faults")?,
@@ -1177,7 +728,7 @@ impl WireOutcome {
             OUTCOME_TAG_FAILED => Ok(WireOutcome::Failed {
                 reason: r.str("failure reason")?,
             }),
-            other => Err(WireError::Malformed {
+            other => Err(CodecError::Malformed {
                 context: "outcome tag",
                 detail: format!("unknown outcome tag {other}"),
             }),
@@ -1283,7 +834,7 @@ impl Response {
                 put_u64(&mut out, *job);
                 put_u64(&mut out, *done);
                 put_u64(&mut out, *total);
-                put_bool(&mut out, *finished);
+                out.push(u8::from(*finished));
                 frame_type::PROGRESS
             }
             Response::Outcome { job, outcome } => {
@@ -1321,9 +872,9 @@ impl Response {
     ///
     /// # Errors
     ///
-    /// [`WireError::UnknownFrameType`] when `ty` is not a response
+    /// [`CodecError::UnknownFrameType`] when `ty` is not a response
     /// code; otherwise the typed decode failure.
-    pub fn decode(ty: u16, payload: &[u8]) -> Result<Self, WireError> {
+    pub fn decode(ty: u16, payload: &[u8]) -> Result<Self, CodecError> {
         let mut r = Reader::new(payload);
         let resp = match ty {
             frame_type::REGISTERED => Response::Registered {
@@ -1355,7 +906,7 @@ impl Response {
             }),
             frame_type::ERROR => {
                 let raw = r.u16()?;
-                let code = ErrorCode::from_code(raw).ok_or_else(|| WireError::Malformed {
+                let code = ErrorCode::from_code(raw).ok_or_else(|| CodecError::Malformed {
                     context: "error code",
                     detail: format!("unknown error code {raw}"),
                 })?;
@@ -1364,7 +915,7 @@ impl Response {
                     message: r.str("error message")?,
                 }
             }
-            other => return Err(WireError::UnknownFrameType { found: other }),
+            other => return Err(CodecError::UnknownFrameType { found: other }),
         };
         r.finish()?;
         Ok(resp)
@@ -1527,7 +1078,7 @@ mod tests {
         let mut frame = encode_frame(frame_type::STATS, &[]);
         frame[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
         let err = decode_frame(&frame, DEFAULT_MAX_PAYLOAD).expect_err("must reject");
-        assert!(matches!(err, WireError::Oversized { .. }), "got {err:?}");
+        assert!(matches!(err, CodecError::Oversized { .. }), "got {err:?}");
     }
 
     #[test]
@@ -1535,23 +1086,23 @@ mod tests {
         let (ty, mut payload) = Request::JobProgress { job: 1 }.encode();
         payload.push(0);
         let err = Request::decode(ty, &payload).expect_err("must reject");
-        assert_eq!(err, WireError::TrailingBytes { extra: 1 });
+        assert_eq!(err, CodecError::TrailingBytes { extra: 1 });
     }
 
     #[test]
     fn unknown_frame_types_are_typed() {
         assert_eq!(
             Request::decode(0x7E, &[]),
-            Err(WireError::UnknownFrameType { found: 0x7E })
+            Err(CodecError::UnknownFrameType { found: 0x7E })
         );
         assert_eq!(
             Response::decode(0xFE, &[]),
-            Err(WireError::UnknownFrameType { found: 0xFE })
+            Err(CodecError::UnknownFrameType { found: 0xFE })
         );
         // A response code handed to the request decoder is unknown too.
         assert!(matches!(
             Request::decode(frame_type::ERROR, &[]),
-            Err(WireError::UnknownFrameType { .. })
+            Err(CodecError::UnknownFrameType { .. })
         ));
     }
 

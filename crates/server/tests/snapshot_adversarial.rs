@@ -1,14 +1,19 @@
-//! Adversarial decode tests of the `.sinw` container: truncations at
-//! every prefix length, flipped magic, unsupported versions, corrupted
-//! checksums, and a deterministic byte-fuzz loop. The contract under
-//! attack: decoding returns a typed [`SnapshotError`] — it never panics
-//! and never allocates beyond what the input's own length justifies.
+//! Adversarial decode tests of the `.sinw` container, through the
+//! battery it shares with the wire suite (`common`): truncations at
+//! every prefix length, per-field header flips, every payload byte
+//! flip, trailing bytes, a hostile count, and seeded fuzz. The contract
+//! under attack: decoding returns a typed [`CodecError`] — it never
+//! panics and never allocates beyond what the input's own length
+//! justifies.
+
+mod common;
 
 use sinw_atpg::collapse::collapse;
 use sinw_atpg::diagnose::FaultDictionary;
 use sinw_atpg::fault_list::enumerate_stuck_at;
 use sinw_atpg::faultsim::seeded_patterns;
-use sinw_server::snapshot::{Snapshot, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use sinw_server::snapshot::{Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use sinw_server::CodecError;
 use sinw_switch::gate::Circuit;
 
 /// A fully loaded reference snapshot: c17 with universe, collapse, and
@@ -32,21 +37,14 @@ fn reference_bytes() -> Vec<u8> {
 
 #[test]
 fn every_truncation_is_a_typed_error() {
-    let bytes = reference_bytes();
-    assert!(Snapshot::decode(&bytes).is_ok(), "reference must decode");
-    for len in 0..bytes.len() {
-        let err =
-            Snapshot::decode(&bytes[..len]).expect_err("every strict prefix must be rejected");
-        // Any typed error is acceptable; panicking or succeeding is not.
-        // Prefixes shorter than the full container must be Truncated
-        // (the header's payload length no longer fits).
-        if len < 24 {
-            assert!(
-                matches!(err, SnapshotError::Truncated { .. }),
-                "prefix of {len} bytes: expected Truncated, got {err}"
-            );
-        }
-    }
+    common::every_truncation(&reference_bytes(), Snapshot::decode);
+}
+
+#[test]
+fn every_header_byte_flip_is_typed_by_field() {
+    common::header_flips_by_field(&reference_bytes(), Snapshot::decode, |result| {
+        matches!(result, Err(CodecError::ReservedNonZero { .. }))
+    });
 }
 
 #[test]
@@ -54,7 +52,7 @@ fn flipped_magic_is_rejected_with_the_found_bytes() {
     let mut bytes = reference_bytes();
     bytes[0] ^= 0xFF;
     match Snapshot::decode(&bytes) {
-        Err(SnapshotError::BadMagic { found }) => {
+        Err(CodecError::BadMagic { found }) => {
             assert_ne!(found, SNAPSHOT_MAGIC);
         }
         other => panic!("expected BadMagic, got {other:?}"),
@@ -67,7 +65,7 @@ fn future_versions_are_rejected_not_misread() {
     let future = (SNAPSHOT_VERSION + 1).to_le_bytes();
     bytes[4..6].copy_from_slice(&future);
     match Snapshot::decode(&bytes) {
-        Err(SnapshotError::UnsupportedVersion { found }) => {
+        Err(CodecError::UnsupportedVersion { found }) => {
             assert_eq!(found, SNAPSHOT_VERSION + 1);
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
@@ -80,114 +78,34 @@ fn corrupted_checksum_field_is_detected() {
     bytes[16] ^= 0x01;
     assert!(matches!(
         Snapshot::decode(&bytes),
-        Err(SnapshotError::ChecksumMismatch { .. })
+        Err(CodecError::ChecksumMismatch { .. })
     ));
 }
 
 #[test]
 fn every_single_payload_byte_flip_is_caught_by_the_checksum() {
-    let bytes = reference_bytes();
-    for pos in 24..bytes.len() {
-        let mut corrupted = bytes.clone();
-        corrupted[pos] ^= 0x40;
-        assert!(
-            matches!(
-                Snapshot::decode(&corrupted),
-                Err(SnapshotError::ChecksumMismatch { .. })
-            ),
-            "flip at byte {pos} slipped past the checksum"
-        );
-    }
+    common::payload_flips_fail_the_checksum(&reference_bytes(), Snapshot::decode);
 }
 
 #[test]
 fn trailing_garbage_is_rejected() {
-    let mut bytes = reference_bytes();
-    bytes.extend_from_slice(b"tail");
-    match Snapshot::decode(&bytes) {
-        Err(SnapshotError::TrailingBytes { extra }) => assert_eq!(extra, 4),
-        other => panic!("expected TrailingBytes, got {other:?}"),
-    }
+    common::trailing_bytes(&reference_bytes(), Snapshot::decode);
 }
 
 #[test]
 fn hostile_counts_cannot_drive_allocations_past_the_input() {
-    // A payload whose first section claims a multi-gigabyte string: the
-    // count must be rejected against the remaining payload length before
-    // any allocation is sized by it. Craft a valid header around it so
-    // the checksum gate passes and the count check is what fires.
-    let payload = u32::MAX.to_le_bytes().to_vec();
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&0u16.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in &payload {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    bytes.extend_from_slice(&h.to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    assert!(matches!(
-        Snapshot::decode(&bytes),
-        Err(SnapshotError::Malformed { .. })
-    ));
+    // A payload whose first section claims a multi-gigabyte name string.
+    let payload = u32::MAX.to_le_bytes();
+    let crafted = common::container(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 0, &payload);
+    common::hostile_count(&crafted, Snapshot::decode);
 }
 
-/// Deterministic fuzz loop: thousands of single- and multi-byte
-/// corruptions of a valid container, plus random byte soup, must all
-/// resolve to `Ok` or a typed error — never a panic. (Corruptions that
-/// happen to cancel out in the checksum and still decode are fine; the
-/// point is totality.)
 #[test]
 fn byte_fuzz_never_panics() {
-    let bytes = reference_bytes();
-    let mut state = 0xF022_DEAD_BEEF_1234u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-
-    // Single-byte corruptions at pseudo-random positions and values.
-    for _ in 0..2000 {
-        let mut corrupted = bytes.clone();
-        let pos = (next() as usize) % corrupted.len();
-        corrupted[pos] ^= (next() as u8) | 1;
-        let _ = Snapshot::decode(&corrupted);
-    }
-
-    // Multi-byte corruption bursts.
-    for _ in 0..500 {
-        let mut corrupted = bytes.clone();
-        for _ in 0..1 + (next() as usize) % 8 {
-            let pos = (next() as usize) % corrupted.len();
-            corrupted[pos] = next() as u8;
-        }
-        let _ = Snapshot::decode(&corrupted);
-    }
-
-    // Random byte soup of assorted lengths, with and without a valid
-    // magic prefix.
-    for round in 0..500 {
-        let len = (next() as usize) % 200;
-        let mut soup: Vec<u8> = (0..len).map(|_| next() as u8).collect();
-        if round % 2 == 0 && soup.len() >= 4 {
-            soup[0..4].copy_from_slice(&SNAPSHOT_MAGIC);
-        }
-        let _ = Snapshot::decode(&soup);
-    }
-
-    // Truncations of the valid container at fuzzed lengths combined
-    // with a byte flip before the cut.
-    for _ in 0..500 {
-        let cut = (next() as usize) % bytes.len();
-        let mut corrupted = bytes[..cut].to_vec();
-        if !corrupted.is_empty() {
-            let pos = (next() as usize) % corrupted.len();
-            corrupted[pos] ^= next() as u8;
-        }
-        let _ = Snapshot::decode(&corrupted);
-    }
+    common::fuzz(
+        &reference_bytes(),
+        Snapshot::decode,
+        SNAPSHOT_MAGIC,
+        0xF022_DEAD_BEEF_1234,
+    );
 }

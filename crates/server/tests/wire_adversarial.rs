@@ -1,19 +1,23 @@
-//! Adversarial wire-protocol tests, mirroring `snapshot_adversarial.rs`
-//! at the frame layer: truncations at every prefix length, every header
-//! byte flip, hostile lengths, trailing bytes, unknown frame types, and
-//! a seeded mutation fuzz loop — plus live-server legs proving a
-//! poisoned connection never takes the server down. The contract under
-//! attack: wire decoding returns a typed [`WireError`] — it never
-//! panics, never allocates past the configured cap, and the server
-//! stays serviceable afterward.
+//! Adversarial wire-protocol tests: the battery shared with
+//! `snapshot_adversarial.rs` (`common`: truncations at every prefix
+//! length, per-field header flips, every payload byte flip, trailing
+//! bytes, a hostile count, seeded fuzz), the frame-only attacks (hostile
+//! lengths, unknown frame types, zero-width pattern sets), and
+//! live-server legs proving a poisoned connection never takes the
+//! server down. The contract under attack: wire decoding returns a typed
+//! [`CodecError`] — it never panics, never allocates past the
+//! configured cap, and the server stays serviceable afterward.
+
+mod common;
 
 use sinw_atpg::{seeded_patterns, simulate_faults};
-use sinw_server::net::{NetClient, NetConfig, NetServer};
+use sinw_server::net::{ClientError, NetClient, NetConfig, NetServer};
 use sinw_server::registry::compile_circuit;
 use sinw_server::wire::{
     self, decode_frame, encode_frame, frame_type, ErrorCode, FrameEvent, Request, Response,
-    WireError, WireJob, WireOutcome, WIRE_MAGIC, WIRE_VERSION,
+    WireJob, WireOutcome, WIRE_MAGIC, WIRE_VERSION,
 };
+use sinw_server::CodecError;
 use sinw_switch::iscas::{parse_bench, C17_BENCH};
 
 /// A rich reference frame: a `SubmitJob` request with inline patterns,
@@ -39,66 +43,27 @@ const MAX: u64 = wire::DEFAULT_MAX_PAYLOAD;
 
 /// Decode one frame and, if it frames, decode the request too — the
 /// full server-side ingest path, in-memory.
-fn full_decode(bytes: &[u8]) -> Result<Request, WireError> {
+fn full_decode(bytes: &[u8]) -> Result<Request, CodecError> {
     let (ty, payload) = decode_frame(bytes, MAX)?;
     Request::decode(ty, &payload)
 }
 
 #[test]
 fn every_truncation_is_a_typed_error() {
-    let bytes = reference_frame();
-    assert!(full_decode(&bytes).is_ok(), "reference must decode");
-    for len in 0..bytes.len() {
-        let err = full_decode(&bytes[..len]).expect_err("every strict prefix must be rejected");
-        if len < wire::FRAME_HEADER_LEN {
-            assert!(
-                matches!(err, WireError::Truncated { .. }),
-                "prefix of {len} bytes: expected Truncated, got {err}"
-            );
-        }
-    }
+    common::every_truncation(&reference_frame(), full_decode);
 }
 
 #[test]
 fn every_header_byte_flip_is_typed_by_field() {
-    let bytes = reference_frame();
-    for pos in 0..wire::FRAME_HEADER_LEN {
-        for mask in [0x01u8, 0x40, 0xFF] {
-            let mut corrupted = bytes.clone();
-            corrupted[pos] ^= mask;
-            let result = full_decode(&corrupted);
-            match pos {
-                0..=3 => assert!(
-                    matches!(result, Err(WireError::BadMagic { .. })),
-                    "magic byte {pos}^{mask:#x}: got {result:?}"
-                ),
-                4..=5 => assert!(
-                    matches!(result, Err(WireError::UnsupportedVersion { .. })),
-                    "version byte {pos}^{mask:#x}: got {result:?}"
-                ),
-                // A flipped frame type is still a well-formed frame; it
-                // must resolve to a typed decode error (the payload is a
-                // fault-sim job) or, for byte-soup luck, a decode — just
-                // never a panic.
-                6..=7 => {
-                    let _ = result;
-                }
-                8..=15 => assert!(
-                    matches!(
-                        result,
-                        Err(WireError::Truncated { .. })
-                            | Err(WireError::Oversized { .. })
-                            | Err(WireError::TrailingBytes { .. })
-                    ),
-                    "length byte {pos}^{mask:#x}: got {result:?}"
-                ),
-                _ => assert!(
-                    matches!(result, Err(WireError::ChecksumMismatch { .. })),
-                    "checksum byte {pos}^{mask:#x}: got {result:?}"
-                ),
-            }
-        }
-    }
+    // A flipped frame type is still a well-formed frame; it must resolve
+    // to a typed decode error (the payload is a fault-sim job) or, for
+    // byte-soup luck, a decode — just never a panic.
+    common::header_flips_by_field(&reference_frame(), full_decode, |_| true);
+}
+
+#[test]
+fn every_single_payload_byte_flip_is_caught_by_the_checksum() {
+    common::payload_flips_fail_the_checksum(&reference_frame(), full_decode);
 }
 
 #[test]
@@ -107,7 +72,7 @@ fn hostile_lengths_die_before_allocation() {
         let mut frame = reference_frame();
         frame[8..16].copy_from_slice(&declared.to_le_bytes());
         match full_decode(&frame) {
-            Err(WireError::Oversized { declared: d, max }) => {
+            Err(CodecError::Oversized { declared: d, max }) => {
                 assert_eq!(d, declared);
                 assert_eq!(max, MAX);
             }
@@ -117,23 +82,18 @@ fn hostile_lengths_die_before_allocation() {
     // A length inside the cap but past the available bytes is typed
     // truncation, sized by the *input*, not the declaration.
     let mut frame = reference_frame();
-    let body_len = frame.len() - wire::FRAME_HEADER_LEN;
+    let body_len = frame.len() - common::HEADER_LEN;
     frame[8..16].copy_from_slice(&((body_len as u64) + 1000).to_le_bytes());
     assert!(matches!(
         full_decode(&frame),
-        Err(WireError::Truncated { .. })
+        Err(CodecError::Truncated { .. })
     ));
 }
 
 #[test]
 fn trailing_bytes_are_rejected_at_both_layers() {
     // After the frame payload.
-    let mut frame = reference_frame();
-    frame.extend_from_slice(b"tail");
-    match full_decode(&frame) {
-        Err(WireError::TrailingBytes { extra }) => assert_eq!(extra, 4),
-        other => panic!("expected TrailingBytes, got {other:?}"),
-    }
+    common::trailing_bytes(&reference_frame(), full_decode);
     // Inside a payload: re-frame a valid request payload with junk
     // appended and a *correct* checksum, so only full-consumption
     // catches it.
@@ -141,7 +101,7 @@ fn trailing_bytes_are_rejected_at_both_layers() {
     payload.extend_from_slice(&[0xAB, 0xCD]);
     let frame = encode_frame(ty, &payload);
     match full_decode(&frame) {
-        Err(WireError::TrailingBytes { extra }) => assert_eq!(extra, 2),
+        Err(CodecError::TrailingBytes { extra }) => assert_eq!(extra, 2),
         other => panic!("expected payload TrailingBytes, got {other:?}"),
     }
 }
@@ -152,91 +112,55 @@ fn unknown_frame_types_and_hostile_counts_are_typed() {
     for ty in [0x00u16, 0x09, 0x42, 0x7F] {
         let frame = encode_frame(ty, &[]);
         match full_decode(&frame) {
-            Err(WireError::UnknownFrameType { found }) => assert_eq!(found, ty),
+            Err(CodecError::UnknownFrameType { found }) => assert_eq!(found, ty),
             other => panic!("type {ty:#x}: expected UnknownFrameType, got {other:?}"),
         }
     }
     // A hostile element count inside a valid frame (a u32::MAX pattern
     // count) dies on the bounds check, not on an allocation.
-    let mut payload = Vec::new();
-    payload.push(1u8); // FaultSim job tag
+    let payload = fault_sim_payload(u32::MAX, u32::MAX, 0);
+    let crafted = common::container(WIRE_MAGIC, WIRE_VERSION, frame_type::SUBMIT_JOB, &payload);
+    common::hostile_count(&crafted, full_decode);
+}
+
+/// A `SubmitJob` payload: `FaultSim` on key 7 with `n` patterns of
+/// `width` bits, followed by `padding` zero bytes.
+fn fault_sim_payload(n: u32, width: u32, padding: usize) -> Vec<u8> {
+    let mut payload = vec![1u8]; // FaultSim job tag
     payload.extend_from_slice(&7u64.to_le_bytes()); // key
     payload.push(1); // drop_detected
     payload.extend_from_slice(&1u32.to_le_bytes()); // threads
     payload.extend_from_slice(&0u64.to_le_bytes()); // timeout
-    payload.extend_from_slice(&u32::MAX.to_le_bytes()); // pattern count
-    payload.extend_from_slice(&u32::MAX.to_le_bytes()); // pattern width
-    let frame = encode_frame(frame_type::SUBMIT_JOB, &payload);
-    assert!(matches!(
-        full_decode(&frame),
-        Err(WireError::Truncated { .. }) | Err(WireError::Malformed { .. })
-    ));
+    payload.extend_from_slice(&n.to_le_bytes());
+    payload.extend_from_slice(&width.to_le_bytes());
+    payload.resize(payload.len() + padding, 0);
+    payload
 }
 
-/// Seeded mutation fuzz ≥ 3000 cases over the full ingest path: single
-/// flips, bursts, byte soup, and truncate-and-flip — `Ok` or a typed
-/// error every time, never a panic.
+#[test]
+fn zero_width_pattern_sets_are_malformed_before_allocation() {
+    // 2^24 rows of width 0 behind 16 MiB of padding: each row consumes
+    // no bytes, so a count bounded only by the remaining bytes would
+    // allocate 2^24 empty rows (~384 MiB) before the padding is
+    // rejected. The reader refuses the shape before allocating.
+    let crafted = encode_frame(
+        frame_type::SUBMIT_JOB,
+        &fault_sim_payload(1 << 24, 0, 1 << 24),
+    );
+    match full_decode(&crafted) {
+        Err(CodecError::Malformed { context, .. }) => assert_eq!(context, "job patterns"),
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
 #[test]
 fn mutation_fuzz_never_panics() {
-    let bytes = reference_frame();
-    let mut state = 0x51F0_CAFE_F00D_5EEDu64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-
-    // Single-byte corruptions.
-    for _ in 0..2000 {
-        let mut corrupted = bytes.clone();
-        let pos = (next() as usize) % corrupted.len();
-        corrupted[pos] ^= (next() as u8) | 1;
-        let _ = full_decode(&corrupted);
-    }
-
-    // Multi-byte bursts.
-    for _ in 0..500 {
-        let mut corrupted = bytes.clone();
-        for _ in 0..1 + (next() as usize) % 8 {
-            let pos = (next() as usize) % corrupted.len();
-            corrupted[pos] = next() as u8;
-        }
-        let _ = full_decode(&corrupted);
-    }
-
-    // Random byte soup, with and without a valid magic prefix.
-    for round in 0..500 {
-        let len = (next() as usize) % 200;
-        let mut soup: Vec<u8> = (0..len).map(|_| next() as u8).collect();
-        if round % 2 == 0 && soup.len() >= 4 {
-            soup[0..4].copy_from_slice(&WIRE_MAGIC);
-        }
-        let _ = full_decode(&soup);
-    }
-
-    // Truncate-and-flip.
-    for _ in 0..500 {
-        let cut = (next() as usize) % bytes.len();
-        let mut corrupted = bytes[..cut].to_vec();
-        if !corrupted.is_empty() {
-            let pos = (next() as usize) % corrupted.len();
-            corrupted[pos] ^= next() as u8;
-        }
-        let _ = full_decode(&corrupted);
-    }
-
-    // Mutations with a *repaired* checksum, so the attack reaches the
-    // payload decoders instead of dying at the checksum gate.
-    for _ in 0..500 {
-        let mut corrupted = bytes.clone();
-        let pos =
-            wire::FRAME_HEADER_LEN + (next() as usize) % (corrupted.len() - wire::FRAME_HEADER_LEN);
-        corrupted[pos] = next() as u8;
-        let fixed = wire::checksum(&corrupted[wire::FRAME_HEADER_LEN..]);
-        corrupted[16..24].copy_from_slice(&fixed.to_le_bytes());
-        let _ = full_decode(&corrupted);
-    }
+    common::fuzz(
+        &reference_frame(),
+        full_decode,
+        WIRE_MAGIC,
+        0x51F0_CAFE_F00D_5EED,
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -435,4 +359,65 @@ fn an_unbounded_thread_count_is_clamped_and_the_server_keeps_serving() {
         assert_eq!(outcome, reference, "threads = {threads}");
     }
     server.shutdown();
+}
+
+#[test]
+fn a_snapshot_moves_between_servers_and_a_corrupt_one_is_rejected() {
+    let compiled = compile_circuit("c17", parse_bench(C17_BENCH).expect("fixture parses"));
+    let patterns = seeded_patterns(compiled.circuit().primary_inputs().len(), 64, 0x5A9);
+    let reference = WireOutcome::from_fault_sim(&simulate_faults(
+        compiled.circuit(),
+        &compiled.collapsed().representatives,
+        &patterns,
+        true,
+    ));
+
+    // Server A compiles c17 from source and hands out its snapshot.
+    let a = serve();
+    let mut on_a = NetClient::connect(a.local_addr()).expect("connect A");
+    let (bench_key, _) = on_a
+        .register_bench("c17", C17_BENCH)
+        .expect("register on A");
+    let bytes = on_a.fetch_snapshot(bench_key).expect("fetch from A");
+
+    // Server B installs it without compiling, under the circuit's
+    // content key — the key A also gives the same bytes.
+    let b = serve();
+    let mut on_b = NetClient::connect(b.local_addr()).expect("connect B");
+    let (key, _) = on_b
+        .register_snapshot(bytes.clone())
+        .expect("register on B");
+    assert_eq!(key, compiled.key(), "B keys the snapshot by its circuit");
+    assert_eq!(on_a.register_snapshot(bytes.clone()).expect("A").0, key);
+    assert_eq!(
+        on_b.stats().expect("stats").compiles,
+        0,
+        "B compiled nothing"
+    );
+    let job = on_b
+        .submit(WireJob::FaultSim {
+            key,
+            patterns,
+            drop_detected: true,
+            threads: 1,
+            timeout_ms: 60_000,
+        })
+        .expect("submit on B");
+    let outcome = on_b.await_job(job, |_, _| {}).expect("await on B");
+    assert_eq!(
+        outcome, reference,
+        "B simulates the restored circuit identically"
+    );
+
+    // One flipped payload byte: a typed rejection, and the connection
+    // keeps serving.
+    let mut corrupt = bytes;
+    corrupt[common::HEADER_LEN + 5] ^= 0x01;
+    match on_b.register_snapshot(corrupt) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::SnapshotRejected),
+        other => panic!("expected SnapshotRejected, got {other:?}"),
+    }
+    assert_eq!(on_b.stats().expect("same connection serves").compiles, 0);
+    a.shutdown();
+    b.shutdown();
 }
