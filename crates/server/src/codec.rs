@@ -475,12 +475,11 @@ impl<'a> Reader<'a> {
 
     /// The mirror of [`put_indices`].
     pub(crate) fn indices(&mut self, context: &'static str) -> Result<Vec<usize>, CodecError> {
-        let n = self.count(context, 8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()? as usize);
-        }
-        Ok(out)
+        Ok(self
+            .u64s(context)?
+            .into_iter()
+            .map(|v| v as usize)
+            .collect())
     }
 
     /// The mirror of [`put_patterns`]. A non-empty set of zero-width
