@@ -391,25 +391,10 @@ impl<const L: usize> FaultSimScratch<L> {
     }
 }
 
-/// The event-driven faulty pass: detection mask of `fault` over one
-/// pattern block, given the block's good-machine words.
-///
-/// Work is proportional to the disturbed part of the fault's fanout cone.
-/// `scratch` must have been sized for `graph` (see `for_graph`).
-/// Crate-visible so the `tpg` campaign loop can run every phase on the
-/// same hot kernel (and the same shared graph/scratch) as the engines.
-pub(crate) fn event_detect_mask<const L: usize>(
-    graph: &SimGraph,
-    fault: StuckAtFault,
-    block_mask: PatternWords<L>,
-    good: &[PatternWords<L>],
-    scratch: &mut FaultSimScratch<L>,
-) -> PatternWords<L> {
-    event_pass::<L, true>(graph, fault, block_mask, good, scratch)
-}
-
-/// The one event-driven kernel, behind [`event_detect_mask`] and the
-/// signature-row loop of [`capture`]. It returns the detection mask and
+/// The one event-driven kernel, behind [`FaultModel::detect_mask`] and
+/// the signature-row loop of [`capture`]. Work is proportional to the
+/// disturbed part of the fault's fanout cone; `scratch` must have been
+/// sized for `graph` (see `for_graph`). It returns the detection mask and
 /// leaves the faulty word of every disturbed signal stamped in
 /// `scratch`. With `SATURATE` it stops the moment the mask covers
 /// `block_mask`; without it, it never stops early, so signature capture
@@ -668,7 +653,7 @@ pub(crate) trait FaultModel<const L: usize>: Sync {
         if mask.is_zero() {
             return PatternWords::ZERO;
         }
-        event_detect_mask(self.graph(), stuck_at, mask, good, scratch)
+        event_pass::<L, true>(self.graph(), stuck_at, mask, good, scratch)
     }
 }
 
@@ -1193,6 +1178,13 @@ impl SplitMix64 {
 
     pub(crate) fn next_bool(&mut self) -> bool {
         self.next_u64() & 1 == 1
+    }
+
+    /// Complete a test cube, drawing one bit per don't-care in PI order.
+    pub(crate) fn fill(&mut self, cube: &[Option<bool>]) -> Vec<bool> {
+        cube.iter()
+            .map(|v| v.unwrap_or_else(|| self.next_bool()))
+            .collect()
     }
 }
 

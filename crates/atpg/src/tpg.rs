@@ -1,30 +1,34 @@
 //! The ATPG campaign loop: the engine that actually *produces* a compact,
 //! verified test set instead of simulating one supplied from outside.
 //!
-//! [`AtpgEngine`] runs three phases over a (usually collapsed) stuck-at
-//! fault list, all on the same event-driven PPSFP kernel and shared
-//! [`SimGraph`] precompute the `faultsim` engines use:
+//! One crate-private driver, `Campaign`, runs the campaign of both
+//! fault models on the event-driven PPSFP kernel through the shared
+//! `FaultModel` trait: [`AtpgEngine`] here for stuck-at faults and
+//! [`TransitionAtpg`](crate::transition::TransitionAtpg) for
+//! launch-on-capture transition faults. It owns three phases:
 //!
-//! 1. **Random phase** — 64-wide [`PatternBlock`]s of seeded random
-//!    patterns, fault-dropping after each block; only patterns that earn
-//!    first-detection credit are kept. The phase stops when
-//!    [`AtpgConfig::random_window`] consecutive blocks detect nothing
-//!    new (or at [`AtpgConfig::max_random_blocks`], or when every fault
-//!    is dropped).
-//! 2. **Deterministic phase** — PODEM per remaining fault. Each
-//!    generated test cube is filled and fault-simulated against *all*
-//!    remaining faults (again with dropping), so one PODEM call
+//! 1. **Random phase** — 64-pattern blocks fault-simulated with
+//!    dropping; only patterns that earn first-detection credit are kept.
+//!    The phase stops when [`AtpgConfig::random_window`] consecutive
+//!    blocks detect nothing new (or at [`AtpgConfig::max_random_blocks`],
+//!    or when every fault is dropped).
+//! 2. **Deterministic phase** — PODEM per remaining fault. Each test
+//!    cube is filled from the campaign's random stream and
+//!    fault-simulated against *all* remaining faults, so one PODEM call
 //!    typically kills many faults; `Untestable` and `Aborted` verdicts
 //!    are recorded instead of silently lowering coverage.
-//! 3. **Compaction** — static don't-care-aware merging of the PODEM
-//!    cubes ([`merge_cubes`]), a verification fault simulation of the
-//!    assembled set (any fault whose collateral detection did not
-//!    survive the merge/refill gets a top-up PODEM call), then
-//!    reverse-order compaction: replay the set backwards with dropping
-//!    and keep only patterns that detect something new. Reverse-order
-//!    compaction preserves the detected-fault set exactly — the test
-//!    suites re-verify the final patterns with an independent
-//!    `simulate_faults` pass.
+//! 3. **Compaction** — reverse-order replay of the set with dropping,
+//!    keeping only patterns that detect something new. It preserves the
+//!    detected-fault set exactly; the test suites re-verify the final
+//!    patterns with an independent simulation.
+//!
+//! Each engine supplies only what differs: how a random block is drawn
+//! and how a PODEM cube becomes a pattern. The stuck-at engine also
+//! screens each target with the static [`RedundancyProver`] before
+//! PODEM, and between phases 2 and 3 merges compatible cubes
+//! ([`merge_cubes`]), re-simulates the assembled set and re-targets with
+//! top-up PODEM calls every fault whose collateral detection did not
+//! survive the merge and refill.
 //!
 //! The [`AtpgReport`] carries the final pattern set, per-fault statuses,
 //! detected/untestable/aborted counts, coverage accessors, and per-phase
@@ -35,8 +39,7 @@
 use crate::collapse::{collapse, CollapsedFaults};
 use crate::fault_list::{enumerate_stuck_at, StuckAtFault};
 use crate::faultsim::{
-    compact, event_detect_mask, good_sim_into, simulate_faults_with_graph_lanes, FaultSimScratch,
-    PatternBlock, PatternWords, SplitMix64, StuckAt,
+    compact, simulate_faults_with_graph_lanes, FaultModel, FaultSimScratch, SplitMix64, StuckAt,
 };
 use crate::graph::SimGraph;
 use crate::podem::{generate_test, PodemConfig, PodemResult};
@@ -169,10 +172,7 @@ impl AtpgReport {
     /// Fault coverage over the whole targeted list, in [0, 1].
     #[must_use]
     pub fn coverage(&self) -> f64 {
-        if self.total_faults == 0 {
-            return 1.0;
-        }
-        self.detected() as f64 / self.total_faults as f64
+        coverage(self.detected(), self.total_faults)
     }
 
     /// Coverage over the *testable* faults (untestable ones excluded) —
@@ -180,12 +180,17 @@ impl AtpgReport {
     /// detected or provably redundant (aborts show up as a deficit).
     #[must_use]
     pub fn testable_coverage(&self) -> f64 {
-        let testable = self.total_faults - self.untestable;
-        if testable == 0 {
-            return 1.0;
-        }
-        self.detected() as f64 / testable as f64
+        coverage(self.detected(), self.total_faults - self.untestable)
     }
+}
+
+/// `detected / total`, or 1.0 for an empty list: the coverage accessors
+/// of both campaign reports.
+pub(crate) fn coverage(detected: usize, total: usize) -> f64 {
+    if total == 0 {
+        return 1.0;
+    }
+    detected as f64 / total as f64
 }
 
 /// Greedy static compaction of partially specified test cubes: each cube
@@ -218,8 +223,163 @@ pub fn merge_cubes(cubes: &[Vec<Option<bool>>]) -> Vec<Vec<Option<bool>>> {
     merged
 }
 
-fn ms(t0: Instant) -> f64 {
+pub(crate) fn ms(t0: Instant) -> f64 {
     t0.elapsed().as_secs_f64() * 1e3
+}
+
+/// Patterns per random-phase block.
+const RANDOM_BLOCK: usize = 64;
+
+/// The campaign driver of both fault models: per-fault statuses, the
+/// campaign's random stream (random blocks and don't-care fills), one
+/// scratch and the PODEM call count, over one fault list.
+pub(crate) struct Campaign<'m, M: FaultModel<1>> {
+    model: &'m M,
+    faults: &'m [M::Fault],
+    /// Per-fault classification, parallel to `faults`.
+    pub(crate) statuses: Vec<FaultStatus>,
+    /// The random-pattern and fill stream.
+    rng: SplitMix64,
+    scratch: FaultSimScratch,
+    /// PODEM invocations so far.
+    pub(crate) podem_calls: usize,
+}
+
+impl<'m, M: FaultModel<1>> Campaign<'m, M>
+where
+    M::Pattern: Clone,
+    M::Fault: std::fmt::Debug,
+{
+    pub(crate) fn new(model: &'m M, faults: &'m [M::Fault], seed: u64) -> Self {
+        Campaign {
+            model,
+            faults,
+            statuses: vec![FaultStatus::Undetected; faults.len()],
+            rng: SplitMix64::new(seed),
+            scratch: FaultSimScratch::for_graph(model.graph()),
+            podem_calls: 0,
+        }
+    }
+
+    /// How many faults carry `status`.
+    pub(crate) fn count(&self, status: FaultStatus) -> usize {
+        self.statuses.iter().filter(|s| **s == status).count()
+    }
+
+    /// The one dropping loop: every still-`Undetected` fault that some
+    /// pattern of `patterns` detects becomes `credit`. Returns the
+    /// first-detection credit, one bit per pattern: the earliest
+    /// detecting pattern of each newly dropped fault.
+    fn drop_detected(&mut self, patterns: &[M::Pattern], credit: FaultStatus) -> u64 {
+        let block = self.model.block(patterns);
+        let mut credited = 0u64;
+        for (status, fault) in self.statuses.iter_mut().zip(self.faults) {
+            if *status != FaultStatus::Undetected {
+                continue;
+            }
+            let mask = self.model.detect_mask(*fault, &block, &mut self.scratch);
+            if mask.any() {
+                *status = credit;
+                credited |= 1u64 << mask.trailing_zeros();
+            }
+        }
+        credited
+    }
+
+    /// The random phase: blocks from `draw` (given the stream and the
+    /// block size) with fault dropping, until `window` consecutive blocks
+    /// detect nothing new, `max_blocks` blocks ran or every fault is
+    /// dropped. Returns the credited patterns and how many were applied.
+    pub(crate) fn random_phase(
+        &mut self,
+        window: usize,
+        max_blocks: usize,
+        mut draw: impl FnMut(&mut SplitMix64, usize) -> Vec<M::Pattern>,
+    ) -> (Vec<M::Pattern>, usize) {
+        let n_pi = self.model.circuit().primary_inputs().len();
+        let mut kept = Vec::new();
+        let (mut applied, mut dry, mut blocks) = (0, 0, 0);
+        while n_pi > 0
+            && blocks < max_blocks
+            && dry < window
+            && self.statuses.contains(&FaultStatus::Undetected)
+        {
+            let patterns = draw(&mut self.rng, RANDOM_BLOCK);
+            let credited = self.drop_detected(&patterns, FaultStatus::DetectedRandom);
+            kept.extend(
+                patterns
+                    .iter()
+                    .enumerate()
+                    .filter(|(k, _)| credited & (1u64 << k) != 0)
+                    .map(|(_, p)| p.clone()),
+            );
+            dry = if credited == 0 { dry + 1 } else { 0 };
+            applied += patterns.len();
+            blocks += 1;
+        }
+        (kept, applied)
+    }
+
+    /// The deterministic phase: for every still-`Undetected` fault in
+    /// list order, unless `screen` proves it untestable, one counted
+    /// `podem` call. A test cube is filled from the stream, turned into
+    /// a pattern by `realise` (given the cube and its fill) and
+    /// fault-simulated against every remaining fault, so the whole
+    /// detected cohort drops before its own PODEM call. Returns the
+    /// patterns in generation order.
+    pub(crate) fn deterministic(
+        &mut self,
+        mut screen: impl FnMut(M::Fault) -> bool,
+        mut podem: impl FnMut(M::Fault) -> PodemResult,
+        mut realise: impl FnMut(Vec<Option<bool>>, Vec<bool>) -> M::Pattern,
+    ) -> Vec<M::Pattern> {
+        let mut tests = Vec::new();
+        for fi in 0..self.faults.len() {
+            let fault = self.faults[fi];
+            if self.statuses[fi] != FaultStatus::Undetected {
+                continue;
+            }
+            if screen(fault) {
+                self.statuses[fi] = FaultStatus::Untestable;
+                continue;
+            }
+            self.podem_calls += 1;
+            match podem(fault) {
+                PodemResult::Test(cube) => {
+                    let filled = self.rng.fill(&cube);
+                    let test = realise(cube, filled);
+                    self.drop_detected(
+                        std::slice::from_ref(&test),
+                        FaultStatus::DetectedDeterministic,
+                    );
+                    debug_assert_eq!(
+                        self.statuses[fi],
+                        FaultStatus::DetectedDeterministic,
+                        "a PODEM test must detect its own target ({fault:?})"
+                    );
+                    tests.push(test);
+                }
+                PodemResult::Untestable => self.statuses[fi] = FaultStatus::Untestable,
+                PodemResult::Aborted => self.statuses[fi] = FaultStatus::Aborted,
+            }
+        }
+        tests
+    }
+
+    /// Reverse-order compaction of `patterns` against the detected
+    /// faults: replay backwards with dropping and keep only patterns
+    /// that detect something new, so the detected set is preserved
+    /// exactly.
+    pub(crate) fn compact(&mut self, patterns: &[M::Pattern]) -> Vec<M::Pattern> {
+        let live: Vec<M::Fault> = self
+            .faults
+            .iter()
+            .zip(&self.statuses)
+            .filter(|(_, s)| s.is_detected())
+            .map(|(f, _)| *f)
+            .collect();
+        compact(self.model, &live, patterns, &mut self.scratch)
+    }
 }
 
 /// The campaign engine: circuit + config + the [`SimGraph`] precompute
@@ -257,162 +417,69 @@ impl<'a> AtpgEngine<'a> {
         (collapsed, report)
     }
 
-    /// Fill a cube's don't-cares from the campaign's random stream.
-    fn fill(&self, cube: &[Option<bool>], rng: &mut SplitMix64) -> Vec<bool> {
-        cube.iter()
-            .map(|v| v.unwrap_or_else(|| rng.next_bool()))
-            .collect()
-    }
-
-    /// Detection mask of `fault` over one packed block whose good-machine
-    /// words are already in `good`.
-    fn mask_of(
-        &self,
-        fault: StuckAtFault,
-        block: &PatternBlock,
-        good: &[PatternWords],
-        scratch: &mut FaultSimScratch,
-    ) -> PatternWords {
-        event_detect_mask(&self.graph, fault, block.mask(), good, scratch)
-    }
-
     /// Run the full campaign over `faults` (usually collapsed
     /// representatives; duplicates are simply detected together).
     #[must_use]
     pub fn run(&self, faults: &[StuckAtFault]) -> AtpgReport {
-        let n_pi = self.circuit.primary_inputs().len();
-        let mut statuses = vec![FaultStatus::Undetected; faults.len()];
-        let mut scratch = FaultSimScratch::for_graph(&self.graph);
-        let mut good = vec![PatternWords::ZERO; self.circuit.signal_count()];
-        let mut rng = SplitMix64::new(self.config.seed);
-        let mut podem_calls = 0usize;
+        let cfg = &self.config;
+        let model = StuckAt::new(self.circuit, &self.graph);
+        let mut run = Campaign::new(&model, faults, cfg.seed);
+        let podem = |f| generate_test(self.circuit, f, &cfg.podem);
 
-        // ------------------------------------------------------------------
-        // Phase 1 — random patterns with fault dropping.
-        // ------------------------------------------------------------------
+        let n_pi = self.circuit.primary_inputs().len();
         let t0 = Instant::now();
-        let mut kept: Vec<Vec<bool>> = Vec::new();
-        let mut random_applied = 0usize;
-        let mut alive = faults.len();
-        let mut dry = 0usize;
-        let mut blocks = 0usize;
-        while n_pi > 0
-            && alive > 0
-            && blocks < self.config.max_random_blocks
-            && dry < self.config.random_window
-        {
-            let patterns: Vec<Vec<bool>> = (0..64)
-                .map(|_| (0..n_pi).map(|_| rng.next_bool()).collect())
-                .collect();
-            let block = PatternBlock::pack(self.circuit, &patterns);
-            good_sim_into(self.circuit, &block, &mut good);
-            let mut credited = 0u64;
-            let mut detections = 0usize;
-            for (fi, fault) in faults.iter().enumerate() {
-                if statuses[fi] != FaultStatus::Undetected {
-                    continue;
-                }
-                let mask = self.mask_of(*fault, &block, &good, &mut scratch);
-                if mask.any() {
-                    statuses[fi] = FaultStatus::DetectedRandom;
-                    // First-detection credit goes to the earliest pattern.
-                    let m = mask.lane(0);
-                    credited |= m & m.wrapping_neg();
-                    detections += 1;
-                }
-            }
-            for (k, p) in patterns.iter().enumerate() {
-                if credited & (1u64 << k) != 0 {
-                    kept.push(p.clone());
-                }
-            }
-            alive -= detections;
-            dry = if detections == 0 { dry + 1 } else { 0 };
-            random_applied += block.count;
-            blocks += 1;
-        }
+        let (kept, random_patterns_applied) =
+            run.random_phase(cfg.random_window, cfg.max_random_blocks, |rng, n| {
+                (0..n)
+                    .map(|_| (0..n_pi).map(|_| rng.next_bool()).collect())
+                    .collect()
+            });
         let random_ms = ms(t0);
         let random_patterns_kept = kept.len();
 
-        // ------------------------------------------------------------------
-        // Phase 2 — PODEM per remaining fault, with collateral dropping.
-        // ------------------------------------------------------------------
+        // Phase 2 keeps each cube for static merging next to its fill,
+        // which is what the collateral drops were simulated against. The
+        // static redundancy screen runs first: structurally redundant
+        // faults (carry-select-style) would otherwise burn the whole
+        // backtrack budget and still come back `Aborted`.
         let t1 = Instant::now();
-        // (cube, phase-2 fill) pairs: the cube feeds static merging, the
-        // fill is what the collateral drops were simulated against.
-        let mut cubes: Vec<(Vec<Option<bool>>, Vec<bool>)> = Vec::new();
-        let mut prover: Option<RedundancyProver<'_>> = None;
-        if self.config.deterministic {
-            for fi in 0..faults.len() {
-                if statuses[fi] != FaultStatus::Undetected {
-                    continue;
-                }
-                // Static redundancy screen first: structurally redundant
-                // faults (carry-select-style) would otherwise burn the
-                // whole backtrack budget and still come back `Aborted`.
-                if self.config.redundancy_budget > 0 {
-                    let p = prover.get_or_insert_with(|| {
-                        RedundancyProver::with_budget(self.circuit, self.config.redundancy_budget)
-                    });
-                    if p.prove_untestable(faults[fi]) {
-                        statuses[fi] = FaultStatus::Untestable;
-                        continue;
-                    }
-                }
-                podem_calls += 1;
-                match generate_test(self.circuit, faults[fi], &self.config.podem) {
-                    PodemResult::Test(cube) => {
-                        // Fill and fault-simulate the single pattern so the
-                        // whole detected cohort drops before its own PODEM
-                        // call. The filled pattern is kept alongside the
-                        // cube: the drops stay valid verbatim unless static
-                        // merging rewrites the fill (phase 3 re-verifies in
-                        // that case).
-                        let filled = self.fill(&cube, &mut rng);
-                        let block = PatternBlock::pack(self.circuit, std::slice::from_ref(&filled));
-                        good_sim_into(self.circuit, &block, &mut good);
-                        for (fj, fault) in faults.iter().enumerate() {
-                            if statuses[fj] == FaultStatus::Undetected
-                                && self.mask_of(*fault, &block, &good, &mut scratch).any()
-                            {
-                                statuses[fj] = FaultStatus::DetectedDeterministic;
-                            }
-                        }
-                        debug_assert_eq!(
-                            statuses[fi],
-                            FaultStatus::DetectedDeterministic,
-                            "a PODEM pattern must detect its own target ({})",
-                            faults[fi].describe(self.circuit)
-                        );
-                        cubes.push((cube, filled));
-                    }
-                    PodemResult::Untestable => statuses[fi] = FaultStatus::Untestable,
-                    PodemResult::Aborted => statuses[fi] = FaultStatus::Aborted,
-                }
-            }
-        }
+        let mut cubes = Vec::new();
+        let fills = if cfg.deterministic {
+            let mut prover: Option<RedundancyProver<'_>> = None;
+            let screen = |f| {
+                cfg.redundancy_budget > 0
+                    && prover
+                        .get_or_insert_with(|| {
+                            RedundancyProver::with_budget(self.circuit, cfg.redundancy_budget)
+                        })
+                        .prove_untestable(f)
+            };
+            run.deterministic(screen, podem, |cube, filled| {
+                cubes.push(cube);
+                filled
+            })
+        } else {
+            Vec::new()
+        };
         let deterministic_ms = ms(t1);
 
-        // ------------------------------------------------------------------
-        // Phase 3 — static merge, verification (+ top-up), reverse-order
-        // compaction.
-        // ------------------------------------------------------------------
         let t2 = Instant::now();
         let mut patterns = kept;
-        if self.config.compact {
-            let merged = merge_cubes(&cubes.iter().map(|(c, _)| c.clone()).collect::<Vec<_>>());
-            patterns.extend(merged.iter().map(|c| self.fill(c, &mut rng)));
+        if cfg.compact {
+            let merged = merge_cubes(&cubes);
+            patterns.extend(merged.iter().map(|c| run.rng.fill(c)));
         } else {
             // No merging: the phase-2 fills are the patterns, so every
             // collateral drop simulated there stays valid verbatim.
-            patterns.extend(cubes.iter().map(|(_, filled)| filled.clone()));
+            patterns.extend(fills);
         }
 
-        if self.config.deterministic && self.config.compact {
-            // Every specified cube still detects its own target after the
-            // merge, but *collaterally* dropped faults were credited to one
-            // particular fill that merging may have rewritten. Re-simulate
-            // the assembled set and top up any fault that slipped through.
+        if cfg.deterministic && cfg.compact {
+            // Every merged cube still detects its constituents' targets,
+            // but *collateral* detections were credited to one particular
+            // fill that merging may have rewritten. Re-simulate the
+            // assembled set, reopen every detection that slipped through
+            // and run a top-up PODEM pass over just those faults.
             let report = simulate_faults_with_graph_lanes(
                 self.circuit,
                 &self.graph,
@@ -421,68 +488,34 @@ impl<'a> AtpgEngine<'a> {
                 true,
                 1,
             );
-            let mut det = vec![false; faults.len()];
-            for fi in report.detected {
-                det[fi] = true;
-            }
-            for fi in 0..faults.len() {
-                if det[fi] || !statuses[fi].is_detected() {
-                    continue;
-                }
-                podem_calls += 1;
-                match generate_test(self.circuit, faults[fi], &self.config.podem) {
-                    PodemResult::Test(cube) => {
-                        let filled = self.fill(&cube, &mut rng);
-                        let block = PatternBlock::pack(self.circuit, std::slice::from_ref(&filled));
-                        good_sim_into(self.circuit, &block, &mut good);
-                        for (fj, fault) in faults.iter().enumerate() {
-                            if !det[fj] && self.mask_of(*fault, &block, &good, &mut scratch).any() {
-                                det[fj] = true;
-                            }
-                        }
-                        statuses[fi] = FaultStatus::DetectedDeterministic;
-                        patterns.push(filled);
-                    }
-                    PodemResult::Untestable => statuses[fi] = FaultStatus::Untestable,
-                    PodemResult::Aborted => statuses[fi] = FaultStatus::Aborted,
+            for fi in report.undetected {
+                if run.statuses[fi].is_detected() {
+                    run.statuses[fi] = FaultStatus::Undetected;
                 }
             }
+            patterns.extend(run.deterministic(|_| false, podem, |_, filled| filled));
         }
         let patterns_before_compaction = patterns.len();
-
-        if self.config.compact && !patterns.is_empty() {
-            // Reverse-order compaction on the event kernel: replay the set
-            // backwards with dropping, keep only patterns that detect a new
-            // fault. The detected set is preserved exactly: every detected
-            // fault is caught by the *last* pattern in the final set that
-            // detects it.
-            let live: Vec<StuckAtFault> = faults
-                .iter()
-                .zip(&statuses)
-                .filter(|(_, s)| s.is_detected())
-                .map(|(f, _)| *f)
-                .collect();
-            let model = StuckAt::new(self.circuit, &self.graph);
-            patterns = compact(&model, &live, &patterns, &mut scratch);
+        if cfg.compact {
+            patterns = run.compact(&patterns);
         }
         let compaction_ms = ms(t2);
 
-        let count = |s: FaultStatus| statuses.iter().filter(|x| **x == s).count();
         AtpgReport {
             patterns,
             total_faults: faults.len(),
-            detected_random: count(FaultStatus::DetectedRandom),
-            detected_deterministic: count(FaultStatus::DetectedDeterministic),
-            untestable: count(FaultStatus::Untestable),
-            aborted: count(FaultStatus::Aborted),
-            podem_calls,
-            random_patterns_applied: random_applied,
+            detected_random: run.count(FaultStatus::DetectedRandom),
+            detected_deterministic: run.count(FaultStatus::DetectedDeterministic),
+            untestable: run.count(FaultStatus::Untestable),
+            aborted: run.count(FaultStatus::Aborted),
+            podem_calls: run.podem_calls,
+            random_patterns_applied,
             random_patterns_kept,
             patterns_before_compaction,
             random_ms,
             deterministic_ms,
             compaction_ms,
-            statuses,
+            statuses: run.statuses,
         }
     }
 }

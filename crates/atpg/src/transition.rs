@@ -15,12 +15,17 @@
 //! never count as detections.
 //!
 //! The [`TransitionAtpg`] engine runs a launch-on-capture (broadside)
-//! campaign over a full-scan view of a [`SeqCircuit`]: random launch
-//! vectors whose capture state is the machine's own next state, then a
-//! deterministic phase on the 2-frame [time-frame expansion](mod@crate::unroll)
-//! — a stuck-at PODEM target in frame 1, constrained to the initial
-//! value in frame 0, is structurally a LOC pair because the unrolled
-//! netlist hardwires `capture state = NS(launch)`.
+//! campaign over a full-scan view of a [`SeqCircuit`] on the same
+//! campaign driver as the stuck-at [`AtpgEngine`](crate::AtpgEngine)
+//! (random phase, deterministic phase with collateral dropping,
+//! reverse-order compaction; see [`crate::tpg`]). It supplies the two
+//! parts that differ: random blocks are launch vectors whose capture
+//! state is the machine's own next state, read off the launch
+//! good-machine words, and PODEM runs on the 2-frame
+//! [time-frame expansion](mod@crate::unroll) — a stuck-at target in
+//! frame 1, constrained to the initial value in frame 0, is structurally
+//! a LOC pair because the unrolled netlist hardwires
+//! `capture state = NS(launch)`.
 //!
 //! Everything reports bit-identically across the serial, lane-wide and
 //! work-stealing threaded engines (same contract as the stuck-at
@@ -29,15 +34,14 @@
 
 use crate::fault_list::{enumerate_stuck_at, FaultSite, StuckAtFault};
 use crate::faultsim::{
-    capture, compact, configured_lanes, detect, dispatch_lanes, good_sim, report_from, stealing,
-    FaultModel, FaultSimReport, FaultSimScratch, GoodBlock, PatternBlock, SignatureMatrix,
-    SplitMix64, ONE_WORKER,
+    capture, configured_lanes, detect, dispatch_lanes, good_sim, report_from, stealing, FaultModel,
+    FaultSimReport, GoodBlock, PatternBlock, SignatureMatrix, ONE_WORKER,
 };
 use crate::graph::SimGraph;
 use crate::lanes::PatternWords;
-use crate::podem::{generate_test_constrained, PodemConfig, PodemResult};
+use crate::podem::{generate_test_constrained, PodemConfig};
 use crate::sof::CircuitTwoPattern;
-use crate::tpg::FaultStatus;
+use crate::tpg::{coverage, ms, Campaign, FaultStatus};
 use crate::unroll::{unroll, UnrollConfig, UnrolledCircuit};
 use sinw_switch::gate::{eval_cell, Circuit, GateId, SignalId};
 use sinw_switch::scan::{insert_scan, ScanCircuit, ScanPlan};
@@ -524,20 +528,17 @@ impl TransitionAtpgReport {
     /// Detected / total.
     #[must_use]
     pub fn coverage(&self) -> f64 {
-        if self.total_faults == 0 {
-            return 1.0;
-        }
-        (self.detected_random + self.detected_deterministic) as f64 / self.total_faults as f64
+        coverage(self.detected(), self.total_faults)
     }
 
     /// Detected / (total − untestable): coverage of the testable universe.
     #[must_use]
     pub fn testable_coverage(&self) -> f64 {
-        let testable = self.total_faults - self.untestable;
-        if testable == 0 {
-            return 1.0;
-        }
-        (self.detected_random + self.detected_deterministic) as f64 / testable as f64
+        coverage(self.detected(), self.total_faults - self.untestable)
+    }
+
+    fn detected(&self) -> usize {
+        self.detected_random + self.detected_deterministic
     }
 }
 
@@ -618,25 +619,33 @@ impl TransitionAtpg {
         &self.unrolled
     }
 
-    /// Complete a launch vector into a broadside pair: the capture
-    /// vector's state bits are the next state under `launch`, its
-    /// functional bits come from `capture_inputs`.
-    fn pair_from(
+    /// Complete launch vectors into broadside pairs: each capture
+    /// vector's state bits are the machine's next state under its launch
+    /// vector, read off the launch good-machine words at the flip-flop
+    /// `D` nets, and its functional bits come from `functional(k)`.
+    fn broadside(
         &self,
-        launch: Vec<bool>,
-        launch_good: &[PatternWords<1>],
-        k: usize,
-        capture_inputs: &[bool],
-    ) -> CircuitTwoPattern {
-        let eval = self
-            .pi_roles
-            .iter()
-            .map(|role| match role {
-                Ok(j) => launch_good[self.d_signals[*j].0].get_bit(k),
-                Err(i) => capture_inputs[*i],
+        launch: Vec<Vec<bool>>,
+        mut functional: impl FnMut(usize) -> Vec<bool>,
+    ) -> Vec<CircuitTwoPattern> {
+        let circuit = self.scan.circuit();
+        let good = good_sim(circuit, &PatternBlock::<1>::pack(circuit, &launch));
+        launch
+            .into_iter()
+            .enumerate()
+            .map(|(k, init)| {
+                let func = functional(k);
+                let eval = self
+                    .pi_roles
+                    .iter()
+                    .map(|role| match role {
+                        Ok(j) => good[self.d_signals[*j].0].get_bit(k),
+                        Err(i) => func[*i],
+                    })
+                    .collect();
+                CircuitTwoPattern { init, eval }
             })
-            .collect();
-        CircuitTwoPattern { init: launch, eval }
+            .collect()
     }
 
     /// Run the campaign over `faults` (sites on
@@ -647,168 +656,76 @@ impl TransitionAtpg {
         let circuit = self.scan.circuit();
         let n_pi = circuit.primary_inputs().len();
         let n_func = self.pi_roles.iter().filter(|r| r.is_err()).count();
+        let n_ff = self.d_signals.len();
         let cfg = &self.config;
-        let mut rng = SplitMix64::new(cfg.seed);
-        let mut statuses = vec![FaultStatus::Undetected; faults.len()];
-        let mut remaining: Vec<usize> = (0..faults.len()).collect();
-        let mut pairs: Vec<CircuitTwoPattern> = Vec::new();
         let model = Transition {
             circuit,
             graph: &self.graph,
         };
-        let mut scratch: FaultSimScratch = FaultSimScratch::for_graph(&self.graph);
-        let mut podem_calls = 0usize;
+        let mut run = Campaign::new(&model, faults, cfg.seed);
 
-        // Random phase: blocks of 64 free launch vectors, broadside
-        // capture, fault dropping, credit-based pair keeping.
+        // Random phase: free launch vectors, broadside capture with
+        // fresh functional bits per pair.
         let t0 = Instant::now();
-        let mut stale = 0usize;
-        let mut blocks = 0usize;
-        while !remaining.is_empty() && blocks < cfg.max_random_blocks && stale < cfg.random_window {
-            blocks += 1;
-            let launch: Vec<Vec<bool>> = (0..64)
-                .map(|_| (0..n_pi).map(|_| rng.next_bool()).collect())
-                .collect();
-            let launch_block: PatternBlock = PatternBlock::pack(circuit, &launch);
-            let launch_good = good_sim(circuit, &launch_block);
-            let capture: Vec<Vec<bool>> = (0..64)
-                .map(|k| {
-                    let func: Vec<bool> = (0..n_func).map(|_| rng.next_bool()).collect();
-                    self.pair_from(launch[k].clone(), &launch_good, k, &func)
-                        .eval
-                })
-                .collect();
-            let blk = PairBlock {
-                launch_good,
-                capture: GoodBlock::new(circuit, &capture),
-            };
-            let mut credited = 0u64;
-            let before = remaining.len();
-            remaining.retain(|&fi| {
-                let mask = model.detect_mask(faults[fi], &blk, &mut scratch);
-                if mask.any() {
-                    statuses[fi] = FaultStatus::DetectedRandom;
-                    credited |= 1u64 << mask.trailing_zeros();
-                    false
-                } else {
-                    true
-                }
+        let (mut pairs, _) =
+            run.random_phase(cfg.random_window, cfg.max_random_blocks, |rng, n| {
+                let launch = (0..n)
+                    .map(|_| (0..n_pi).map(|_| rng.next_bool()).collect())
+                    .collect();
+                self.broadside(launch, |_| (0..n_func).map(|_| rng.next_bool()).collect())
             });
-            if remaining.len() < before {
-                stale = 0;
-                for k in 0..64 {
-                    if credited & (1u64 << k) != 0 {
-                        pairs.push(CircuitTwoPattern {
-                            init: launch[k].clone(),
-                            eval: capture[k].clone(),
-                        });
-                    }
-                }
-            } else {
-                stale += 1;
-            }
-        }
-        let random_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let detected_random = statuses
-            .iter()
-            .filter(|s| **s == FaultStatus::DetectedRandom)
-            .count();
+        let random_ms = ms(t0);
 
         // Deterministic phase: constrained PODEM on the 2-frame unroll.
         // The fault is embedded in frame 1, the frame-0 copy of its stem
-        // is constrained to the initial value, and the resulting cube
+        // is constrained to the initial value, and the filled cube
         // (state₀, pi@0, pi@1) is natively a LOC pair.
         let t1 = Instant::now();
         if cfg.deterministic {
-            let ids = std::mem::take(&mut remaining);
-            for fi in ids {
-                if statuses[fi].is_detected() {
-                    continue;
-                }
-                let f = faults[fi];
-                let stem = site_signal(circuit, f.site);
+            let podem = |f: TransitionFault| {
                 let target = StuckAtFault {
                     site: self.unrolled.fault_at(1, f.site),
                     value: f.init_value(),
                 };
+                let stem = site_signal(circuit, f.site);
                 let constraint = (self.unrolled.signal_at(0, stem), f.init_value());
-                podem_calls += 1;
-                match generate_test_constrained(
+                generate_test_constrained(
                     self.unrolled.circuit(),
                     target,
                     &[constraint],
                     &cfg.podem,
-                ) {
-                    PodemResult::Test(cube) => {
-                        let filled: Vec<bool> = cube
-                            .iter()
-                            .map(|v| v.unwrap_or_else(|| rng.next_bool()))
-                            .collect();
-                        let n_ff = self.d_signals.len();
-                        let state0 = &filled[..n_ff];
-                        let pi0 = &filled[n_ff..n_ff + n_func];
-                        let pi1 = &filled[n_ff + n_func..];
-                        let launch: Vec<bool> = self
-                            .pi_roles
-                            .iter()
-                            .map(|role| match role {
-                                Ok(j) => state0[*j],
-                                Err(i) => pi0[*i],
-                            })
-                            .collect();
-                        let launch_block: PatternBlock =
-                            PatternBlock::pack(circuit, std::slice::from_ref(&launch));
-                        let launch_good = good_sim(circuit, &launch_block);
-                        let pair = self.pair_from(launch, &launch_good, 0, pi1);
-                        // Collateral dropping: one deterministic pair
-                        // usually kills more than its target.
-                        let blk = PairBlock {
-                            launch_good,
-                            capture: GoodBlock::new(circuit, std::slice::from_ref(&pair.eval)),
-                        };
-                        for (gi, status) in statuses.iter_mut().enumerate() {
-                            if *status == FaultStatus::Undetected
-                                && model.detect_mask(faults[gi], &blk, &mut scratch).any()
-                            {
-                                *status = FaultStatus::DetectedDeterministic;
-                            }
-                        }
-                        debug_assert!(
-                            statuses[fi] == FaultStatus::DetectedDeterministic,
-                            "constrained PODEM cube must detect its own target pair-wise"
-                        );
-                        pairs.push(pair);
-                    }
-                    PodemResult::Untestable => statuses[fi] = FaultStatus::Untestable,
-                    PodemResult::Aborted => statuses[fi] = FaultStatus::Aborted,
-                }
-            }
+                )
+            };
+            let realise = |_, filled: Vec<bool>| {
+                let (state0, pis) = filled.split_at(n_ff);
+                let (pi0, pi1) = pis.split_at(n_func);
+                let launch = self
+                    .pi_roles
+                    .iter()
+                    .map(|role| match role {
+                        Ok(j) => state0[*j],
+                        Err(i) => pi0[*i],
+                    })
+                    .collect();
+                self.broadside(vec![launch], |_| pi1.to_vec())
+                    .swap_remove(0)
+            };
+            pairs.extend(run.deterministic(|_| false, podem, realise));
         }
-
-        // Reverse-order pair compaction: replay backwards with dropping,
-        // keep only pairs that detect something new. Preserves the
-        // detected-fault set exactly.
-        if cfg.compact && !pairs.is_empty() {
-            let live: Vec<TransitionFault> = statuses
-                .iter()
-                .zip(faults)
-                .filter(|(s, _)| s.is_detected())
-                .map(|(_, f)| *f)
-                .collect();
-            pairs = compact(&model, &live, &pairs, &mut scratch);
+        if cfg.compact {
+            pairs = run.compact(&pairs);
         }
-        let deterministic_ms = t1.elapsed().as_secs_f64() * 1e3;
+        let deterministic_ms = ms(t1);
 
-        let count = |want: FaultStatus| statuses.iter().filter(|s| **s == want).count();
         TransitionAtpgReport {
             pairs,
             total_faults: faults.len(),
-            detected_random,
-            detected_deterministic: count(FaultStatus::DetectedDeterministic),
-            untestable: count(FaultStatus::Untestable),
-            aborted: count(FaultStatus::Aborted),
-            podem_calls,
-            statuses,
+            detected_random: run.count(FaultStatus::DetectedRandom),
+            detected_deterministic: run.count(FaultStatus::DetectedDeterministic),
+            untestable: run.count(FaultStatus::Untestable),
+            aborted: run.count(FaultStatus::Aborted),
+            podem_calls: run.podem_calls,
+            statuses: run.statuses,
             random_ms,
             deterministic_ms,
         }
