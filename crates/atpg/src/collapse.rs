@@ -67,58 +67,42 @@ impl CollapsedFaults {
 /// Collapse a fault list against the circuit structure.
 #[must_use]
 pub fn collapse(circuit: &Circuit, faults: &[StuckAtFault]) -> CollapsedFaults {
-    // Dense first-occurrence tables, one `[s-a-0, s-a-1]` slot per stem
-    // signal and per gate pin (`pin_base[g] + pin`). Faults on sites the
-    // circuit does not have are never looked up, so they are left out.
-    let gates = circuit.gates();
-    let mut pin_base = Vec::with_capacity(gates.len());
-    let mut pins = 0;
-    for gate in gates {
-        pin_base.push(pins);
-        pins += gate.inputs.len();
-    }
-    let mut stem: Vec<[Option<usize>; 2]> = vec![[None; 2]; circuit.signal_count()];
-    let mut branch: Vec<[Option<usize>; 2]> = vec![[None; 2]; pins];
-    for (i, f) in faults.iter().enumerate() {
-        let slot = match f.site {
-            FaultSite::Signal(s) => stem.get_mut(s.0),
-            FaultSite::GatePin(g, pin) => match gates.get(g.0) {
-                Some(gate) if pin < gate.inputs.len() => Some(&mut branch[pin_base[g.0] + pin]),
-                _ => None,
-            },
-        };
-        if let Some(slot) = slot {
-            slot[usize::from(f.value)].get_or_insert(i);
-        }
-    }
-    let mut is_po = vec![false; circuit.signal_count()];
-    for po in circuit.primary_outputs() {
-        is_po[po.0] = true;
-    }
+    let index_of = |f: &StuckAtFault| faults.iter().position(|g| g == f);
     let mut uf = UnionFind::new(faults.len());
 
-    for (gi, gate) in gates.iter().enumerate() {
-        // (pin, input stuck value, output stuck value)
-        let rules: &[(usize, bool, bool)] = match gate.kind {
-            CellKind::Inv => &[(0, false, true), (0, true, false)],
-            CellKind::Nand2 => &[(0, false, true), (1, false, true)],
-            CellKind::Nor2 => &[(0, true, false), (1, true, false)],
-            CellKind::Xor2 | CellKind::Xor3 | CellKind::Maj3 => &[],
+    for (gi, gate) in circuit.gates().iter().enumerate() {
+        let gid = sinw_switch::gate::GateId(gi);
+        // The fault site on pin `pin`: the branch fault if it exists in
+        // the universe (fanout > 1), otherwise the stem fault of the
+        // feeding signal — but the stem is only equivalent to the pin when
+        // nothing else observes it (single fanout *and* not a primary
+        // output, which would be directly observable).
+        let pin_site = |pin: usize| -> Option<FaultSite> {
+            let branch = FaultSite::GatePin(gid, pin);
+            if faults.iter().any(|f| f.site == branch) {
+                return Some(branch);
+            }
+            let sig = gate.inputs[pin];
+            let observable_elsewhere = circuit.primary_outputs().contains(&sig);
+            (!observable_elsewhere).then_some(FaultSite::Signal(sig))
         };
-        for &(pin, in_v, out_v) in rules {
-            // The fault site on the pin: the branch fault if the list has
-            // one (fanout > 1), otherwise the stem fault of the feeding
-            // signal — but the stem is only equivalent to the pin when
-            // nothing else observes it (single fanout *and* not a primary
-            // output, which would be directly observable).
-            let sig = gate.inputs[pin].0;
-            let at_pin = match branch[pin_base[gi] + pin] {
-                [None, None] if is_po[sig] => continue,
-                [None, None] => stem[sig],
-                b => b,
+        let out = FaultSite::Signal(gate.output);
+        let rules: Vec<(usize, bool, bool)> = match gate.kind {
+            // (pin, input stuck value, output stuck value)
+            CellKind::Inv => vec![(0, false, true), (0, true, false)],
+            CellKind::Nand2 => vec![(0, false, true), (1, false, true)],
+            CellKind::Nor2 => vec![(0, true, false), (1, true, false)],
+            CellKind::Xor2 | CellKind::Xor3 | CellKind::Maj3 => vec![],
+        };
+        for (pin, in_v, out_v) in rules {
+            let Some(site) = pin_site(pin) else {
+                continue;
             };
-            let fi = at_pin[usize::from(in_v)];
-            let fo = stem[gate.output.0][usize::from(out_v)];
+            let fi = index_of(&StuckAtFault { site, value: in_v });
+            let fo = index_of(&StuckAtFault {
+                site: out,
+                value: out_v,
+            });
             if let (Some(a), Some(b)) = (fi, fo) {
                 uf.union(a, b);
             }
