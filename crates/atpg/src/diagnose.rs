@@ -38,13 +38,13 @@
 //!
 //! `sinw-core::experiments::diagnosis` drives dictionary construction
 //! over the benchmark suite on the ATPG campaign's compacted pattern
-//! sets; `cargo bench --bench diag_scaling` measures serial vs threaded
-//! build time and the compression ratio.
+//! sets; `cargo bench --bench diag_scaling` measures single-worker vs
+//! threaded build time and the compression ratio.
 
 use crate::fault_list::StuckAtFault;
 use crate::faultsim::{
-    capture_signatures, capture_signatures_serial, capture_signatures_threaded, faulty_sim,
-    good_sim, PatternBlock, SignatureMatrix,
+    capture_signatures, capture_signatures_threaded_lanes, configured_lanes, faulty_sim, good_sim,
+    PatternBlock, SignatureMatrix,
 };
 use sinw_switch::gate::Circuit;
 use std::collections::HashMap;
@@ -53,8 +53,9 @@ use std::collections::HashMap;
 ///
 /// Rows are keyed by indistinguishability class, not by fault: faults
 /// with identical [`SignatureMatrix`] rows share one stored signature.
-/// Built by [`FaultDictionary::build`] (and its `_serial` / `_threaded`
-/// siblings); queried by [`FaultDictionary::diagnose`].
+/// Built by [`FaultDictionary::build`] (or its thread-parallel twin
+/// [`FaultDictionary::build_threaded`]); queried by
+/// [`FaultDictionary::diagnose`].
 #[derive(Debug, Clone)]
 pub struct FaultDictionary {
     /// Number of faults the dictionary models.
@@ -144,19 +145,9 @@ impl FaultDictionary {
         Self::from_signatures(&capture_signatures(circuit, faults, patterns))
     }
 
-    /// [`FaultDictionary::build`] on the one-pattern-at-a-time capture
-    /// baseline (identical dictionary; the build-time ablation).
-    #[must_use]
-    pub fn build_serial(
-        circuit: &Circuit,
-        faults: &[StuckAtFault],
-        patterns: &[Vec<bool>],
-    ) -> Self {
-        Self::from_signatures(&capture_signatures_serial(circuit, faults, patterns))
-    }
-
     /// [`FaultDictionary::build`] on the thread-parallel capture engine
-    /// (identical dictionary). `threads = 0` auto-detects.
+    /// at the [`configured_lanes`] width (identical dictionary).
+    /// `threads = 0` auto-detects.
     #[must_use]
     pub fn build_threaded(
         circuit: &Circuit,
@@ -164,8 +155,12 @@ impl FaultDictionary {
         patterns: &[Vec<bool>],
         threads: usize,
     ) -> Self {
-        Self::from_signatures(&capture_signatures_threaded(
-            circuit, faults, patterns, threads,
+        Self::from_signatures(&capture_signatures_threaded_lanes(
+            circuit,
+            faults,
+            patterns,
+            threads,
+            configured_lanes(),
         ))
     }
 

@@ -1,17 +1,23 @@
-//! Stuck-at fault simulation: serial, 64-way bit-parallel, and
-//! thread-parallel PPSFP, all on an event-driven, fanout-cone-restricted
-//! inner kernel.
+//! Stuck-at fault simulation: wide-word bit-parallel and thread-parallel
+//! PPSFP on an event-driven, fanout-cone-restricted inner kernel.
 //!
-//! Three engines share one inner loop and report identical results:
+//! Each mode has one default entry point (the [`configured_lanes`]
+//! width, one worker) and one explicit `(threads, lanes)` form, and
+//! every form reports bit-identically:
 //!
-//! * [`simulate_faults_serial`] — one pattern at a time, the ablation
-//!   baseline;
-//! * [`simulate_faults`] — packs 64 fully-specified patterns into one
-//!   machine word per signal and evaluates a whole block per fault
-//!   (parallel-pattern single-fault propagation, PPSFP);
-//! * [`simulate_faults_threaded`] — distributes fault chunks across
-//!   workers through the one work-stealing fan-out,
-//!   [`crate::steal::fan_out`], *on top of* the wide blocks.
+//! * detection: [`simulate_faults`] and [`simulate_faults_threaded_stats`]
+//!   (which also returns the work-stealing [`StealStats`]);
+//! * signature capture: [`capture_signatures`] and
+//!   [`capture_signatures_threaded_lanes`].
+//!
+//! A block packs `64 * L` fully-specified patterns into one wide word
+//! per signal and evaluates the whole block per fault (parallel-pattern
+//! single-fault propagation, PPSFP); the threaded forms distribute fault
+//! chunks across workers through the one work-stealing fan-out,
+//! [`crate::steal::fan_out`], *on top of* the wide blocks. The
+//! remaining `*_lanes` / `*_with_graph_lanes` forms are the
+//! single-worker engine at an explicit width, with or without a
+//! caller-supplied [`SimGraph`].
 //!
 //! Every engine, and the `sinw-server` job path
 //! ([`simulate_faults_checked`], [`capture_signatures_checked`]), runs
@@ -66,8 +72,8 @@
 //!
 //! Fault partitioning (rather than pattern partitioning) keeps workers
 //! embarrassingly parallel: a stuck-at fault's detection is independent of
-//! every other fault, so the merged report is bit-identical to the serial
-//! one — a property the test suite asserts.
+//! every other fault, so the merged report is bit-identical to the
+//! single-worker one — a property the test suite asserts.
 
 use crate::fault_list::{FaultSite, StuckAtFault};
 use crate::graph::SimGraph;
@@ -701,11 +707,11 @@ impl<const L: usize> FaultModel<L> for StuckAt<'_> {
 
 /// The one first-detection loop, shared by every engine of both fault
 /// models and by the full-pass oracle: for each fault, the index of the
-/// first pattern that detects it (`None` = undetected), given blocks of
-/// `block_size` patterns. With `drop_detected`, a fault's remaining
-/// blocks are skipped after its first detection; without it, every
-/// block is still evaluated (the honest baseline for the dropping
-/// ablation), which does not change the result.
+/// first pattern that detects it (`None` = undetected), given full
+/// blocks of [`PatternBlock::CAPACITY`] patterns. With `drop_detected`,
+/// a fault's remaining blocks are skipped after its first detection;
+/// without it, every block is still evaluated (the honest baseline for
+/// the dropping ablation), which does not change the result.
 ///
 /// `mask_of` computes the per-(fault, block) detection mask — the only
 /// thing the engines differ in, so dropping and first-index semantics
@@ -713,7 +719,6 @@ impl<const L: usize> FaultModel<L> for StuckAt<'_> {
 fn first_detections<F: Copy, B, const L: usize>(
     faults: &[F],
     blocks: &[B],
-    block_size: usize,
     drop_detected: bool,
     mut mask_of: impl FnMut(F, &B) -> PatternWords<L>,
 ) -> Vec<Option<usize>> {
@@ -727,7 +732,7 @@ fn first_detections<F: Copy, B, const L: usize>(
                 }
                 let mask = mask_of(fault, block);
                 if mask.any() && first.is_none() {
-                    first = Some(bi * block_size + mask.trailing_zeros());
+                    first = Some(bi * PatternBlock::<L>::CAPACITY + mask.trailing_zeros());
                 }
             }
             first
@@ -752,23 +757,21 @@ pub(crate) fn stealing(threads: usize, n_faults: usize) -> (usize, usize) {
 }
 
 /// The detection driver of both fault models: pack and good-simulate
-/// `patterns` once in blocks of `block_size`, fan the fault list out
-/// over `(workers, chunk)` with a private scratch per worker, run the
-/// first-detection loop on each chunk between `admit` (which may stop
-/// the run) and `finished`, and merge in chunk order.
-#[allow(clippy::too_many_arguments)]
+/// `patterns` once in blocks of [`PatternBlock::CAPACITY`], fan the
+/// fault list out over `(workers, chunk)` with a private scratch per
+/// worker, run the first-detection loop on each chunk between `admit`
+/// (which may stop the run) and `finished`, and merge in chunk order.
 pub(crate) fn detect<M: FaultModel<L>, E: Send, const L: usize>(
     model: &M,
     faults: &[M::Fault],
     patterns: &[M::Pattern],
     drop_detected: bool,
-    block_size: usize,
     (workers, chunk): (usize, usize),
     admit: &(impl Fn() -> Result<(), E> + Sync),
     finished: &(impl Fn() + Sync),
 ) -> Result<(FaultSimReport, StealStats), E> {
     let blocks: Vec<M::Block> = patterns
-        .chunks(block_size)
+        .chunks(PatternBlock::<L>::CAPACITY)
         .map(|p| model.block(p))
         .collect();
     let (chunks, stats) = fan_out(
@@ -778,13 +781,9 @@ pub(crate) fn detect<M: FaultModel<L>, E: Send, const L: usize>(
         |_| FaultSimScratch::for_graph(model.graph()),
         |scratch, range| {
             admit()?;
-            let firsts = first_detections(
-                &faults[range],
-                &blocks,
-                block_size,
-                drop_detected,
-                |f, b| model.detect_mask(f, b, scratch),
-            );
+            let firsts = first_detections(&faults[range], &blocks, drop_detected, |f, b| {
+                model.detect_mask(f, b, scratch)
+            });
             finished();
             Ok(firsts)
         },
@@ -795,18 +794,16 @@ pub(crate) fn detect<M: FaultModel<L>, E: Send, const L: usize>(
 /// The capture driver of both fault models: [`detect`]'s prepare and
 /// fan-out around the one signature-row loop, rows merged in chunk
 /// order.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn capture<M: FaultModel<L>, E: Send, const L: usize>(
     model: &M,
     faults: &[M::Fault],
     patterns: &[M::Pattern],
-    block_size: usize,
     (workers, chunk): (usize, usize),
     admit: &(impl Fn() -> Result<(), E> + Sync),
     finished: &(impl Fn() + Sync),
 ) -> Result<(SignatureMatrix, StealStats), E> {
     let blocks: Vec<M::Block> = patterns
-        .chunks(block_size)
+        .chunks(PatternBlock::<L>::CAPACITY)
         .map(|p| model.block(p))
         .collect();
     let outputs = model.circuit().primary_outputs();
@@ -835,7 +832,7 @@ pub(crate) fn capture<M: FaultModel<L>, E: Send, const L: usize>(
                             continue; // undisturbed output: no difference
                         }
                         for k in ((scratch.faulty[s] ^ good[s]) & mask).set_bits() {
-                            let bit = (bi * block_size + k) * outputs.len() + o;
+                            let bit = (bi * PatternBlock::<L>::CAPACITY + k) * outputs.len() + o;
                             row[bit / 64] |= 1u64 << (bit % 64);
                         }
                     }
@@ -986,8 +983,7 @@ pub fn simulate_faults_with_graph_lanes(
 ) -> FaultSimReport {
     let model = StuckAt::new(circuit, graph);
     let run = dispatch_lanes!(lanes, L => detect::<_, _, L>(
-        &model, faults, patterns, drop_detected, PatternBlock::<L>::CAPACITY, ONE_WORKER,
-        &|| Ok(()), &|| {}
+        &model, faults, patterns, drop_detected, ONE_WORKER, &|| Ok(()), &|| {}
     ));
     run.unwrap_or_else(|e: Infallible| match e {}).0
 }
@@ -1026,8 +1022,7 @@ pub fn simulate_faults_checked<E: From<PackError> + Send>(
     check_arity(circuit, patterns)?;
     let model = StuckAt::new(circuit, graph);
     let run = dispatch_lanes!(configured_lanes(), L => detect::<_, _, L>(
-        &model, faults, patterns, drop_detected, PatternBlock::<L>::CAPACITY,
-        (threads, JOB_CHUNK), &admit, &finished
+        &model, faults, patterns, drop_detected, (threads, JOB_CHUNK), &admit, &finished
     ));
     Ok(run?.0)
 }
@@ -1047,72 +1042,17 @@ pub fn simulate_faults_full_pass(
     drop_detected: bool,
 ) -> FaultSimReport {
     let blocks: Vec<GoodBlock<1>> = patterns
-        .chunks(64)
+        .chunks(PatternBlock::<1>::CAPACITY)
         .map(|p| GoodBlock::new(circuit, p))
         .collect();
     let mut scratch = vec![PatternWords::<1>::ZERO; circuit.signal_count()];
-    let firsts = first_detections(faults, &blocks, 64, drop_detected, |fault, b| {
+    let firsts = first_detections(faults, &blocks, drop_detected, |fault, b| {
         full_pass_detect_mask(circuit, fault, &b.block, &b.good, &mut scratch)
     });
     report_from(firsts, patterns.len())
 }
 
-/// Serial (one pattern at a time) fault simulation — the ablation baseline
-/// for bit-parallelism; the inner loop is still event-driven.
-#[must_use]
-pub fn simulate_faults_serial(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    drop_detected: bool,
-) -> FaultSimReport {
-    let graph = SimGraph::build(circuit);
-    let model = StuckAt::new(circuit, &graph);
-    let run = detect::<_, _, 1>(
-        &model,
-        faults,
-        patterns,
-        drop_detected,
-        1,
-        ONE_WORKER,
-        &|| Ok(()),
-        &|| {},
-    );
-    run.unwrap_or_else(|e: Infallible| match e {}).0
-}
-
-/// Thread-parallel PPSFP over the work-stealing [`fan_out`]: the fault
-/// list is cut into fixed chunks ([`StealStats::chunk_size`] faults each)
-/// dealt out as contiguous per-worker spans; a worker that exhausts its
-/// span steals the upper half of a peer's. `threads = 0` uses
-/// [`std::thread::available_parallelism`]. Runs at [`configured_lanes`].
-///
-/// The [`SimGraph`] precompute and the per-block good-machine words are
-/// computed once and shared read-only; each worker owns a private
-/// [`FaultSimScratch`]. Chunk boundaries are a pure function of the
-/// input and chunk results merge in chunk order, so the report is
-/// bit-identical to [`simulate_faults`] (and to
-/// [`simulate_faults_serial`]) no matter how chunks migrate between
-/// workers.
-#[must_use]
-pub fn simulate_faults_threaded(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    drop_detected: bool,
-    threads: usize,
-) -> FaultSimReport {
-    simulate_faults_threaded_lanes(
-        circuit,
-        faults,
-        patterns,
-        drop_detected,
-        threads,
-        configured_lanes(),
-    )
-}
-
-/// [`simulate_faults_threaded`] at an explicit lane width.
+/// [`simulate_faults_threaded_stats`] without the work-stealing counters.
 ///
 /// # Panics
 ///
@@ -1129,9 +1069,20 @@ pub fn simulate_faults_threaded_lanes(
     simulate_faults_threaded_stats(circuit, faults, patterns, drop_detected, threads, lanes).0
 }
 
-/// [`simulate_faults_threaded_lanes`] plus the work-stealing counters of
-/// the run — what the scaling benches record and the determinism test
-/// asserts on.
+/// Thread-parallel PPSFP over the work-stealing [`fan_out`] at an
+/// explicit lane width: the fault list is cut into fixed chunks
+/// ([`StealStats::chunk_size`] faults each) dealt out as contiguous
+/// per-worker spans; a worker that exhausts its span steals the upper
+/// half of a peer's. `threads = 0` uses
+/// [`std::thread::available_parallelism`].
+///
+/// The [`SimGraph`] precompute and the per-block good-machine words are
+/// computed once and shared read-only; each worker owns a private
+/// [`FaultSimScratch`]. Chunk boundaries are a pure function of the
+/// input and chunk results merge in chunk order, so the report is
+/// bit-identical to [`simulate_faults`] no matter how chunks migrate
+/// between workers. The returned [`StealStats`] are what the scaling
+/// benches record and the determinism test asserts on.
 ///
 /// # Panics
 ///
@@ -1149,8 +1100,7 @@ pub fn simulate_faults_threaded_stats(
     let model = StuckAt::new(circuit, &graph);
     let fan = stealing(threads, faults.len());
     let run = dispatch_lanes!(lanes, L => detect::<_, _, L>(
-        &model, faults, patterns, drop_detected, PatternBlock::<L>::CAPACITY, fan,
-        &|| Ok(()), &|| {}
+        &model, faults, patterns, drop_detected, fan, &|| Ok(()), &|| {}
     ));
     run.unwrap_or_else(|e: Infallible| match e {})
 }
@@ -1426,7 +1376,7 @@ pub fn capture_signatures_with_graph_lanes(
 ) -> SignatureMatrix {
     let model = StuckAt::new(circuit, graph);
     let run = dispatch_lanes!(lanes, L => capture::<_, _, L>(
-        &model, faults, patterns, PatternBlock::<L>::CAPACITY, ONE_WORKER, &|| Ok(()), &|| {}
+        &model, faults, patterns, ONE_WORKER, &|| Ok(()), &|| {}
     ));
     run.unwrap_or_else(|e: Infallible| match e {}).0
 }
@@ -1454,8 +1404,7 @@ pub fn capture_signatures_checked<E: From<PackError> + Send>(
     check_arity(circuit, patterns)?;
     let model = StuckAt::new(circuit, graph);
     let run = dispatch_lanes!(configured_lanes(), L => capture::<_, _, L>(
-        &model, faults, patterns, PatternBlock::<L>::CAPACITY, (threads, JOB_CHUNK),
-        &admit, &finished
+        &model, faults, patterns, (threads, JOB_CHUNK), &admit, &finished
     ));
     Ok(run?.0)
 }
@@ -1495,59 +1444,33 @@ pub fn capture_signatures_lanes(
     capture_signatures_with_graph_lanes(circuit, &graph, faults, patterns, lanes)
 }
 
-/// [`capture_signatures`] one pattern at a time — the ablation baseline
-/// for bit-parallelism, reporting a bit-identical matrix.
-#[must_use]
-pub fn capture_signatures_serial(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-) -> SignatureMatrix {
-    let graph = SimGraph::build(circuit);
-    let model = StuckAt::new(circuit, &graph);
-    let run = capture::<_, _, 1>(&model, faults, patterns, 1, ONE_WORKER, &|| Ok(()), &|| {});
-    run.unwrap_or_else(|e: Infallible| match e {}).0
-}
-
-/// Thread-parallel signature capture: fault chunks are claimed through
-/// the same work-stealing [`fan_out`] as [`simulate_faults_threaded`], on
-/// top of the lane blocks [`configured_lanes`] selects, with the shared
-/// read-only [`SimGraph`]/good-machine precompute and one private
+/// Thread-parallel signature capture at an explicit lane width: fault
+/// chunks are claimed through the same work-stealing [`fan_out`] as
+/// [`simulate_faults_threaded_stats`], with the shared read-only
+/// [`SimGraph`]/good-machine precompute and one private
 /// [`FaultSimScratch`] per worker. `threads = 0` auto-detects.
 ///
 /// Rows land in fault order, so the matrix is bit-identical to
 /// [`capture_signatures`].
-#[must_use]
-pub fn capture_signatures_threaded(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    threads: usize,
-) -> SignatureMatrix {
-    capture_signatures_threaded_stats(circuit, faults, patterns, threads, configured_lanes()).0
-}
-
-/// [`capture_signatures_threaded`] at an explicit lane width, also
-/// reporting the work-stealing [`StealStats`].
 ///
 /// # Panics
 ///
 /// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
 #[must_use]
-pub fn capture_signatures_threaded_stats(
+pub fn capture_signatures_threaded_lanes(
     circuit: &Circuit,
     faults: &[StuckAtFault],
     patterns: &[Vec<bool>],
     threads: usize,
     lanes: usize,
-) -> (SignatureMatrix, StealStats) {
+) -> SignatureMatrix {
     let graph = SimGraph::build(circuit);
     let model = StuckAt::new(circuit, &graph);
     let fan = stealing(threads, faults.len());
     let run = dispatch_lanes!(lanes, L => capture::<_, _, L>(
-        &model, faults, patterns, PatternBlock::<L>::CAPACITY, fan, &|| Ok(()), &|| {}
+        &model, faults, patterns, fan, &|| Ok(()), &|| {}
     ));
-    run.unwrap_or_else(|e: Infallible| match e {})
+    run.unwrap_or_else(|e: Infallible| match e {}).0
 }
 
 #[cfg(test)]
@@ -1575,21 +1498,10 @@ mod tests {
     }
 
     #[test]
-    fn serial_parallel_and_threaded_agree() {
-        let c = Circuit::ripple_adder(3);
-        let faults = enumerate_stuck_at(&c);
-        let patterns = random_patterns(c.primary_inputs().len(), 100, 42);
-        let par = simulate_faults(&c, &faults, &patterns, false);
-        let ser = simulate_faults_serial(&c, &faults, &patterns, false);
-        let thr = simulate_faults_threaded(&c, &faults, &patterns, false, 4);
-        assert_eq!(par, ser);
-        assert_eq!(par, thr);
-    }
-
-    #[test]
     fn event_driven_engine_matches_the_full_pass_oracle() {
         for (c, n_patterns) in [
             (Circuit::c17(), 40),
+            (Circuit::ripple_adder(3), 100),
             (Circuit::ripple_adder(4), 130),
             (Circuit::parity_tree(7), 64),
         ] {
@@ -1598,7 +1510,16 @@ mod tests {
             for drop_detected in [false, true] {
                 let full = simulate_faults_full_pass(&c, &faults, &patterns, drop_detected);
                 let event = simulate_faults(&c, &faults, &patterns, drop_detected);
+                let threaded = simulate_faults_threaded_lanes(
+                    &c,
+                    &faults,
+                    &patterns,
+                    drop_detected,
+                    4,
+                    configured_lanes(),
+                );
                 assert_eq!(full, event, "drop = {drop_detected}");
+                assert_eq!(full, threaded, "threaded, drop = {drop_detected}");
             }
         }
     }
@@ -1637,12 +1558,13 @@ mod tests {
         let patterns = random_patterns(5, 16, 9);
         let reference = simulate_faults(&c, &faults, &patterns, true);
         // More workers than faults, exactly one worker, and auto-detect.
+        let lanes = configured_lanes();
         for threads in [1usize, 3, faults.len() + 10, 0] {
-            let r = simulate_faults_threaded(&c, &faults, &patterns, true, threads);
+            let r = simulate_faults_threaded_lanes(&c, &faults, &patterns, true, threads, lanes);
             assert_eq!(r, reference, "threads = {threads}");
         }
         // Empty fault list.
-        let empty = simulate_faults_threaded(&c, &[], &patterns, true, 4);
+        let empty = simulate_faults_threaded_lanes(&c, &[], &patterns, true, 4, lanes);
         assert!(empty.detected.is_empty() && empty.undetected.is_empty());
         assert_eq!(empty.coverage(), 1.0);
     }
@@ -1726,8 +1648,10 @@ mod tests {
             let n_pi = c.primary_inputs().len();
             let patterns = random_patterns(n_pi, 70, 5);
             let sig = capture_signatures(&c, &faults, &patterns);
-            assert_eq!(sig, capture_signatures_serial(&c, &faults, &patterns));
-            assert_eq!(sig, capture_signatures_threaded(&c, &faults, &patterns, 3));
+            assert_eq!(
+                sig,
+                capture_signatures_threaded_lanes(&c, &faults, &patterns, 3, configured_lanes())
+            );
             for (p, pattern) in patterns.iter().enumerate() {
                 let block: PatternBlock = PatternBlock::pack(&c, std::slice::from_ref(pattern));
                 let good = good_sim(&c, &block);
@@ -1785,13 +1709,14 @@ mod tests {
         assert_eq!(sig.first_failing_pattern(0), None);
         // Empty fault list.
         let patterns = random_patterns(5, 8, 1);
-        let empty = capture_signatures_threaded(&c, &[], &patterns, 4);
+        let lanes = configured_lanes();
+        let empty = capture_signatures_threaded_lanes(&c, &[], &patterns, 4, lanes);
         assert_eq!(empty.fault_count(), 0);
         // Edge worker counts agree with the single-threaded engine.
         let reference = capture_signatures(&c, &faults, &patterns);
         for threads in [1usize, 3, faults.len() + 10, 0] {
             assert_eq!(
-                capture_signatures_threaded(&c, &faults, &patterns, threads),
+                capture_signatures_threaded_lanes(&c, &faults, &patterns, threads, lanes),
                 reference,
                 "threads = {threads}"
             );
@@ -1851,8 +1776,11 @@ mod tests {
                 ref_sig,
                 "capture at L = {lanes}"
             );
-            let (sig, _) = capture_signatures_threaded_stats(&c, &faults, &patterns, 3, lanes);
-            assert_eq!(sig, ref_sig, "threaded capture at L = {lanes}");
+            assert_eq!(
+                capture_signatures_threaded_lanes(&c, &faults, &patterns, 3, lanes),
+                ref_sig,
+                "threaded capture at L = {lanes}"
+            );
         }
     }
 

@@ -6,13 +6,15 @@
 //!
 //! * [`podem`] — PODEM stuck-at test generation, with the constrained
 //!   justification mode the cell-aware flow of `sinw-core` builds on;
-//! * [`faultsim`] — serial, wide-word bit-parallel (64·L patterns per
-//!   pass at lane widths `L ∈ {1,2,4,8}`, see [`lanes`]), and
-//!   work-stealing thread-parallel (PPSFP) stuck-at fault simulation
-//!   with fault dropping and reverse-order compaction, all on an
-//!   event-driven, fanout-cone-restricted kernel over the [`graph`]
-//!   precompute layer (a whole-circuit reference pass is retained for
-//!   ablations and as the property-test oracle);
+//! * [`faultsim`] — wide-word bit-parallel (64·L patterns per pass at
+//!   lane widths `L ∈ {1,2,4,8}`, see [`lanes`]) and work-stealing
+//!   thread-parallel (PPSFP) stuck-at fault simulation with fault
+//!   dropping and reverse-order compaction, on an event-driven,
+//!   fanout-cone-restricted kernel over the [`graph`] precompute layer.
+//!   Each mode has one default entry point (the [`configured_lanes`]
+//!   width, one worker) and one explicit `(threads, lanes)` form; a
+//!   whole-circuit reference pass is retained as the property-test
+//!   oracle;
 //! * [`lanes`] — the [`lanes::PatternWords`] `[u64; L]` lane block the
 //!   kernel is generic over, with plain-loop bitwise ops the compiler
 //!   autovectorises;
@@ -76,12 +78,11 @@ pub use diagnose::{
 pub use fault_list::{enumerate_stuck_at, FaultSite, StuckAtFault};
 pub use faultsim::{
     capture_signatures, capture_signatures_checked, capture_signatures_lanes,
-    capture_signatures_serial, capture_signatures_threaded, capture_signatures_threaded_stats,
-    capture_signatures_with_graph_lanes, configured_lanes, seeded_patterns, simulate_faults,
-    simulate_faults_checked, simulate_faults_full_pass, simulate_faults_lanes,
-    simulate_faults_serial, simulate_faults_threaded, simulate_faults_threaded_lanes,
-    simulate_faults_threaded_stats, simulate_faults_with_graph_lanes, FaultSimReport,
-    FaultSimScratch, PackError, PatternBlock, SignatureMatrix, StealStats, SUPPORTED_LANES,
+    capture_signatures_threaded_lanes, capture_signatures_with_graph_lanes, configured_lanes,
+    seeded_patterns, simulate_faults, simulate_faults_checked, simulate_faults_full_pass,
+    simulate_faults_lanes, simulate_faults_threaded_lanes, simulate_faults_threaded_stats,
+    simulate_faults_with_graph_lanes, FaultSimReport, FaultSimScratch, PackError, PatternBlock,
+    SignatureMatrix, StealStats, SUPPORTED_LANES,
 };
 pub use graph::SimGraph;
 pub use lanes::PatternWords;
@@ -94,8 +95,7 @@ pub use steal::WorkQueue;
 pub use tpg::{merge_cubes, AtpgConfig, AtpgEngine, AtpgReport, FaultStatus};
 pub use transition::{
     capture_transition_signatures, capture_transition_signatures_lanes, enumerate_transition,
-    simulate_transition, simulate_transition_lanes, simulate_transition_serial,
-    simulate_transition_threaded, simulate_transition_threaded_lanes, transition_oracle,
-    TransitionAtpg, TransitionAtpgConfig, TransitionAtpgReport, TransitionFault, TransitionKind,
+    simulate_transition, simulate_transition_threaded_lanes, transition_oracle, TransitionAtpg,
+    TransitionAtpgConfig, TransitionAtpgReport, TransitionFault, TransitionKind,
 };
 pub use unroll::{unroll, UnrollConfig, UnrolledCircuit};

@@ -14,7 +14,7 @@
 //!
 //! * chunk boundaries are a pure function of the input, **not** of
 //!   scheduling, which is what keeps merged output bit-identical to the
-//!   serial engine no matter who processes what;
+//!   single-worker engine no matter who processes what;
 //! * each worker starts with a contiguous span of chunks, packed as
 //!   `head:u32 | tail:u32` (half-open, in chunk units) in one
 //!   `AtomicU64`, and claims from its own head by CAS;
@@ -159,8 +159,9 @@ impl WorkQueue {
 }
 
 /// How a [`fan_out`] distributed its work: the observability counters
-/// the `*_stats` engine variants return, the scaling benches record and
-/// the work-stealing determinism test asserts on.
+/// [`simulate_faults_threaded_stats`](crate::simulate_faults_threaded_stats)
+/// returns, the scaling benches record and the work-stealing determinism
+/// test asserts on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StealStats {
     /// Workers actually run (after clamping to the chunk count).

@@ -27,10 +27,12 @@
 //! a LOC pair because the unrolled netlist hardwires
 //! `capture state = NS(launch)`.
 //!
-//! Everything reports bit-identically across the serial, lane-wide and
-//! work-stealing threaded engines (same contract as the stuck-at
-//! engines), and [`transition_oracle`] is an independent scalar
-//! full-pass reference the property suites pit them against.
+//! Pair simulation has one default entry point, [`simulate_transition`]
+//! (the [`configured_lanes`] width, one worker), and one explicit
+//! `(threads, lanes)` form, [`simulate_transition_threaded_lanes`].
+//! Both report bit-identically (same contract as the stuck-at engines),
+//! and [`transition_oracle`] is an independent scalar full-pass
+//! reference the property suites pit them against.
 
 use crate::fault_list::{enumerate_stuck_at, FaultSite, StuckAtFault};
 use crate::faultsim::{
@@ -210,15 +212,14 @@ impl<const L: usize> FaultModel<L> for Transition<'_> {
     }
 }
 
-/// The transition detection engine behind every `simulate_transition*`
-/// entry point: the shared detection driver under the transition model,
-/// over blocks of `block_size` pairs fanned out as `(workers, chunk)`.
+/// The transition detection engine behind both `simulate_transition*`
+/// entry points: the shared detection driver under the transition model,
+/// fanned out as `(workers, chunk)`.
 fn pair_sim<const L: usize>(
     circuit: &Circuit,
     faults: &[TransitionFault],
     pairs: &[CircuitTwoPattern],
     drop_detected: bool,
-    block_size: usize,
     fan: (usize, usize),
 ) -> FaultSimReport {
     let graph = &SimGraph::build(circuit);
@@ -228,7 +229,6 @@ fn pair_sim<const L: usize>(
         faults,
         pairs,
         drop_detected,
-        block_size,
         fan,
         &|| Ok(()),
         &|| {},
@@ -251,66 +251,17 @@ pub fn simulate_transition(
     pairs: &[CircuitTwoPattern],
     drop_detected: bool,
 ) -> FaultSimReport {
-    simulate_transition_lanes(circuit, faults, pairs, drop_detected, configured_lanes())
-}
-
-/// [`simulate_transition`] at an explicit lane width.
-///
-/// # Panics
-///
-/// Panics if `lanes` is not one of [`SUPPORTED_LANES`](crate::SUPPORTED_LANES).
-#[must_use]
-pub fn simulate_transition_lanes(
-    circuit: &Circuit,
-    faults: &[TransitionFault],
-    pairs: &[CircuitTwoPattern],
-    drop_detected: bool,
-    lanes: usize,
-) -> FaultSimReport {
-    dispatch_lanes!(lanes, L => pair_sim::<L>(
-        circuit, faults, pairs, drop_detected, PatternBlock::<L>::CAPACITY, ONE_WORKER
+    dispatch_lanes!(configured_lanes(), L => pair_sim::<L>(
+        circuit, faults, pairs, drop_detected, ONE_WORKER
     ))
 }
 
-/// Serial (one pair at a time) transition simulation — the ablation
-/// baseline for pair-parallelism. Reports bit-identically to
-/// [`simulate_transition`].
-#[must_use]
-pub fn simulate_transition_serial(
-    circuit: &Circuit,
-    faults: &[TransitionFault],
-    pairs: &[CircuitTwoPattern],
-    drop_detected: bool,
-) -> FaultSimReport {
-    pair_sim::<1>(circuit, faults, pairs, drop_detected, 1, ONE_WORKER)
-}
-
-/// Thread-parallel transition simulation over the same work-stealing
-/// fan-out as the stuck-at engines, at [`configured_lanes`]. Chunk
+/// Thread-parallel transition simulation at an explicit lane width, over
+/// the same work-stealing fan-out as the stuck-at engines. Chunk
 /// boundaries are a pure function of the input and chunk results merge
 /// in chunk order, so the report is bit-identical to
-/// [`simulate_transition`] and [`simulate_transition_serial`] no matter
-/// how chunks migrate between workers. `threads = 0` uses
-/// [`std::thread::available_parallelism`].
-#[must_use]
-pub fn simulate_transition_threaded(
-    circuit: &Circuit,
-    faults: &[TransitionFault],
-    pairs: &[CircuitTwoPattern],
-    drop_detected: bool,
-    threads: usize,
-) -> FaultSimReport {
-    simulate_transition_threaded_lanes(
-        circuit,
-        faults,
-        pairs,
-        drop_detected,
-        threads,
-        configured_lanes(),
-    )
-}
-
-/// [`simulate_transition_threaded`] at an explicit lane width.
+/// [`simulate_transition`] no matter how chunks migrate between
+/// workers. `threads = 0` uses [`std::thread::available_parallelism`].
 ///
 /// # Panics
 ///
@@ -325,9 +276,7 @@ pub fn simulate_transition_threaded_lanes(
     lanes: usize,
 ) -> FaultSimReport {
     let fan = stealing(threads, faults.len());
-    dispatch_lanes!(lanes, L => pair_sim::<L>(
-        circuit, faults, pairs, drop_detected, PatternBlock::<L>::CAPACITY, fan
-    ))
+    dispatch_lanes!(lanes, L => pair_sim::<L>(circuit, faults, pairs, drop_detected, fan))
 }
 
 // ----------------------------------------------------------------------
@@ -444,16 +393,7 @@ fn pair_capture<const L: usize>(
 ) -> SignatureMatrix {
     let graph = &SimGraph::build(circuit);
     let model = Transition { circuit, graph };
-    let block_size = PatternBlock::<L>::CAPACITY;
-    let run = capture::<_, _, L>(
-        &model,
-        faults,
-        pairs,
-        block_size,
-        ONE_WORKER,
-        &|| Ok(()),
-        &|| {},
-    );
+    let run = capture::<_, _, L>(&model, faults, pairs, ONE_WORKER, &|| Ok(()), &|| {});
     run.unwrap_or_else(|e: Infallible| match e {}).0
 }
 
@@ -807,23 +747,17 @@ mod tests {
         let oracle = transition_oracle(&c, &faults, &pairs);
         assert!(!oracle.detected.is_empty() && !oracle.undetected.is_empty());
         for drop in [false, true] {
+            assert_eq!(simulate_transition(&c, &faults, &pairs, drop), oracle);
             for lanes in SUPPORTED_LANES {
-                assert_eq!(
-                    simulate_transition_lanes(&c, &faults, &pairs, drop, lanes),
-                    oracle,
-                    "lanes = {lanes}, drop = {drop}"
-                );
-            }
-            assert_eq!(
-                simulate_transition_serial(&c, &faults, &pairs, drop),
-                oracle
-            );
-            for threads in [1, 3] {
-                assert_eq!(
-                    simulate_transition_threaded(&c, &faults, &pairs, drop, threads),
-                    oracle,
-                    "threads = {threads}"
-                );
+                for threads in [1, 3] {
+                    assert_eq!(
+                        simulate_transition_threaded_lanes(
+                            &c, &faults, &pairs, drop, threads, lanes
+                        ),
+                        oracle,
+                        "lanes = {lanes}, threads = {threads}, drop = {drop}"
+                    );
+                }
             }
         }
     }
@@ -834,7 +768,10 @@ mod tests {
         let faults = enumerate_transition(&c);
         let r = simulate_transition(&c, &faults, &[], true);
         assert_eq!(r.undetected.len(), faults.len());
-        assert_eq!(simulate_transition_threaded(&c, &faults, &[], true, 2), r);
+        assert_eq!(
+            simulate_transition_threaded_lanes(&c, &faults, &[], true, 2, configured_lanes()),
+            r
+        );
     }
 
     #[test]

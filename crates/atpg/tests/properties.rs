@@ -6,11 +6,11 @@ use sinw_atpg::collapse::collapse;
 use sinw_atpg::diagnose::{full_pass_observations, FaultDictionary};
 use sinw_atpg::fault_list::enumerate_stuck_at;
 use sinw_atpg::faultsim::{
-    capture_signatures, capture_signatures_lanes, capture_signatures_serial,
-    capture_signatures_threaded, capture_signatures_threaded_stats, compact_reverse, detect_mask,
-    detect_mask_in, seeded_patterns, simulate_faults, simulate_faults_full_pass,
-    simulate_faults_lanes, simulate_faults_serial, simulate_faults_threaded,
-    simulate_faults_threaded_stats, FaultSimScratch, PatternBlock, SUPPORTED_LANES,
+    capture_signatures, capture_signatures_lanes, capture_signatures_threaded_lanes,
+    compact_reverse, configured_lanes, detect_mask, detect_mask_in, seeded_patterns,
+    simulate_faults, simulate_faults_full_pass, simulate_faults_lanes,
+    simulate_faults_threaded_lanes, simulate_faults_threaded_stats, FaultSimScratch, PatternBlock,
+    SUPPORTED_LANES,
 };
 use sinw_atpg::podem::{fill_cube, generate_test, PodemConfig, PodemResult};
 use sinw_atpg::tpg::{AtpgConfig, AtpgEngine, FaultStatus};
@@ -163,28 +163,11 @@ proptest! {
         }
     }
 
-    /// The serial and 64-way bit-parallel fault simulators agree exactly.
-    #[test]
-    fn serial_and_parallel_fault_sim_agree(
-        seed in proptest::collection::vec(any::<u8>(), 24),
-        n_gates in 2usize..10,
-        patterns in proptest::collection::vec(
-            proptest::collection::vec(any::<bool>(), 5),
-            1..40
-        ),
-    ) {
-        let c = random_circuit(5, n_gates, &seed);
-        let faults = enumerate_stuck_at(&c);
-        let par = simulate_faults(&c, &faults, &patterns, false);
-        let ser = simulate_faults_serial(&c, &faults, &patterns, false);
-        prop_assert_eq!(par.detected, ser.detected);
-        prop_assert_eq!(par.undetected, ser.undetected);
-    }
-
-    /// All three engines — serial, 64-way bit-parallel, thread-parallel —
-    /// report the same detected-fault set (and the same first-detection
-    /// profile) on random DAGs, with and without fault dropping, at odd
-    /// worker counts.
+    /// All three engines — the full-pass oracle, the default wide engine
+    /// and the explicit thread-parallel form — report the same
+    /// detected-fault set (and the same first-detection profile) on
+    /// random DAGs, with and without fault dropping, at odd worker
+    /// counts.
     #[test]
     fn all_three_engines_agree_on_random_circuits(
         seed in proptest::collection::vec(any::<u8>(), 24),
@@ -197,11 +180,13 @@ proptest! {
         let faults = enumerate_stuck_at(&c);
         let pattern_seed = seed.iter().fold(0u64, |acc, b| (acc << 8) | u64::from(*b));
         let patterns = seeded_patterns(5, n_patterns, pattern_seed);
-        let ser = simulate_faults_serial(&c, &faults, &patterns, drop_detected);
+        let oracle = simulate_faults_full_pass(&c, &faults, &patterns, drop_detected);
         let par = simulate_faults(&c, &faults, &patterns, drop_detected);
-        let thr = simulate_faults_threaded(&c, &faults, &patterns, drop_detected, threads);
-        prop_assert_eq!(&ser, &par);
-        prop_assert_eq!(&ser, &thr);
+        let thr = simulate_faults_threaded_lanes(
+            &c, &faults, &patterns, drop_detected, threads, configured_lanes(),
+        );
+        prop_assert_eq!(&oracle, &par);
+        prop_assert_eq!(&oracle, &thr);
     }
 
     /// Engine agreement on the *generated* benchmark structures (adders
@@ -221,11 +206,13 @@ proptest! {
         };
         let faults = enumerate_stuck_at(&c);
         let patterns = seeded_patterns(c.primary_inputs().len(), 70, seed);
-        let ser = simulate_faults_serial(&c, &faults, &patterns, true);
+        let oracle = simulate_faults_full_pass(&c, &faults, &patterns, true);
         let par = simulate_faults(&c, &faults, &patterns, true);
-        let thr = simulate_faults_threaded(&c, &faults, &patterns, true, threads);
-        prop_assert_eq!(&ser, &par);
-        prop_assert_eq!(&ser, &thr);
+        let thr = simulate_faults_threaded_lanes(
+            &c, &faults, &patterns, true, threads, configured_lanes(),
+        );
+        prop_assert_eq!(&oracle, &par);
+        prop_assert_eq!(&oracle, &thr);
     }
 
     /// The event-driven kernel against the retained full-pass oracle:
@@ -255,11 +242,10 @@ proptest! {
         let patterns = seeded_patterns(5, n_patterns, pattern_seed);
         let oracle = simulate_faults_full_pass(&c, &faults, &patterns, drop_detected);
         let event = simulate_faults(&c, &faults, &patterns, drop_detected);
-        let event_serial = simulate_faults_serial(&c, &faults, &patterns, drop_detected);
-        let event_threaded =
-            simulate_faults_threaded(&c, &faults, &patterns, drop_detected, threads);
+        let event_threaded = simulate_faults_threaded_lanes(
+            &c, &faults, &patterns, drop_detected, threads, configured_lanes(),
+        );
         prop_assert_eq!(&oracle, &event);
-        prop_assert_eq!(&oracle, &event_serial);
         prop_assert_eq!(&oracle, &event_threaded);
     }
 
@@ -309,12 +295,12 @@ proptest! {
         }
     }
 
-    /// Engine agreement for the signature-capture mode: the serial,
-    /// 64-way and threaded captures are bit-identical on random circuits
-    /// × fault subsets × pattern blocks, and a fault's signature is
-    /// nonzero **iff** the detect-mask engines
-    /// (`simulate_faults{,_serial,_threaded}`) report it detected — with
-    /// the first failing pattern reproducing the first-detection profile.
+    /// Engine agreement for the signature-capture mode: the default and
+    /// threaded captures are bit-identical on random circuits × fault
+    /// subsets × pattern blocks, and a fault's signature is nonzero
+    /// **iff** the detect-mask engines (`simulate_faults`, its threaded
+    /// form and the full-pass oracle) report it detected — with the first
+    /// failing pattern reproducing the first-detection profile.
     #[test]
     fn signature_capture_agrees_with_the_detect_engines(
         seed in proptest::collection::vec(any::<u8>(), 24),
@@ -334,19 +320,19 @@ proptest! {
         let pattern_seed = seed.iter().fold(3u64, |acc, b| acc.wrapping_mul(37) ^ u64::from(*b));
         let patterns = seeded_patterns(5, n_patterns, pattern_seed);
 
+        let lanes = configured_lanes();
         let sig = capture_signatures(&c, &faults, &patterns);
-        prop_assert_eq!(&sig, &capture_signatures_serial(&c, &faults, &patterns));
         prop_assert_eq!(
             &sig,
-            &capture_signatures_threaded(&c, &faults, &patterns, threads)
+            &capture_signatures_threaded_lanes(&c, &faults, &patterns, threads, lanes)
         );
 
         let detected: Vec<usize> = (0..faults.len()).filter(|fi| sig.is_detected(*fi)).collect();
         let par = simulate_faults(&c, &faults, &patterns, false);
-        let ser = simulate_faults_serial(&c, &faults, &patterns, false);
-        let thr = simulate_faults_threaded(&c, &faults, &patterns, false, threads);
+        let oracle = simulate_faults_full_pass(&c, &faults, &patterns, false);
+        let thr = simulate_faults_threaded_lanes(&c, &faults, &patterns, false, threads, lanes);
         prop_assert_eq!(&detected, &par.detected);
-        prop_assert_eq!(&detected, &ser.detected);
+        prop_assert_eq!(&detected, &oracle.detected);
         prop_assert_eq!(&detected, &thr.detected);
         // Dropping changes nothing about which faults are detected.
         let dropped = simulate_faults(&c, &faults, &patterns, true);
@@ -367,7 +353,7 @@ proptest! {
     /// fault, simulate its observable response with the independent
     /// full-pass oracle, and the dictionary must rank the true fault's
     /// indistinguishability class first (as a unique exact match) —
-    /// across serial/threaded dictionary builds and with/without
+    /// across default/threaded dictionary builds and with/without
     /// reverse-order pattern compaction.
     #[test]
     fn diagnosis_ranks_the_true_class_first(
@@ -389,7 +375,7 @@ proptest! {
         let dict = if threaded {
             FaultDictionary::build_threaded(&c, &universe, &patterns, 3)
         } else {
-            FaultDictionary::build_serial(&c, &universe, &patterns)
+            FaultDictionary::build(&c, &universe, &patterns)
         };
 
         let rep = collapsed.representatives[(pick as usize) % collapsed.representatives.len()];
@@ -444,9 +430,9 @@ proptest! {
     /// The lane-differential property: every supported lane width must
     /// produce `FaultSimReport`s bit-identical to the L = 1 kernel and
     /// to the whole-circuit full-pass oracle, on both the event engine
-    /// and the work-stealing threaded engine, across random circuits ×
-    /// fault subsets × drop on/off × worker counts. Wider lanes change
-    /// the block capacity (64·L patterns per good-machine pass), so any
+    /// and the work-stealing threaded engine at one and several workers,
+    /// across random circuits × fault subsets × drop on/off. Wider lanes
+    /// change the block capacity (64·L patterns per good-machine pass), so any
     /// masking or first-detection-index bug that depends on block
     /// boundaries surfaces here.
     #[test]
@@ -456,7 +442,7 @@ proptest! {
         n_patterns in 1usize..400,
         keep_one_in in 1usize..4,
         drop_detected in any::<bool>(),
-        threads in 1usize..5,
+        threads in 2usize..5,
     ) {
         let c = random_circuit(5, n_gates, &seed);
         let universe = enumerate_stuck_at(&c);
@@ -474,25 +460,29 @@ proptest! {
         for lanes in SUPPORTED_LANES {
             let wide = simulate_faults_lanes(&c, &faults, &patterns, drop_detected, lanes);
             prop_assert_eq!(&narrow, &wide, "event engine at L = {}", lanes);
-            let (thr, _) = simulate_faults_threaded_stats(
-                &c, &faults, &patterns, drop_detected, threads, lanes,
-            );
-            prop_assert_eq!(&narrow, &thr, "threaded engine at L = {}", lanes);
+            for workers in [1, threads] {
+                let (thr, _) = simulate_faults_threaded_stats(
+                    &c, &faults, &patterns, drop_detected, workers, lanes,
+                );
+                prop_assert_eq!(
+                    &narrow, &thr, "threaded engine at L = {}, T = {}", lanes, workers
+                );
+            }
         }
     }
 
     /// The lane-differential property for signature capture: the full
     /// per-fault × per-pattern × per-PO `SignatureMatrix` must come out
-    /// bit-identical at every lane width, single-threaded and
-    /// work-stealing, and agree row by row with the whole-circuit
-    /// `full_pass_observations` oracle.
+    /// bit-identical at every lane width, single-worker and work-stealing
+    /// at one and several workers, and agree row by row with the
+    /// whole-circuit `full_pass_observations` oracle.
     #[test]
     fn signature_capture_is_lane_and_schedule_invariant(
         seed in proptest::collection::vec(any::<u8>(), 24),
         n_gates in 2usize..16,
         n_patterns in 1usize..200,
         keep_one_in in 1usize..4,
-        threads in 1usize..5,
+        threads in 2usize..5,
     ) {
         let c = random_circuit(5, n_gates, &seed);
         let universe = enumerate_stuck_at(&c);
@@ -508,10 +498,12 @@ proptest! {
         for lanes in SUPPORTED_LANES {
             let wide = capture_signatures_lanes(&c, &faults, &patterns, lanes);
             prop_assert_eq!(&narrow, &wide, "capture at L = {}", lanes);
-            let (thr, _) = capture_signatures_threaded_stats(
-                &c, &faults, &patterns, threads, lanes,
-            );
-            prop_assert_eq!(&narrow, &thr, "threaded capture at L = {}", lanes);
+            for workers in [1, threads] {
+                let thr = capture_signatures_threaded_lanes(&c, &faults, &patterns, workers, lanes);
+                prop_assert_eq!(
+                    &narrow, &thr, "threaded capture at L = {}, T = {}", lanes, workers
+                );
+            }
         }
         // Row-by-row against the whole-circuit observation oracle.
         for (fi, &fault) in faults.iter().enumerate() {

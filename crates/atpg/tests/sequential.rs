@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use sinw_atpg::faultsim::{good_sim, PatternBlock, SUPPORTED_LANES};
 use sinw_atpg::transition::{
-    enumerate_transition, simulate_transition_lanes, simulate_transition_serial,
-    simulate_transition_threaded, transition_oracle,
+    enumerate_transition, simulate_transition, simulate_transition_threaded_lanes,
+    transition_oracle,
 };
 use sinw_atpg::unroll::{unroll, UnrollConfig};
 use sinw_atpg::CircuitTwoPattern;
@@ -193,10 +193,10 @@ proptest! {
         }
     }
 
-    /// Every transition pair engine — all lane widths, serial, threaded
-    /// at several worker counts — reports bit-identically to the
-    /// independent scalar full-pass oracle over an exhaustive
-    /// two-pattern set on the full-scan view.
+    /// Every transition pair engine — the default form, and the explicit
+    /// form at every lane width × several worker counts — reports
+    /// bit-identically to the independent scalar full-pass oracle over
+    /// an exhaustive two-pattern set on the full-scan view.
     #[test]
     fn transition_detection_matches_the_exhaustive_two_pattern_oracle(
         seed in proptest::collection::vec(any::<u8>(), 24),
@@ -228,20 +228,17 @@ proptest! {
         let faults = enumerate_transition(circuit);
         let oracle = transition_oracle(circuit, &faults, &pairs);
 
+        prop_assert_eq!(&simulate_transition(circuit, &faults, &pairs, drop), &oracle);
         for lanes in SUPPORTED_LANES {
-            prop_assert_eq!(
-                &simulate_transition_lanes(circuit, &faults, &pairs, drop, lanes),
-                &oracle,
-                "lanes {}", lanes
-            );
-        }
-        prop_assert_eq!(&simulate_transition_serial(circuit, &faults, &pairs, drop), &oracle);
-        for threads in [1usize, 2, 5] {
-            prop_assert_eq!(
-                &simulate_transition_threaded(circuit, &faults, &pairs, drop, threads),
-                &oracle,
-                "threads {}", threads
-            );
+            for threads in [1usize, 2, 5] {
+                prop_assert_eq!(
+                    &simulate_transition_threaded_lanes(
+                        circuit, &faults, &pairs, drop, threads, lanes
+                    ),
+                    &oracle,
+                    "lanes {}, threads {}", lanes, threads
+                );
+            }
         }
     }
 }

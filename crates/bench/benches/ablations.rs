@@ -1,11 +1,11 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
-//! lookup-table resolution, bit-parallel vs serial fault simulation,
-//! fault dropping, and fault collapsing ahead of PODEM.
+//! lookup-table resolution, fault dropping in bit-parallel fault
+//! simulation, and fault collapsing ahead of PODEM.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sinw_atpg::collapse::collapse;
 use sinw_atpg::fault_list::enumerate_stuck_at;
-use sinw_atpg::faultsim::{simulate_faults, simulate_faults_serial};
+use sinw_atpg::faultsim::simulate_faults;
 use sinw_atpg::podem::{generate_test, PodemConfig};
 use sinw_device::model::{Bias, TigFet};
 use sinw_device::table::TigTable;
@@ -66,9 +66,6 @@ fn bench(c: &mut Criterion) {
 
     c.bench_function("ablation/faultsim_parallel64", |b| {
         b.iter(|| black_box(simulate_faults(&circuit, &faults, &patterns, false)));
-    });
-    c.bench_function("ablation/faultsim_serial", |b| {
-        b.iter(|| black_box(simulate_faults_serial(&circuit, &faults, &patterns, false)));
     });
     c.bench_function("ablation/faultsim_parallel_dropping", |b| {
         b.iter(|| black_box(simulate_faults(&circuit, &faults, &patterns, true)));

@@ -1,6 +1,6 @@
-//! Dictionary-build scaling ablation: the **one-pattern-at-a-time serial**
-//! signature capture against the **64-way bit-parallel** engine and the
-//! **thread-parallel** build, on the embedded `c17`/`csa16` fixtures plus
+//! Dictionary-build scaling: the single-worker **64-way bit-parallel**
+//! signature capture against the **thread-parallel** build, on the
+//! embedded `c17`/`csa16` fixtures plus
 //! generated array multipliers at every curve width, each keyed by its
 //! own ATPG campaign's compacted test set.
 //!
@@ -21,13 +21,10 @@
 //!
 //! In-bench assertions (the acceptance criteria of the diagnosis work):
 //!
-//! * serial, 64-way, and threaded builds produce identical dictionaries;
+//! * 64-way and threaded builds produce identical dictionaries;
 //! * the class-merged dictionary is **strictly smaller** than the
 //!   uncompressed per-fault signature matrix on every circuit (structural
 //!   fault equivalences guarantee mergeable rows);
-//! * at measuring multiplier widths (≥ 8) **on multi-core hosts**, the
-//!   threaded build beats the serial baseline (on a single core the two
-//!   engines race within noise, so the gate stays down there);
 //! * a sampled injected-fault → observe → diagnose round trip ranks the
 //!   true indistinguishability class first on every probe.
 
@@ -45,7 +42,6 @@ use std::time::Instant;
 struct CircuitRun {
     name: String,
     patterns: usize,
-    serial_ms: f64,
     parallel_ms: f64,
     threaded_ms: f64,
     stats: sinw_atpg::diagnose::DictionaryStats,
@@ -77,16 +73,10 @@ fn run_circuit(
     let engine = AtpgEngine::new(circuit, AtpgConfig::default());
     let patterns = engine.run(&collapsed.representatives).patterns;
 
-    let (serial, serial_ms) = timed(|| FaultDictionary::build_serial(circuit, &faults, &patterns));
     let (parallel, parallel_ms) = timed(|| FaultDictionary::build(circuit, &faults, &patterns));
     let (threaded, threaded_ms) =
         timed(|| FaultDictionary::build_threaded(circuit, &faults, &patterns, threads));
 
-    assert_eq!(
-        serial.class_of(),
-        parallel.class_of(),
-        "{name}: serial and 64-way builds must produce identical dictionaries"
-    );
     assert_eq!(
         parallel.class_of(),
         threaded.class_of(),
@@ -118,7 +108,6 @@ fn run_circuit(
     let run = CircuitRun {
         name: name.to_string(),
         patterns: patterns.len(),
-        serial_ms,
         parallel_ms,
         threaded_ms,
         stats,
@@ -133,7 +122,7 @@ fn run_json(r: &CircuitRun) -> String {
          \"classes\": {}, \"empty_classes\": {}, \"singleton_classes\": {}, \
          \"max_class_size\": {}, \"avg_class_size\": {:.3}, \
          \"bytes\": {{\"compressed\": {}, \"uncompressed\": {}}}, \
-         \"build_ms\": {{\"serial\": {:.3}, \"parallel64\": {:.3}, \"threaded\": {:.3}}}}}",
+         \"build_ms\": {{\"parallel64\": {:.3}, \"threaded\": {:.3}}}}}",
         r.name,
         s.faults,
         r.patterns,
@@ -145,7 +134,6 @@ fn run_json(r: &CircuitRun) -> String {
         s.avg_class_size,
         s.compressed_bytes,
         s.uncompressed_bytes,
-        r.serial_ms,
         r.parallel_ms,
         r.threaded_ms
     )
@@ -168,9 +156,9 @@ fn bench(c: &mut Criterion) {
         circuits.push((format!("mul{w}"), array_multiplier(w)));
     }
 
-    println!("\nDictionary-build scaling: serial vs 64-way vs threaded signature capture");
+    println!("\nDictionary-build scaling: 64-way vs threaded signature capture");
     println!(
-        "  circuit  faults  pats  classes  empty  single  max   avg  dict(B)  raw(B)  serial(ms)  64-way(ms)  thr(ms)"
+        "  circuit  faults  pats  classes  empty  single  max   avg  dict(B)  raw(B)  64-way(ms)  thr(ms)"
     );
     let mut runs = Vec::new();
     let mut mul_inputs = None;
@@ -181,7 +169,7 @@ fn bench(c: &mut Criterion) {
         }
         let s = &r.stats;
         println!(
-            "  {:7}  {:>6}  {:>4}  {:>7}  {:>5}  {:>6}  {:>3}  {:>4.1}  {:>7}  {:>6}  {:>10.2}  {:>10.2}  {:>7.2}",
+            "  {:7}  {:>6}  {:>4}  {:>7}  {:>5}  {:>6}  {:>3}  {:>4.1}  {:>7}  {:>6}  {:>10.2}  {:>7.2}",
             r.name,
             s.faults,
             r.patterns,
@@ -192,7 +180,6 @@ fn bench(c: &mut Criterion) {
             s.avg_class_size,
             s.compressed_bytes,
             s.uncompressed_bytes,
-            r.serial_ms,
             r.parallel_ms,
             r.threaded_ms
         );
@@ -208,23 +195,6 @@ fn bench(c: &mut Criterion) {
         "csa16 must have exactly one all-pass class (the redundant faults)"
     );
 
-    // The speed gate arms on the big multiplier only, and only when the
-    // host actually has more than one core: on a single core the two
-    // engines race within scheduler noise (the 1-core CI containers are
-    // where this used to flake), and on toy smoke circuits the build is
-    // microseconds and noise dominates.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mul_run = runs.last().expect("at least one multiplier run");
-    if width >= 8 && cores > 1 {
-        assert!(
-            mul_run.threaded_ms < mul_run.serial_ms,
-            "threaded dictionary build must beat the one-pattern serial \
-             baseline ({:.2} vs {:.2} ms)",
-            mul_run.threaded_ms,
-            mul_run.serial_ms
-        );
-    }
-
     let json = format!(
         "{{\n  \"bench\": \"diag_scaling\",\n  \"mul_widths\": {widths:?},\n  \"circuits\": [\n{}\n  ]\n}}\n",
         runs.iter().map(run_json).collect::<Vec<_>>().join(",\n")
@@ -233,8 +203,8 @@ fn bench(c: &mut Criterion) {
 
     let mul = array_multiplier(width);
     let (faults, patterns) = mul_inputs.expect("multiplier run recorded");
-    c.bench_function("diag/build_serial", |b| {
-        b.iter(|| black_box(FaultDictionary::build_serial(&mul, &faults, &patterns)));
+    c.bench_function("diag/build", |b| {
+        b.iter(|| black_box(FaultDictionary::build(&mul, &faults, &patterns)));
     });
     c.bench_function("diag/build_threaded", |b| {
         b.iter(|| {

@@ -1,13 +1,14 @@
 //! PPSFP engine scaling **curve** on generated array-multiplier fault
 //! universes: width × lanes × threads, not a single point.
 //!
-//! Per width the ladder covers the serial baseline (small widths only),
-//! the **full-pass vs event-driven** kernel ablation (the whole-circuit
+//! Per width the ladder covers the **full-pass vs event-driven** kernel
+//! ablation (the whole-circuit
 //! reference inner loop against the fanout-cone-restricted worklist
 //! kernel), the event kernel at every measured lane width
 //! (`PatternWords<L>`, 64·L patterns per block), and the work-stealing
 //! threaded engine at every lane × thread combination. Every row is
-//! asserted bit-identical to the first engine that ran, so the bench
+//! asserted bit-identical to the first engine that ran (the full-pass
+//! oracle at widths ≤ 32), so the bench
 //! doubles as an integration test of the lane/deque machinery at real
 //! workload sizes.
 //!
@@ -27,9 +28,9 @@
 //!
 //! The run writes `BENCH_ppsfp.json` with the full curve (one row per
 //! width × engine × lanes × threads, wall-time ms and steal counts).
-//! The serial baseline only runs at widths ≤ 16 and the full-pass
-//! oracle at widths ≤ 32 — both are orders of magnitude off the event
-//! kernel and would dominate the wall clock at c6288-class sizes. The
+//! The full-pass oracle only runs at widths ≤ 32 — it is orders of
+//! magnitude off the event kernel and would dominate the wall clock at
+//! c6288-class sizes. The
 //! ≥5× event-vs-full-pass assertion arms at measuring widths ≥ 32.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -37,7 +38,7 @@ use sinw_atpg::collapse::collapse;
 use sinw_atpg::fault_list::enumerate_stuck_at;
 use sinw_atpg::faultsim::{
     configured_lanes, seeded_patterns, simulate_faults_full_pass, simulate_faults_lanes,
-    simulate_faults_serial, simulate_faults_threaded_stats, FaultSimReport, SUPPORTED_LANES,
+    simulate_faults_threaded_stats, FaultSimReport, SUPPORTED_LANES,
 };
 use sinw_bench::{env_usize, env_usize_list, write_bench_json};
 use sinw_switch::generate::array_multiplier;
@@ -146,21 +147,9 @@ fn bench(c: &mut Criterion) {
             Some(r) => assert_eq!(r, &report, "{name} diverges at width {width}"),
         };
 
-        // Serial + full-pass baselines, gated by width (both are far off
-        // the event kernel and would dominate at c6288-class sizes).
+        // The full-pass oracle, gated by width (it is far off the event
+        // kernel and would dominate at c6288-class sizes).
         let mut t_full: Option<Duration> = None;
-        if width <= 16 {
-            let (ser, t) = timed(&|| simulate_faults_serial(&circuit, reps, &patterns, false));
-            println!("    serial          {:>10.1} ms", t.as_secs_f64() * 1e3);
-            check("serial", ser);
-            rows.push(Row {
-                engine: "serial",
-                lanes: 1,
-                threads: 1,
-                wall: t,
-                steals: None,
-            });
-        }
         if width <= 32 {
             let (full, t) = timed(&|| simulate_faults_full_pass(&circuit, reps, &patterns, false));
             println!("    full_pass64     {:>10.1} ms", t.as_secs_f64() * 1e3);

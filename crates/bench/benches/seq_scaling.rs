@@ -1,8 +1,8 @@
 //! Sequential-layer scaling: scan-view stuck-at campaign, 2-frame LOC
 //! transition campaign, and the two-pattern simulation ladder — the
-//! **one-pair-at-a-time serial** engine against the **64-wide** kernel
-//! and the **work-stealing threaded** engine — on `s27` plus pipelined
-//! array multipliers at every curve width.
+//! single-worker **64-wide** kernel against the **work-stealing
+//! threaded** engine — on `s27` plus pipelined array multipliers at
+//! every curve width.
 //!
 //! Knobs (environment variables):
 //!
@@ -17,8 +17,8 @@
 //!
 //! In-bench assertions (the acceptance criteria of the sequential work):
 //!
-//! * serial, 64-wide, and threaded pair engines report **bit-identically**
-//!   on every machine;
+//! * the 64-wide and threaded pair engines report **bit-identically** on
+//!   every machine;
 //! * the campaign's pair set re-verifies: it detects exactly the faults
 //!   the campaign classified as detected;
 //! * every produced pair is broadside — the capture vector's state bits
@@ -26,10 +26,10 @@
 //! * `s27` reaches 100% testable coverage for both fault models.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use sinw_atpg::faultsim::configured_lanes;
 use sinw_atpg::tpg::{AtpgConfig, AtpgEngine};
 use sinw_atpg::transition::{
-    enumerate_transition, simulate_transition_lanes, simulate_transition_serial,
-    simulate_transition_threaded, TransitionAtpg, TransitionAtpgConfig,
+    enumerate_transition, simulate_transition_threaded_lanes, TransitionAtpg, TransitionAtpgConfig,
 };
 use sinw_bench::{env_usize, env_usize_list, write_bench_json};
 use sinw_switch::generate::pipelined_array_multiplier;
@@ -48,7 +48,6 @@ struct MachineRun {
     sa_coverage: f64,
     sa_ms: f64,
     campaign_ms: f64,
-    serial_ms: f64,
     wide_ms: f64,
     threaded_ms: f64,
 }
@@ -98,13 +97,18 @@ fn run_machine(name: &str, seq: &SeqCircuit, threads: usize) -> MachineRun {
     }
 
     // The pair-simulation ladder, bit-identity enforced.
-    let (serial, serial_ms) =
-        timed(|| simulate_transition_serial(circuit, &faults, &report.pairs, true));
     let (wide, wide_ms) =
-        timed(|| simulate_transition_lanes(circuit, &faults, &report.pairs, true, 1));
-    let (threaded, threaded_ms) =
-        timed(|| simulate_transition_threaded(circuit, &faults, &report.pairs, true, threads));
-    assert_eq!(serial, wide, "{name}: serial vs 64-wide pair engines");
+        timed(|| simulate_transition_threaded_lanes(circuit, &faults, &report.pairs, true, 1, 1));
+    let (threaded, threaded_ms) = timed(|| {
+        simulate_transition_threaded_lanes(
+            circuit,
+            &faults,
+            &report.pairs,
+            true,
+            threads,
+            configured_lanes(),
+        )
+    });
     assert_eq!(wide, threaded, "{name}: 64-wide vs threaded pair engines");
 
     // Verification: the pair set detects exactly the classified faults.
@@ -115,7 +119,7 @@ fn run_machine(name: &str, seq: &SeqCircuit, threads: usize) -> MachineRun {
         .filter(|(_, s)| s.is_detected())
         .map(|(i, _)| i)
         .collect();
-    assert_eq!(serial.detected, classified, "{name}: pair-set verification");
+    assert_eq!(wide.detected, classified, "{name}: pair-set verification");
 
     MachineRun {
         name: name.to_string(),
@@ -127,7 +131,6 @@ fn run_machine(name: &str, seq: &SeqCircuit, threads: usize) -> MachineRun {
         sa_coverage: sa.testable_coverage(),
         sa_ms,
         campaign_ms,
-        serial_ms,
         wide_ms,
         threaded_ms,
     }
@@ -137,7 +140,7 @@ fn run_json(r: &MachineRun) -> String {
     format!(
         "    {{\"machine\": \"{}\", \"dffs\": {}, \"cells\": {}, \"tr_faults\": {}, \
          \"tr_pairs\": {}, \"tr_testable_coverage\": {:.4}, \"sa_testable_coverage\": {:.4}, \
-         \"ms\": {{\"sa_campaign\": {:.3}, \"tr_campaign\": {:.3}, \"pairs_serial\": {:.3}, \
+         \"ms\": {{\"sa_campaign\": {:.3}, \"tr_campaign\": {:.3}, \
          \"pairs_wide64\": {:.3}, \"pairs_threaded\": {:.3}}}}}",
         r.name,
         r.dffs,
@@ -148,7 +151,6 @@ fn run_json(r: &MachineRun) -> String {
         r.sa_coverage,
         r.sa_ms,
         r.campaign_ms,
-        r.serial_ms,
         r.wide_ms,
         r.threaded_ms
     )
@@ -168,13 +170,13 @@ fn bench(c: &mut Criterion) {
 
     println!("\nSequential scaling: scan-view campaigns + the two-pattern simulation ladder");
     println!(
-        "  machine    dff  cells  tr flts  pairs  tr cov%  sa cov%  sa(ms)  campaign(ms)  serial(ms)  wide64(ms)  thr(ms)"
+        "  machine    dff  cells  tr flts  pairs  tr cov%  sa cov%  sa(ms)  campaign(ms)  wide64(ms)  thr(ms)"
     );
     let mut runs = Vec::new();
     for (name, seq) in &machines {
         let r = run_machine(name, seq, threads);
         println!(
-            "  {:9} {:>4}  {:>5}  {:>7}  {:>5}  {:>7.1}  {:>7.1}  {:>6.1}  {:>12.1}  {:>10.2}  {:>10.2}  {:>7.2}",
+            "  {:9} {:>4}  {:>5}  {:>7}  {:>5}  {:>7.1}  {:>7.1}  {:>6.1}  {:>12.1}  {:>10.2}  {:>7.2}",
             r.name,
             r.dffs,
             r.cells,
@@ -184,7 +186,6 @@ fn bench(c: &mut Criterion) {
             r.sa_coverage * 100.0,
             r.sa_ms,
             r.campaign_ms,
-            r.serial_ms,
             r.wide_ms,
             r.threaded_ms
         );
@@ -218,12 +219,13 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("seq/pairs_threaded", |b| {
         b.iter(|| {
-            black_box(simulate_transition_threaded(
+            black_box(simulate_transition_threaded_lanes(
                 engine.circuit(),
                 &faults,
                 &pairs,
                 true,
                 threads,
+                configured_lanes(),
             ))
         });
     });

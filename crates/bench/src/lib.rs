@@ -3,8 +3,8 @@
 //! Criterion benches regenerating every table and figure of the paper;
 //! see `benches/` for one target per artifact plus the ablations
 //! (`ablations` for design choices, `ppsfp_scaling` for the
-//! serial / bit-parallel / thread-parallel fault-simulation ladder on a
-//! generated array-multiplier fault universe). The experiment logic
+//! full-pass / event-driven / lane-wide / thread-parallel fault-simulation
+//! ladder on a generated array-multiplier fault universe). The experiment logic
 //! itself lives in [`sinw_core::experiments`] so that tests and benches
 //! report identical numbers.
 //!
@@ -16,15 +16,15 @@
 //! ```no_run
 //! // What `cargo bench --bench ppsfp_scaling` measures, in miniature:
 //! use sinw_atpg::fault_list::enumerate_stuck_at;
-//! use sinw_atpg::faultsim::{simulate_faults_serial, simulate_faults_threaded};
+//! use sinw_atpg::faultsim::{simulate_faults_full_pass, simulate_faults_threaded_stats};
 //! use sinw_switch::generate::array_multiplier;
 //!
 //! let circuit = array_multiplier(8);
 //! let faults = enumerate_stuck_at(&circuit);
 //! let patterns = vec![vec![true; circuit.primary_inputs().len()]; 16];
-//! let serial = simulate_faults_serial(&circuit, &faults, &patterns, false);
-//! let threaded = simulate_faults_threaded(&circuit, &faults, &patterns, false, 0);
-//! assert_eq!(serial, threaded); // identical reports, different wall clock
+//! let full_pass = simulate_faults_full_pass(&circuit, &faults, &patterns, false);
+//! let (threaded, _) = simulate_faults_threaded_stats(&circuit, &faults, &patterns, false, 0, 4);
+//! assert_eq!(full_pass, threaded); // identical reports, different wall clock
 //! ```
 
 /// Read a `usize` knob from the environment, falling back to `default`

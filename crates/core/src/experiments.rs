@@ -848,7 +848,7 @@ pub fn benchmark_suite(fast: bool) -> Vec<(String, &'static str, sinw_switch::ga
 /// for test runs.
 #[must_use]
 pub fn fault_coverage(fast: bool) -> FaultCoverageResult {
-    use sinw_atpg::faultsim::simulate_faults_threaded;
+    use sinw_atpg::faultsim::{configured_lanes, simulate_faults_threaded_lanes};
     use sinw_server::registry::compile_circuit;
 
     let rows = benchmark_suite(fast)
@@ -858,12 +858,13 @@ pub fn fault_coverage(fast: bool) -> FaultCoverageResult {
             let circuit = compiled.circuit();
             let (patterns, exhaustive) = benchmark_patterns(circuit, &name, fast);
             let t0 = std::time::Instant::now();
-            let report = simulate_faults_threaded(
+            let report = simulate_faults_threaded_lanes(
                 circuit,
                 &compiled.collapsed().representatives,
                 &patterns,
                 true,
                 0,
+                configured_lanes(),
             );
             let sim_ms = t0.elapsed().as_secs_f64() * 1e3;
             let effective_test_length = report
@@ -1045,8 +1046,10 @@ pub struct DiagnosisRow {
     /// the universe is *not* pre-collapsed; structurally equivalent
     /// faults land in one class by construction).
     pub stats: sinw_atpg::diagnose::DictionaryStats,
-    /// Wall time of the one-pattern-at-a-time dictionary build, ms.
-    pub build_serial_ms: f64,
+    /// Wall time of the single-worker dictionary build
+    /// ([`FaultDictionary::build`](sinw_atpg::diagnose::FaultDictionary::build)),
+    /// ms.
+    pub build_ms: f64,
     /// Wall time of the thread-parallel (64-way blocks × auto workers)
     /// build, ms.
     pub build_threaded_ms: f64,
@@ -1081,13 +1084,13 @@ impl fmt::Display for DiagnosisResult {
         )?;
         writeln!(
             f,
-            "  circuit  src    PI   PO  cells  pats  faults  classes  empty  single  max   avg  dict(B)  raw(B)  serial(ms)  thr(ms)  ranked-1st"
+            "  circuit  src    PI   PO  cells  pats  faults  classes  empty  single  max   avg  dict(B)  raw(B)  build(ms)  thr(ms)  ranked-1st"
         )?;
         for r in &self.rows {
             let s = &r.stats;
             writeln!(
                 f,
-                "  {:7}  {:5} {:>3}  {:>3}  {:>5}  {:>4}  {:>6}  {:>7}  {:>5}  {:>6}  {:>3}  {:>4.1}  {:>7}  {:>6}  {:>10.1}  {:>7.1}  {:>6}/{}",
+                "  {:7}  {:5} {:>3}  {:>3}  {:>5}  {:>4}  {:>6}  {:>7}  {:>5}  {:>6}  {:>3}  {:>4.1}  {:>7}  {:>6}  {:>9.1}  {:>7.1}  {:>6}/{}",
                 r.name,
                 r.source,
                 r.inputs,
@@ -1102,7 +1105,7 @@ impl fmt::Display for DiagnosisResult {
                 s.avg_class_size,
                 s.compressed_bytes,
                 s.uncompressed_bytes,
-                r.build_serial_ms,
+                r.build_ms,
                 r.build_threaded_ms,
                 r.probes_ranked_first,
                 r.probes
@@ -1128,8 +1131,9 @@ impl fmt::Display for DiagnosisResult {
 /// benchmark, produce a compacted test set with the ATPG campaign
 /// (deterministic per-name seed, same scheme as [`atpg_campaign`]), build
 /// the compressed circuit-level dictionary over the **full** stuck-at
-/// universe with the signature-capture engines (timing the
-/// one-pattern-at-a-time baseline against the thread-parallel build),
+/// universe with the signature-capture engines (timing the single-worker
+/// build against the thread-parallel one, and asserting that both give
+/// the same dictionary),
 /// and close the loop with sampled injected-fault diagnoses: each probe
 /// simulates a fault's observable response with the independent full-pass
 /// oracle and checks that [`sinw_atpg::diagnose::FaultDictionary`] ranks
@@ -1162,12 +1166,16 @@ pub fn diagnosis(fast: bool) -> DiagnosisResult {
             let patterns = engine.run(&compiled.collapsed().representatives).patterns;
 
             let t0 = std::time::Instant::now();
-            let serial = FaultDictionary::build_serial(circuit, faults, &patterns);
-            let build_serial_ms = t0.elapsed().as_secs_f64() * 1e3;
+            let single = FaultDictionary::build(circuit, faults, &patterns);
+            let build_ms = t0.elapsed().as_secs_f64() * 1e3;
             let t1 = std::time::Instant::now();
             let dict = FaultDictionary::build_threaded(circuit, faults, &patterns, 0);
             let build_threaded_ms = t1.elapsed().as_secs_f64() * 1e3;
-            debug_assert_eq!(serial.class_of(), dict.class_of());
+            assert_eq!(
+                single.class_of(),
+                dict.class_of(),
+                "{name}: single-worker and threaded dictionary builds"
+            );
 
             // Sampled round trip: inject → observe (full-pass oracle) →
             // diagnose → the true class must rank first.
@@ -1191,7 +1199,7 @@ pub fn diagnosis(fast: bool) -> DiagnosisResult {
                 cells: circuit.gates().len(),
                 patterns: patterns.len(),
                 stats: dict.stats(),
-                build_serial_ms,
+                build_ms,
                 build_threaded_ms,
                 probes,
                 probes_ranked_first,
@@ -1565,7 +1573,7 @@ pub fn sequential_benchmark_suite(fast: bool) -> Vec<(String, sinw_switch::seq::
 ///
 /// # Panics
 ///
-/// Panics if the serial and threaded transition engines disagree on the
+/// Panics if the default and threaded transition engines disagree on the
 /// produced pair set (a determinism-contract violation, not measurement
 /// noise), or if a transition pair set fails its own verification
 /// replay.
@@ -1573,7 +1581,7 @@ pub fn sequential_benchmark_suite(fast: bool) -> Vec<(String, sinw_switch::seq::
 pub fn sequential(fast: bool) -> SequentialResult {
     use sinw_atpg::tpg::{AtpgConfig, AtpgEngine};
     use sinw_atpg::transition::{
-        enumerate_transition, simulate_transition_serial, simulate_transition_threaded,
+        enumerate_transition, simulate_transition, simulate_transition_threaded_lanes,
         TransitionAtpg, TransitionAtpgConfig,
     };
     use sinw_atpg::unroll::{unroll, UnrollConfig};
@@ -1626,13 +1634,19 @@ pub fn sequential(fast: bool) -> SequentialResult {
             let tr = loc.run(&tr_faults);
             let tr_ms = t1.elapsed().as_secs_f64() * 1e3;
 
-            // Verification replay: serial and threaded engines must agree
-            // bit for bit, and the pair set must detect exactly the
+            // Verification replay: default and threaded engines must
+            // agree bit for bit, and the pair set must detect exactly the
             // faults the campaign classified as detected.
-            let serial = simulate_transition_serial(loc.circuit(), &tr_faults, &tr.pairs, true);
-            let threaded =
-                simulate_transition_threaded(loc.circuit(), &tr_faults, &tr.pairs, true, 0);
-            assert_eq!(serial, threaded, "{name}: transition engine determinism");
+            let replay = simulate_transition(loc.circuit(), &tr_faults, &tr.pairs, true);
+            let threaded = simulate_transition_threaded_lanes(
+                loc.circuit(),
+                &tr_faults,
+                &tr.pairs,
+                true,
+                0,
+                sinw_atpg::configured_lanes(),
+            );
+            assert_eq!(replay, threaded, "{name}: transition engine determinism");
             let classified: Vec<usize> = tr
                 .statuses
                 .iter()
@@ -1640,7 +1654,7 @@ pub fn sequential(fast: bool) -> SequentialResult {
                 .filter(|(_, s)| s.is_detected())
                 .map(|(i, _)| i)
                 .collect();
-            assert_eq!(serial.detected, classified, "{name}: pair-set verification");
+            assert_eq!(replay.detected, classified, "{name}: pair-set verification");
 
             SequentialRow {
                 name,

@@ -35,7 +35,7 @@ fn c17_snapshot(full: bool) -> Snapshot {
         let patterns = seeded_patterns(circuit.primary_inputs().len(), 24, 0xDEC0DE);
         (
             Some(collapse(&circuit, &faults)),
-            Some(FaultDictionary::build_serial(&circuit, &faults, &patterns)),
+            Some(FaultDictionary::build(&circuit, &faults, &patterns)),
         )
     } else {
         (None, None)

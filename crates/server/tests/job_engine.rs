@@ -86,7 +86,7 @@ fn campaign_and_diagnosis_jobs_match_direct_calls() {
         .run(&compiled.collapsed().representatives);
 
     let patterns = seeded_patterns(compiled.circuit().primary_inputs().len(), 32, 0xD1A6);
-    let dictionary = Arc::new(FaultDictionary::build_serial(
+    let dictionary = Arc::new(FaultDictionary::build(
         compiled.circuit(),
         compiled.faults(),
         &patterns,

@@ -24,7 +24,7 @@ fn reference_bytes() -> Vec<u8> {
     let faults = enumerate_stuck_at(&circuit);
     let collapsed = collapse(&circuit, &faults);
     let patterns = seeded_patterns(circuit.primary_inputs().len(), 24, 0xDEC0DE);
-    let dictionary = FaultDictionary::build_serial(&circuit, &faults, &patterns);
+    let dictionary = FaultDictionary::build(&circuit, &faults, &patterns);
     Snapshot {
         name: String::from("c17"),
         circuit,

@@ -50,7 +50,7 @@ fn random_circuit(n_pi: usize, n_gates: usize, seed: &[u8]) -> Circuit {
 fn full_snapshot(c: &Circuit, patterns: &[Vec<bool>]) -> Snapshot {
     let faults = enumerate_stuck_at(c);
     let collapsed = collapse(c, &faults);
-    let dictionary = FaultDictionary::build_serial(c, &faults, patterns);
+    let dictionary = FaultDictionary::build(c, &faults, patterns);
     Snapshot {
         name: String::from("random"),
         circuit: c.clone(),

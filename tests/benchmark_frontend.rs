@@ -5,8 +5,8 @@
 use sinw::atpg::collapse::collapse;
 use sinw::atpg::fault_list::enumerate_stuck_at;
 use sinw::atpg::faultsim::{
-    seeded_patterns, simulate_faults, simulate_faults_full_pass, simulate_faults_serial,
-    simulate_faults_threaded,
+    configured_lanes, seeded_patterns, simulate_faults, simulate_faults_full_pass,
+    simulate_faults_threaded_lanes,
 };
 use sinw::core::experiments::{benchmark_suite, fault_coverage};
 use sinw::switch::iscas::{parse_bench, C17_BENCH, CSA16_BENCH};
@@ -32,48 +32,62 @@ fn c17_stuck_at_coverage_golden() {
         "c17 collapsed universe"
     );
     let patterns = exhaustive_patterns(5);
-    let report = simulate_faults_threaded(&c17, &collapsed.representatives, &patterns, true, 0);
+    let report = simulate_faults_threaded_lanes(
+        &c17,
+        &collapsed.representatives,
+        &patterns,
+        true,
+        0,
+        configured_lanes(),
+    );
     assert_eq!(report.detected.len(), 22);
     assert_eq!(report.undetected.len(), 0);
     assert_eq!(report.coverage(), 1.0, "c17 is fully testable");
 }
 
 /// The acceptance criterion: parsing the embedded c17, collapsing, and
-/// running thread-parallel PPSFP yields the same detected-fault set as
-/// the serial engine.
+/// running thread-parallel PPSFP yields the same report as the
+/// full-pass oracle.
 #[test]
-fn c17_thread_parallel_matches_serial() {
+fn c17_thread_parallel_matches_full_pass() {
     let c17 = parse_bench(C17_BENCH).expect("embedded c17 parses");
     let faults = enumerate_stuck_at(&c17);
     let collapsed = collapse(&c17, &faults);
+    let reps = &collapsed.representatives;
     let patterns = exhaustive_patterns(5);
-    let serial = simulate_faults_serial(&c17, &collapsed.representatives, &patterns, true);
+    let oracle = simulate_faults_full_pass(&c17, reps, &patterns, true);
     for threads in [1usize, 2, 5, 0] {
-        let threaded =
-            simulate_faults_threaded(&c17, &collapsed.representatives, &patterns, true, threads);
-        assert_eq!(threaded, serial, "threads = {threads}");
+        let threaded = simulate_faults_threaded_lanes(
+            &c17,
+            reps,
+            &patterns,
+            true,
+            threads,
+            configured_lanes(),
+        );
+        assert_eq!(threaded, oracle, "threads = {threads}");
     }
 }
 
 /// Engine agreement on the mid-size embedded fixture with a random
 /// pattern set (csa16 is too wide for exhaustive application). The
-/// retained full-pass oracle must agree with the three event-driven
-/// engines bit for bit.
+/// retained full-pass oracle must agree with the default and threaded
+/// event-driven engines bit for bit.
 #[test]
 fn csa16_engines_agree() {
     let csa = parse_bench(CSA16_BENCH).expect("embedded csa16 parses");
     let faults = enumerate_stuck_at(&csa);
     let collapsed = collapse(&csa, &faults);
     let patterns = seeded_patterns(csa.primary_inputs().len(), 96, 0xDEAD_BEEF);
-    let serial = simulate_faults_serial(&csa, &collapsed.representatives, &patterns, true);
-    let block = simulate_faults(&csa, &collapsed.representatives, &patterns, true);
-    let threaded = simulate_faults_threaded(&csa, &collapsed.representatives, &patterns, true, 3);
-    let full_pass = simulate_faults_full_pass(&csa, &collapsed.representatives, &patterns, true);
-    assert_eq!(serial, block);
-    assert_eq!(serial, threaded);
-    assert_eq!(serial, full_pass);
+    let reps = &collapsed.representatives;
+    let block = simulate_faults(&csa, reps, &patterns, true);
+    let threaded =
+        simulate_faults_threaded_lanes(&csa, reps, &patterns, true, 3, configured_lanes());
+    let full_pass = simulate_faults_full_pass(&csa, reps, &patterns, true);
+    assert_eq!(full_pass, block);
+    assert_eq!(full_pass, threaded);
     assert!(
-        serial.coverage() > 0.9,
+        full_pass.coverage() > 0.9,
         "random patterns cover most of csa16"
     );
 }
@@ -96,7 +110,14 @@ fn csa16_stuck_at_coverage_golden() {
         "csa16 collapsed universe"
     );
     let patterns = seeded_patterns(csa.primary_inputs().len(), 96, 0xDEAD_BEEF);
-    let report = simulate_faults_threaded(&csa, &collapsed.representatives, &patterns, true, 0);
+    let report = simulate_faults_threaded_lanes(
+        &csa,
+        &collapsed.representatives,
+        &patterns,
+        true,
+        0,
+        configured_lanes(),
+    );
     assert_eq!(report.detected.len(), 620);
     assert_eq!(report.undetected.len(), 6);
     let coverage = report.coverage();

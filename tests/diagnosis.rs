@@ -45,11 +45,24 @@ fn c17_dictionary_stats_are_pinned() {
     assert!(stats.compressed_bytes < stats.uncompressed_bytes);
     assert_eq!(stats.empty_classes, 0, "c17 has no undetectable faults");
     assert_eq!(stats.max_class_size, 4);
-    // The builds are one engine in three guises.
-    let serial = FaultDictionary::build_serial(&c17, &faults, &patterns);
+    // The builds are one engine in two guises.
     let threaded = FaultDictionary::build_threaded(&c17, &faults, &patterns, 3);
-    assert_eq!(dict.class_of(), serial.class_of());
     assert_eq!(dict.class_of(), threaded.class_of());
+    // The class partition is the one the full-pass observation oracle
+    // induces: two faults share a class iff they fail the same probes.
+    let observed: Vec<_> = faults
+        .iter()
+        .map(|f| full_pass_observations(&c17, *f, &patterns))
+        .collect();
+    for i in 0..faults.len() {
+        for j in 0..faults.len() {
+            assert_eq!(
+                dict.class_of()[i] == dict.class_of()[j],
+                observed[i] == observed[j],
+                "faults {i} and {j}"
+            );
+        }
+    }
 }
 
 /// csa16 diagnostic-resolution golden: 1192 faults → 550 classes, and the

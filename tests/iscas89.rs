@@ -7,8 +7,8 @@
 
 use sinw::atpg::tpg::{AtpgConfig, AtpgEngine};
 use sinw::atpg::transition::{
-    enumerate_transition, simulate_transition_lanes, simulate_transition_serial,
-    simulate_transition_threaded, transition_oracle, TransitionAtpg, TransitionAtpgConfig,
+    enumerate_transition, simulate_transition, simulate_transition_threaded_lanes,
+    transition_oracle, TransitionAtpg, TransitionAtpgConfig,
 };
 use sinw::atpg::{collapse, enumerate_stuck_at, SUPPORTED_LANES};
 use sinw::switch::iscas::{parse_bench, parse_bench_seq, to_bench_seq, BenchErrorKind, S27_BENCH};
@@ -93,8 +93,8 @@ fn s27_full_scan_reaches_full_stuck_at_coverage() {
 
 /// Transition-delay LOC ATPG on s27: pinned classification under the
 /// default seed, pair-set verification by the independent oracle, and
-/// bit-identical detection reports across every lane width, the serial
-/// engine, and several thread counts.
+/// bit-identical detection reports from the default engine and from the
+/// threaded engine at every lane width × several thread counts.
 #[test]
 fn s27_transition_campaign_is_pinned_and_engine_identical() {
     let s27 = parse_bench_seq(S27_BENCH).expect("embedded s27 parses");
@@ -124,29 +124,27 @@ fn s27_transition_campaign_is_pinned_and_engine_identical() {
         .map(|(i, _)| i)
         .collect();
     assert_eq!(oracle.detected, classified);
+    let circuit = engine.circuit();
     for drop in [false, true] {
-        for lanes in SUPPORTED_LANES {
-            assert_eq!(
-                simulate_transition_lanes(engine.circuit(), &faults, &report.pairs, drop, lanes),
-                oracle,
-                "lanes {lanes}, drop {drop}"
-            );
-        }
         assert_eq!(
-            simulate_transition_serial(engine.circuit(), &faults, &report.pairs, drop),
+            simulate_transition(circuit, &faults, &report.pairs, drop),
             oracle
         );
-        for threads in [2usize, 0] {
-            assert_eq!(
-                simulate_transition_threaded(
-                    engine.circuit(),
-                    &faults,
-                    &report.pairs,
-                    drop,
-                    threads
-                ),
-                oracle
-            );
+        for lanes in SUPPORTED_LANES {
+            for threads in [1usize, 2, 0] {
+                assert_eq!(
+                    simulate_transition_threaded_lanes(
+                        circuit,
+                        &faults,
+                        &report.pairs,
+                        drop,
+                        threads,
+                        lanes
+                    ),
+                    oracle,
+                    "lanes {lanes}, threads {threads}, drop {drop}"
+                );
+            }
         }
     }
 }
