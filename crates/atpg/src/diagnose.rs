@@ -38,8 +38,9 @@
 //!
 //! `sinw-core::experiments::diagnosis` drives dictionary construction
 //! over the benchmark suite on the ATPG campaign's compacted pattern
-//! sets; `cargo bench --bench diag_scaling` measures single-worker vs
-//! threaded build time and the compression ratio.
+//! sets; `tests/diagnosis.rs` pins the compression ratio and
+//! [`FaultDictionary::build`] ≡ [`FaultDictionary::build_threaded`], and
+//! perfbench's `signatures.direct_ms` row times the capture underneath.
 
 use crate::fault_list::StuckAtFault;
 use crate::faultsim::{
@@ -76,7 +77,7 @@ pub struct FaultDictionary {
 }
 
 /// Aggregate dictionary statistics — the diagnostic-resolution summary
-/// the experiment driver and the `diag_scaling` bench report.
+/// the experiment driver reports and `tests/diagnosis.rs` pins.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DictionaryStats {
     /// Faults modeled.

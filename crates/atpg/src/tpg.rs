@@ -33,8 +33,10 @@
 //! The [`AtpgReport`] carries the final pattern set, per-fault statuses,
 //! detected/untestable/aborted counts, coverage accessors, and per-phase
 //! wall times. `sinw-core::experiments::atpg_campaign` drives this over
-//! the whole benchmark suite; `cargo bench --bench atpg_scaling` runs
-//! the random-only-vs-full-campaign ablation.
+//! the whole benchmark suite; the `campaign_golden` tests pin the
+//! random-only and full campaigns side by side (on `csa8_4` only the
+//! full campaign closes, by proving the mux redundancy), and perfbench's
+//! `atpg.*` rows time the campaign.
 
 use crate::collapse::{collapse, CollapsedFaults};
 use crate::fault_list::{enumerate_stuck_at, StuckAtFault};
@@ -62,7 +64,7 @@ pub struct AtpgConfig {
     /// PODEM settings (backtrack limit) for the deterministic phase.
     pub podem: PodemConfig,
     /// Run the deterministic PODEM phase (disable for the random-only
-    /// ablation baseline of `atpg_scaling`).
+    /// baseline, see [`AtpgConfig::random_only`]).
     pub deterministic: bool,
     /// Run static cube merging + reverse-order compaction.
     pub compact: bool,
@@ -89,8 +91,8 @@ impl Default for AtpgConfig {
 }
 
 impl AtpgConfig {
-    /// The random-only ablation baseline: same random phase, no PODEM,
-    /// same compaction.
+    /// The random-only baseline: same random phase, no PODEM, same
+    /// compaction. `campaign_golden` pins it next to the full campaign.
     #[must_use]
     pub fn random_only(self) -> Self {
         AtpgConfig {

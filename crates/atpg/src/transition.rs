@@ -677,6 +677,7 @@ mod tests {
     use super::*;
     use crate::faultsim::{seeded_patterns, SUPPORTED_LANES};
     use sinw_switch::cells::CellKind;
+    use sinw_switch::generate::pipelined_array_multiplier;
     use sinw_switch::seq::Dff;
 
     /// A small combinational playground: 2-bit carry chain with fanout.
@@ -821,33 +822,46 @@ mod tests {
 
     #[test]
     fn loc_pairs_are_broadside_and_verified_by_the_oracle() {
-        let seq = accum();
-        let engine = TransitionAtpg::new(&seq, TransitionAtpgConfig::default());
-        let faults = enumerate_transition(engine.circuit());
-        let report = engine.run(&faults);
-        assert_eq!(report.aborted, 0);
-        assert!(report.coverage() > 0.5, "coverage {}", report.coverage());
-        // Every pair is broadside: capture state = NS(launch).
-        for p in &report.pairs {
-            let pis = engine.circuit().primary_inputs();
-            let launch: Vec<Logic> = p.init.iter().map(|b| Logic::from_bool(*b)).collect();
-            let values = seq.core().eval(&launch);
-            for (pos, pi) in pis.iter().enumerate() {
-                if let Some(ff) = seq.dffs().iter().find(|ff| ff.q == *pi) {
-                    assert_eq!(values[ff.d.0], Logic::from_bool(p.eval[pos]));
+        for (name, seq) in [
+            ("accum", accum()),
+            ("mul3_reg", pipelined_array_multiplier(3)),
+        ] {
+            let engine = TransitionAtpg::new(&seq, TransitionAtpgConfig::default());
+            let faults = enumerate_transition(engine.circuit());
+            let report = engine.run(&faults);
+            assert_eq!(report.aborted, 0, "{name}");
+            assert!(
+                report.coverage() > 0.5,
+                "{name}: coverage {}",
+                report.coverage()
+            );
+            // Every pair is broadside: capture state = NS(launch).
+            for p in &report.pairs {
+                let pis = engine.circuit().primary_inputs();
+                let launch: Vec<Logic> = p.init.iter().map(|b| Logic::from_bool(*b)).collect();
+                let values = seq.core().eval(&launch);
+                for (pos, pi) in pis.iter().enumerate() {
+                    if let Some(ff) = seq.dffs().iter().find(|ff| ff.q == *pi) {
+                        assert_eq!(
+                            values[ff.d.0],
+                            Logic::from_bool(p.eval[pos]),
+                            "{name}: pair is not broadside at {}",
+                            ff.name
+                        );
+                    }
                 }
             }
+            // The independent oracle confirms the classification.
+            let oracle = transition_oracle(engine.circuit(), &faults, &report.pairs);
+            let detected: Vec<usize> = report
+                .statuses
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.is_detected())
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(oracle.detected, detected, "{name}");
         }
-        // The independent oracle confirms the classification.
-        let oracle = transition_oracle(engine.circuit(), &faults, &report.pairs);
-        let detected: Vec<usize> = report
-            .statuses
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_detected())
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(oracle.detected, detected);
     }
 
     #[test]

@@ -737,8 +737,7 @@ pub struct FaultCoverageRow {
     /// useful prefix of the test set under fault dropping).
     pub effective_test_length: usize,
     /// Wall time of the thread-parallel PPSFP call, in milliseconds —
-    /// the per-benchmark view of the perf trajectory the `ppsfp_scaling`
-    /// bench tracks on its single large universe.
+    /// the per-benchmark view of perfbench's `faultsim.event_ms` row.
     pub sim_ms: f64,
 }
 

@@ -344,7 +344,8 @@ pub(crate) fn put_indices(out: &mut Vec<u8>, values: &[usize], what: &str) {
 
 /// A uniform-width pattern set: `u32` count, `u32` width, then one byte
 /// per bit. Panics if the rows are not all the same width (primary-input
-/// patterns always are).
+/// patterns always are, and `NetClient::submit` refuses ragged jobs
+/// before encoding).
 pub(crate) fn put_patterns(out: &mut Vec<u8>, patterns: &[Vec<bool>]) {
     let width = patterns.first().map_or(0, Vec::len);
     put_count(out, patterns.len(), "pattern");

@@ -773,8 +773,21 @@ impl NetClient {
     /// # Errors
     ///
     /// Wire failures, or the server's typed quota / unknown-key /
-    /// draining error.
+    /// draining error. Pattern rows of differing widths are refused as
+    /// [`CodecError::Malformed`] before anything is sent.
     pub fn submit(&mut self, job: WireJob) -> Result<u64, ClientError> {
+        if let WireJob::FaultSim { patterns, .. } | WireJob::Signatures { patterns, .. } = &job {
+            let width = patterns.first().map_or(0, Vec::len);
+            if let Some(row) = patterns.iter().position(|p| p.len() != width) {
+                return Err(ClientError::Wire(CodecError::Malformed {
+                    context: "job patterns",
+                    detail: format!(
+                        "row {row} has {} bits, row 0 has {width}",
+                        patterns[row].len()
+                    ),
+                }));
+            }
+        }
         match self.exchange(&Request::SubmitJob(job))? {
             Response::Submitted { job } => Ok(job),
             other => Err(unexpected("Submitted", &other)),

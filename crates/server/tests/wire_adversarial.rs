@@ -3,8 +3,9 @@
 //! length, per-field header flips, every payload byte flip, trailing
 //! bytes, a hostile count, seeded fuzz), the frame-only attacks (hostile
 //! lengths, unknown frame types, zero-width pattern sets), and
-//! live-server legs proving a poisoned connection never takes the
-//! server down. The contract under attack: wire decoding returns a typed
+//! live-server legs proving a poisoned connection — or a ragged pattern
+//! job, refused by the client before encoding — never takes the server
+//! down. The contract under attack: wire decoding returns a typed
 //! [`CodecError`] — it never panics, never allocates past the
 //! configured cap, and the server stays serviceable afterward.
 
@@ -358,6 +359,66 @@ fn an_unbounded_thread_count_is_clamped_and_the_server_keeps_serving() {
         let outcome = client.await_job(job, |_, _| {}).expect("await");
         assert_eq!(outcome, reference, "threads = {threads}");
     }
+    server.shutdown();
+}
+
+#[test]
+fn a_ragged_pattern_job_is_refused_and_the_client_keeps_serving() {
+    // Rows of differing widths cannot be framed; `submit` must say so
+    // with a typed error instead of panicking inside the encoder.
+    let server = serve();
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let (key, _) = client.register_bench("c17", C17_BENCH).expect("register");
+    let ragged = vec![vec![true; 5], vec![false; 4], vec![true; 5]];
+    let jobs = [
+        WireJob::FaultSim {
+            key,
+            patterns: ragged.clone(),
+            drop_detected: true,
+            threads: 1,
+            timeout_ms: 60_000,
+        },
+        WireJob::Signatures {
+            key,
+            patterns: ragged,
+            threads: 1,
+            timeout_ms: 60_000,
+        },
+    ];
+    for job in jobs {
+        match client.submit(job) {
+            Err(ClientError::Wire(CodecError::Malformed {
+                context: "job patterns",
+                ..
+            })) => {}
+            other => panic!("ragged job: expected Malformed job patterns, got {other:?}"),
+        }
+    }
+
+    // The same client still registers and runs a well-formed job.
+    let (again, _) = client
+        .register_bench("c17", C17_BENCH)
+        .expect("re-register");
+    assert_eq!(again, key);
+    let compiled = compile_circuit("c17", parse_bench(C17_BENCH).expect("fixture parses"));
+    let patterns = seeded_patterns(compiled.circuit().primary_inputs().len(), 16, 0x4A66);
+    let reference = WireOutcome::from_fault_sim(&simulate_faults(
+        compiled.circuit(),
+        &compiled.collapsed().representatives,
+        &patterns,
+        true,
+    ));
+    let job = client
+        .submit(WireJob::FaultSim {
+            key,
+            patterns,
+            drop_detected: true,
+            threads: 1,
+            timeout_ms: 60_000,
+        })
+        .expect("submit");
+    let outcome = client.await_job(job, |_, _| {}).expect("await");
+    assert_eq!(outcome, reference);
     server.shutdown();
 }
 
