@@ -241,14 +241,6 @@ impl Experiments {
         diagnosis(self.fast)
     }
 
-    /// Service-layer run: registry hit vs cold compile, `.sinw`
-    /// snapshot round trips, and the job-engine identity check.
-    /// Delegates to [`service`] with this context's fidelity.
-    #[must_use]
-    pub fn service(&self) -> ServiceResult {
-        service(self.fast)
-    }
-
     /// Sequential-circuit run: scan insertion, stuck-at ATPG on the
     /// per-frame scan view through the unchanged campaign engine, and
     /// launch-on-capture transition-delay ATPG on the 2-frame time-frame
@@ -1206,243 +1198,6 @@ pub fn diagnosis(fast: bool) -> DiagnosisResult {
         })
         .collect();
     DiagnosisResult { rows }
-}
-
-// ----------------------------------------------------------------------
-// Service layer (registry hit vs cold compile, snapshots, job engine)
-// ----------------------------------------------------------------------
-
-/// One circuit's trip through the service layer: cold registry compile,
-/// warm registry hit, and the `.sinw` snapshot round trip.
-#[derive(Debug, Clone)]
-pub struct ServiceRow {
-    /// Circuit name (`csa16`, `mul32`, `c6288-class`, …).
-    pub name: String,
-    /// Cell instances after mapping onto the CP library.
-    pub cells: usize,
-    /// Collapsed representatives in the compiled artifact.
-    pub collapsed: usize,
-    /// Wall time of the cold registration (parse/build + enumerate +
-    /// collapse + `SimGraph`), ms.
-    pub cold_compile_ms: f64,
-    /// Wall time of the warm registration (key hash + map lookup —
-    /// parse, mapping, collapse, and graph build all skipped), ms.
-    pub hit_ms: f64,
-    /// Encoded `.sinw` snapshot size, bytes.
-    pub snapshot_bytes: usize,
-    /// Wall time of snapshot encode, ms.
-    pub encode_ms: f64,
-    /// Wall time of snapshot decode (validation included), ms.
-    pub decode_ms: f64,
-    /// Wall time of rebuilding a servable artifact from the decoded
-    /// snapshot (reuses the stored universe + collapse; rebuilds only
-    /// the graph), ms.
-    pub restore_ms: f64,
-}
-
-/// Result of [`service`]: per-circuit rows, the registry's final
-/// counters, and the job-engine identity check.
-#[derive(Debug, Clone)]
-pub struct ServiceResult {
-    /// Per-circuit rows.
-    pub rows: Vec<ServiceRow>,
-    /// Registry counters after the run: `compiles` equals the row count
-    /// (one per distinct circuit), never more — the observable form of
-    /// "a hit compiles nothing".
-    pub stats: sinw_server::registry::RegistryStats,
-    /// Whether a fault-sim job through the bounded engine reproduced the
-    /// direct serial engine call bit for bit.
-    pub jobs_bit_identical: bool,
-}
-
-impl ServiceResult {
-    /// Row lookup by circuit name.
-    #[must_use]
-    pub fn row(&self, name: &str) -> Option<&ServiceRow> {
-        self.rows.iter().find(|r| r.name == name)
-    }
-
-    /// Smallest cold-compile / hit speedup across the rows.
-    #[must_use]
-    pub fn worst_speedup(&self) -> f64 {
-        self.rows
-            .iter()
-            .map(|r| r.cold_compile_ms / r.hit_ms.max(1e-6))
-            .fold(f64::INFINITY, f64::min)
-    }
-}
-
-impl fmt::Display for ServiceResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Service layer (compiled-circuit registry + .sinw snapshots + job engine)"
-        )?;
-        writeln!(
-            f,
-            "  circuit       cells  collapsed  cold(ms)   hit(ms)  speedup  snap(KiB)  enc(ms)  dec(ms)  restore(ms)"
-        )?;
-        for r in &self.rows {
-            writeln!(
-                f,
-                "  {:12} {:>6}  {:>9}  {:>8.3}  {:>8.4}  {:>6.0}x  {:>9.1}  {:>7.3}  {:>7.3}  {:>11.3}",
-                r.name,
-                r.cells,
-                r.collapsed,
-                r.cold_compile_ms,
-                r.hit_ms,
-                r.cold_compile_ms / r.hit_ms.max(1e-6),
-                r.snapshot_bytes as f64 / 1024.0,
-                r.encode_ms,
-                r.decode_ms,
-                r.restore_ms
-            )?;
-        }
-        writeln!(
-            f,
-            "  registry: {} compiles / {} hits / {} misses over {} entries; job engine bit-identical: {}",
-            self.stats.compiles,
-            self.stats.hits,
-            self.stats.misses,
-            self.stats.entries,
-            if self.jobs_bit_identical { "yes" } else { "NO" }
-        )?;
-        Ok(())
-    }
-}
-
-/// The service-layer experiment: register each circuit cold, re-register
-/// it warm (the hit must skip parse, mapping, collapse, and graph build
-/// — asserted through the registry's compile counter), round-trip the
-/// compiled artifact through the `.sinw` snapshot format, and push one
-/// fault-sim job through the bounded engine to confirm bit-identity with
-/// the direct serial call.
-///
-/// Full mode measures `csa16`, `mul32`, and the `c6288`-class 64-bit
-/// multiplier; `fast` substitutes `mul8` for the two big multipliers.
-///
-/// # Panics
-///
-/// Panics if the registry's compile counter shows a hit recompiled, or
-/// if a snapshot fails to round-trip — both are contract violations, not
-/// measurement noise.
-#[must_use]
-pub fn service(fast: bool) -> ServiceResult {
-    use sinw_atpg::faultsim::{seeded_patterns, simulate_faults};
-    use sinw_server::jobs::{JobEngine, JobOutcome, JobSpec};
-    use sinw_server::registry::{CircuitRegistry, CompiledCircuit};
-    use sinw_server::snapshot::Snapshot;
-    use sinw_switch::generate::{array_multiplier, c6288_class};
-
-    enum Source {
-        Bench(&'static str),
-        Built(sinw_switch::gate::Circuit),
-    }
-
-    let mut suite: Vec<(String, Source)> = vec![(
-        String::from("csa16"),
-        Source::Bench(sinw_switch::iscas::CSA16_BENCH),
-    )];
-    if fast {
-        suite.push((String::from("mul8"), Source::Built(array_multiplier(8))));
-    } else {
-        suite.push((String::from("mul32"), Source::Built(array_multiplier(32))));
-        suite.push((String::from("c6288-class"), Source::Built(c6288_class())));
-    }
-
-    let registry = CircuitRegistry::new();
-    let mut rows = Vec::new();
-    let mut first_artifact = None;
-    for (name, source) in suite {
-        let t0 = std::time::Instant::now();
-        let cold = match &source {
-            Source::Bench(text) => registry
-                .register_bench(&name, text)
-                .unwrap_or_else(|e| panic!("{name} must parse: {e}")),
-            Source::Built(circuit) => registry
-                .register_circuit(&name, circuit.clone())
-                .unwrap_or_else(|e| panic!("{name} must compile: {e}")),
-        };
-        let cold_compile_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let compiles_before_hit = registry.stats().compiles;
-
-        let t1 = std::time::Instant::now();
-        let hit = match &source {
-            Source::Bench(text) => registry
-                .register_bench(&name, text)
-                .expect("already parsed once"),
-            Source::Built(circuit) => registry
-                .register_circuit(&name, circuit.clone())
-                .expect("already compiled once"),
-        };
-        let hit_ms = t1.elapsed().as_secs_f64() * 1e3;
-        assert!(
-            std::sync::Arc::ptr_eq(&cold, &hit),
-            "{name}: warm registration must return the cold Arc"
-        );
-        assert_eq!(
-            registry.stats().compiles,
-            compiles_before_hit,
-            "{name}: the hit path must not compile"
-        );
-
-        let t2 = std::time::Instant::now();
-        let bytes = cold.snapshot().encode();
-        let encode_ms = t2.elapsed().as_secs_f64() * 1e3;
-        let t3 = std::time::Instant::now();
-        let decoded = Snapshot::decode(&bytes).expect("own snapshot decodes");
-        let decode_ms = t3.elapsed().as_secs_f64() * 1e3;
-        let t4 = std::time::Instant::now();
-        let restored = CompiledCircuit::from_snapshot(decoded);
-        let restore_ms = t4.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(
-            restored.collapsed().representatives,
-            cold.collapsed().representatives,
-            "{name}: snapshot round trip must preserve the collapsed universe"
-        );
-
-        rows.push(ServiceRow {
-            name,
-            cells: cold.circuit().gates().len(),
-            collapsed: cold.collapsed().representatives.len(),
-            cold_compile_ms,
-            hit_ms,
-            snapshot_bytes: bytes.len(),
-            encode_ms,
-            decode_ms,
-            restore_ms,
-        });
-        first_artifact.get_or_insert(cold);
-    }
-
-    // Job-engine identity check on the first (cheapest) artifact.
-    let compiled = first_artifact.expect("suite is non-empty");
-    let patterns = std::sync::Arc::new(seeded_patterns(
-        compiled.circuit().primary_inputs().len(),
-        if fast { 48 } else { 192 },
-        0x5EED_0B1A,
-    ));
-    let reference = simulate_faults(
-        compiled.circuit(),
-        &compiled.collapsed().representatives,
-        &patterns,
-        true,
-    );
-    let engine = JobEngine::new(2);
-    let handle = engine.submit(JobSpec::FaultSim {
-        compiled,
-        patterns,
-        drop_detected: true,
-        threads: 2,
-    });
-    let jobs_bit_identical = matches!(handle.wait(), JobOutcome::FaultSim(r) if r == reference);
-    engine.shutdown();
-
-    ServiceResult {
-        rows,
-        stats: registry.stats(),
-        jobs_bit_identical,
-    }
 }
 
 // ----------------------------------------------------------------------

@@ -13,8 +13,9 @@
 //! | 24     | n    | payload |
 //!
 //! This module owns that header, the checksum (also the registry's
-//! content key, under a domain tag), the `put_*` writers, the one
-//! bounds-checked [`Reader`], and the one decode error, [`CodecError`].
+//! content key, under a domain tag), the scalar and string `put_*`
+//! writers, the one bounds-checked [`Reader`], and the one decode error,
+//! [`CodecError`]. Each format's structured fields live with the format.
 //!
 //! Decoding is total: every read is bounds-checked, and every element
 //! count is checked against the bytes that remain *before* anything is
@@ -326,36 +327,6 @@ pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// `u32` count, then one `u64` per value.
-pub(crate) fn put_u64s(out: &mut Vec<u8>, values: &[u64], what: &str) {
-    put_count(out, values.len(), what);
-    for &v in values {
-        put_u64(out, v);
-    }
-}
-
-/// `u32` count, then one `u64` per index.
-pub(crate) fn put_indices(out: &mut Vec<u8>, values: &[usize], what: &str) {
-    put_count(out, values.len(), what);
-    for &v in values {
-        put_u64(out, v as u64);
-    }
-}
-
-/// A uniform-width pattern set: `u32` count, `u32` width, then one byte
-/// per bit. Panics if the rows are not all the same width (primary-input
-/// patterns always are, and `NetClient::submit` refuses ragged jobs
-/// before encoding).
-pub(crate) fn put_patterns(out: &mut Vec<u8>, patterns: &[Vec<bool>]) {
-    let width = patterns.first().map_or(0, Vec::len);
-    put_count(out, patterns.len(), "pattern");
-    put_count(out, width, "pattern width");
-    for p in patterns {
-        assert_eq!(p.len(), width, "patterns must be uniform width");
-        out.extend(p.iter().map(|&bit| u8::from(bit)));
-    }
-}
-
 // ---------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------
@@ -377,7 +348,7 @@ impl<'a> Reader<'a> {
         self.bytes.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated {
                 offset: self.pos,
@@ -410,17 +381,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
-    }
-
-    pub(crate) fn bool(&mut self, context: &'static str) -> Result<bool, CodecError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(CodecError::Malformed {
-                context,
-                detail: format!("bool byte must be 0 or 1, got {other}"),
-            }),
-        }
     }
 
     /// Reject `n` elements of at least `min_elem_bytes` each when even
@@ -462,57 +422,6 @@ impl<'a> Reader<'a> {
             context,
             detail: format!("invalid UTF-8: {e}"),
         })
-    }
-
-    /// The mirror of [`put_u64s`].
-    pub(crate) fn u64s(&mut self, context: &'static str) -> Result<Vec<u64>, CodecError> {
-        let n = self.count(context, 8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
-    /// The mirror of [`put_indices`].
-    pub(crate) fn indices(&mut self, context: &'static str) -> Result<Vec<usize>, CodecError> {
-        Ok(self
-            .u64s(context)?
-            .into_iter()
-            .map(|v| v as usize)
-            .collect())
-    }
-
-    /// The mirror of [`put_patterns`]. A non-empty set of zero-width
-    /// rows is malformed: it would allocate a row per count while
-    /// consuming no bytes.
-    pub(crate) fn patterns(&mut self, context: &'static str) -> Result<Vec<Vec<bool>>, CodecError> {
-        let n = self.u32()? as usize;
-        let width = self.u32()? as usize;
-        if n > 0 && width == 0 {
-            return Err(CodecError::Malformed {
-                context,
-                detail: format!("{n} patterns of width 0"),
-            });
-        }
-        self.fits(context, n, width)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut row = Vec::with_capacity(width);
-            for _ in 0..width {
-                row.push(self.bool(context)?);
-            }
-            out.push(row);
-        }
-        Ok(out)
-    }
-
-    /// The rest of the payload as raw bytes (always consumes to the
-    /// end).
-    pub(crate) fn rest(&mut self) -> Vec<u8> {
-        let out = self.bytes[self.pos..].to_vec();
-        self.pos = self.bytes.len();
-        out
     }
 
     /// Reject unread payload bytes.

@@ -28,7 +28,6 @@
 //! | [`Trigger::Always`] | on every hit |
 //! | [`Trigger::Nth`] | on exactly the `n`-th hit (1-based) |
 //! | [`Trigger::Every`] | on every `n`-th hit |
-//! | [`Trigger::First`] | on the first `n` hits |
 //! | [`Trigger::Probability`] | per hit with probability `p`, seeded |
 //!
 //! ## Configuration
@@ -43,8 +42,8 @@
 //!
 //! Grammar: `point=action[@trigger]` joined by `;`. Actions are `panic`,
 //! `ioerr`, and `delay:<ms>`; triggers are `always` (the default),
-//! `nth:<k>`, `every:<k>`, `first:<n>`, and `prob:<p>:<seed>` with `p`
-//! a probability in `[0, 1]`.
+//! `nth:<k>`, `every:<k>`, and `prob:<p>:<seed>` with `p` a probability
+//! in `[0, 1]`.
 //!
 //! ## Fail-point catalog
 //!
@@ -53,7 +52,6 @@
 //! | `jobs.faultsim.chunk` | every fault-sim chunk claim | panic, ioerr (transient), delay |
 //! | `jobs.signatures.chunk` | every signature-capture chunk claim | panic, ioerr (transient), delay |
 //! | `jobs.campaign.run` | campaign job body | panic, ioerr (transient), delay |
-//! | `jobs.diagnosis.run` | diagnosis job body | panic, ioerr (transient), delay |
 //! | `jobs.worker.die` | worker pickup, outside panic isolation | panic (kills the worker; the pool respawns it), delay |
 //! | `registry.compile` | inside the per-key compile slot | panic (typed `CompilePanicked`), ioerr (typed `CompileFailed`, slot stays retryable), delay |
 //! | `snapshot.encode` | start of [`Snapshot::encode`](crate::snapshot::Snapshot::encode) | panic, delay |
@@ -98,8 +96,6 @@ pub enum Trigger {
     Nth(u64),
     /// Fire on every `n`-th hit (hits `n`, `2n`, `3n`, …).
     Every(u64),
-    /// Fire on the first `n` hits.
-    First(u64),
     /// Fire per hit with probability `p_millis / 1000`, from the seeded
     /// per-point stream.
     Probability {
@@ -204,7 +200,6 @@ impl PointState {
             Trigger::Always => true,
             Trigger::Nth(n) => self.hits == n,
             Trigger::Every(n) => n != 0 && self.hits % n == 0,
-            Trigger::First(n) => self.hits <= n,
             Trigger::Probability { p_millis, .. } => {
                 // xorshift64: deterministic per-point stream.
                 let mut x = self.rng;
@@ -277,12 +272,6 @@ pub fn clear() {
 #[must_use]
 pub fn fired(point: &str) -> u64 {
     table().get(point).map_or(0, |s| s.fired)
-}
-
-/// How many times `point` has been hit since it was (last) armed.
-#[must_use]
-pub fn hits(point: &str) -> u64 {
-    table().get(point).map_or(0, |s| s.hits)
 }
 
 /// RAII arm: [`configure`]s on construction, [`remove`]s on drop.
@@ -358,10 +347,6 @@ pub fn parse_spec(spec: &str) -> Result<Vec<(String, FailConfig)>, String> {
                         n.parse()
                             .map_err(|_| format!("every '{n}' in '{clause}' is not a count"))?,
                     ),
-                    (Some("first"), Some(n), None, _) => Trigger::First(
-                        n.parse()
-                            .map_err(|_| format!("first '{n}' in '{clause}' is not a count"))?,
-                    ),
                     (Some("prob"), Some(p), Some(seed), None) => {
                         let p: f64 = p
                             .parse()
@@ -377,7 +362,7 @@ pub fn parse_spec(spec: &str) -> Result<Vec<(String, FailConfig)>, String> {
                     _ => {
                         return Err(format!(
                             "trigger '{t}' in '{clause}' is not always | nth:<k> | every:<k> | \
-                             first:<n> | prob:<p>:<seed>"
+                             prob:<p>:<seed>"
                         ))
                     }
                 }
@@ -489,11 +474,10 @@ mod tests {
         assert!(hit("unit.nth").is_err());
         assert!(hit("unit.nth").is_ok());
         assert_eq!(fired("unit.nth"), 1);
-        assert_eq!(hits("unit.nth"), 4);
     }
 
     #[test]
-    fn every_and_first_triggers_count_correctly() {
+    fn every_trigger_fires_on_every_nth_hit() {
         let _s = serial();
         let _g = scoped(
             "unit.every",
@@ -504,15 +488,6 @@ mod tests {
         );
         let pattern: Vec<bool> = (0..6).map(|_| hit("unit.every").is_err()).collect();
         assert_eq!(pattern, [false, true, false, true, false, true]);
-        let _g2 = scoped(
-            "unit.first",
-            FailConfig {
-                action: FailAction::IoError,
-                trigger: Trigger::First(2),
-            },
-        );
-        let pattern: Vec<bool> = (0..4).map(|_| hit("unit.first").is_err()).collect();
-        assert_eq!(pattern, [true, true, false, false]);
     }
 
     #[test]
@@ -547,11 +522,9 @@ mod tests {
     #[test]
     fn spec_grammar_round_trips() {
         let _s = serial();
-        let arms = parse_spec(
-            "a=panic; b=ioerr@nth:3 ;c=delay:25@every:4;d=ioerr@prob:0.25:99;e=panic@first:2",
-        )
-        .expect("valid spec");
-        assert_eq!(arms.len(), 5);
+        let arms = parse_spec("a=panic; b=ioerr@nth:3 ;c=delay:25@every:4;d=ioerr@prob:0.25:99")
+            .expect("valid spec");
+        assert_eq!(arms.len(), 4);
         assert_eq!(
             arms[0],
             (String::from("a"), FailConfig::always(FailAction::Panic))
@@ -569,13 +542,6 @@ mod tests {
             Trigger::Probability {
                 p_millis: 250,
                 seed: 99
-            }
-        );
-        assert_eq!(
-            arms[4].1,
-            FailConfig {
-                action: FailAction::Panic,
-                trigger: Trigger::First(2),
             }
         );
     }

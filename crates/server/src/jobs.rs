@@ -31,9 +31,9 @@
 //! [`JobOutcome::TimedOut`]) and a bounded retry budget with exponential
 //! backoff for **transient** failures — injected I/O faults from the
 //! fail-point framework. Panics and validation failures are permanent
-//! and never retried. Campaign and diagnosis jobs are single-chunk (the
-//! campaign engine owns its own internal loop), so for them deadline
-//! and cancellation take effect at pickup and between retries only.
+//! and never retried. Campaign jobs are single-chunk (the campaign
+//! engine owns its own internal loop), so for them deadline and
+//! cancellation take effect at pickup and between retries only.
 //!
 //! ## Determinism
 //!
@@ -57,7 +57,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sinw_atpg::diagnose::{DiagnosisReport, FaultDictionary};
 use sinw_atpg::faultsim::{
     capture_signatures_checked, simulate_faults_checked, FaultSimReport, PackError,
     SignatureMatrix, JOB_CHUNK,
@@ -111,13 +110,6 @@ pub enum JobSpec {
         /// Campaign configuration (seed, phase limits, backtrack cap).
         config: AtpgConfig,
     },
-    /// Dictionary lookup of an observed failure set.
-    Diagnosis {
-        /// The class-compressed dictionary to match against.
-        dictionary: Arc<FaultDictionary>,
-        /// Observed failing `(pattern, output)` probes.
-        observations: Vec<(usize, usize)>,
-    },
 }
 
 /// Terminal state of a job. Every accepted job reaches exactly one of
@@ -131,8 +123,6 @@ pub enum JobOutcome {
     Signatures(SignatureMatrix),
     /// Campaign report.
     Campaign(AtpgReport),
-    /// Diagnosis report.
-    Diagnosis(DiagnosisReport),
     /// The job was cancelled before it finished.
     Cancelled,
     /// The job's [`JobPolicy`] deadline expired before it finished.
@@ -287,17 +277,12 @@ impl JobHandle {
     /// Block until the job reaches a terminal state and return it.
     #[must_use]
     pub fn wait(&self) -> JobOutcome {
-        let mut slot = lock_clean(&self.shared.outcome);
-        loop {
-            if let Some(outcome) = slot.as_ref() {
-                return outcome.clone();
-            }
-            slot = self
-                .shared
-                .finished
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        let slot = self
+            .shared
+            .finished
+            .wait_while(lock_clean(&self.shared.outcome), |o| o.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        slot.clone().expect("woken with an outcome")
     }
 
     /// Block until the job reaches a terminal state or `timeout`
@@ -306,23 +291,12 @@ impl JobHandle {
     /// or walk away.
     #[must_use]
     pub fn wait_timeout(&self, timeout: Duration) -> Option<JobOutcome> {
-        let wait_deadline = Instant::now() + timeout;
-        let mut slot = lock_clean(&self.shared.outcome);
-        loop {
-            if let Some(outcome) = slot.as_ref() {
-                return Some(outcome.clone());
-            }
-            let now = Instant::now();
-            if now >= wait_deadline {
-                return None;
-            }
-            let (guard, _timed_out) = self
-                .shared
-                .finished
-                .wait_timeout(slot, wait_deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            slot = guard;
-        }
+        let (slot, _timed_out) = self
+            .shared
+            .finished
+            .wait_timeout_while(lock_clean(&self.shared.outcome), timeout, |o| o.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        slot.clone()
     }
 }
 
@@ -573,8 +547,10 @@ enum RunFailure {
     Transient(String),
     /// A validation failure or an isolated panic: never retried.
     Permanent(String),
-    /// Cancellation or the deadline stopped the job at a chunk boundary.
-    Stopped(JobOutcome),
+    /// Cancellation stopped the job at a chunk boundary.
+    Cancelled,
+    /// The deadline stopped the job at a chunk boundary.
+    TimedOut,
 }
 
 impl From<PackError> for RunFailure {
@@ -602,7 +578,7 @@ fn execute_with_retries(spec: &JobSpec, policy: &JobPolicy, shared: &JobShared) 
             }
         };
         match failure {
-            RunFailure::Transient(reason) if attempt < policy.max_retries => {
+            RunFailure::Transient(_) if attempt < policy.max_retries => {
                 attempt += 1;
                 let backoff = policy
                     .retry_backoff
@@ -616,7 +592,6 @@ fn execute_with_retries(spec: &JobSpec, policy: &JobPolicy, shared: &JobShared) 
                 if shared.deadline_exceeded() {
                     return JobOutcome::TimedOut;
                 }
-                let _ = reason;
             }
             RunFailure::Transient(reason) => {
                 return JobOutcome::Failed {
@@ -627,14 +602,14 @@ fn execute_with_retries(spec: &JobSpec, policy: &JobPolicy, shared: &JobShared) 
                 }
             }
             RunFailure::Permanent(reason) => return JobOutcome::Failed { reason },
-            RunFailure::Stopped(outcome) => return outcome,
+            RunFailure::Cancelled => return JobOutcome::Cancelled,
+            RunFailure::TimedOut => return JobOutcome::TimedOut,
         }
     }
 }
 
-/// One execution attempt. `Ok` carries any terminal outcome (success,
-/// cancellation, deadline expiry); `Err` carries a failure for the retry
-/// loop to classify.
+/// One execution attempt. `Ok` carries the result; `Err` carries a
+/// failure or a stop for the retry loop to classify.
 fn run_job(spec: JobSpec, shared: &JobShared) -> Result<JobOutcome, RunFailure> {
     match spec {
         JobSpec::FaultSim {
@@ -682,27 +657,6 @@ fn run_job(spec: JobSpec, shared: &JobShared) -> Result<JobOutcome, RunFailure> 
             shared.done.store(1, Ordering::SeqCst);
             Ok(JobOutcome::Campaign(report))
         }
-        JobSpec::Diagnosis {
-            dictionary,
-            observations,
-        } => {
-            shared.total.store(1, Ordering::SeqCst);
-            failpoint::hit("jobs.diagnosis.run")
-                .map_err(|e| RunFailure::Transient(e.to_string()))?;
-            for &(pattern, output) in &observations {
-                if pattern >= dictionary.pattern_count() || output >= dictionary.output_count() {
-                    return Err(RunFailure::Permanent(format!(
-                        "observation ({pattern}, {output}) outside the dictionary's \
-                         {} x {} probe grid",
-                        dictionary.pattern_count(),
-                        dictionary.output_count()
-                    )));
-                }
-            }
-            let report = dictionary.diagnose(&observations);
-            shared.done.store(1, Ordering::SeqCst);
-            Ok(JobOutcome::Diagnosis(report))
-        }
     }
 }
 
@@ -719,10 +673,10 @@ fn chunk_admit<'a>(
         .store(n_faults.div_ceil(JOB_CHUNK), Ordering::SeqCst);
     move || {
         if shared.cancel.load(Ordering::SeqCst) {
-            return Err(RunFailure::Stopped(JobOutcome::Cancelled));
+            return Err(RunFailure::Cancelled);
         }
         if shared.deadline_exceeded() {
-            return Err(RunFailure::Stopped(JobOutcome::TimedOut));
+            return Err(RunFailure::TimedOut);
         }
         failpoint::hit(failpoint).map_err(|e| RunFailure::Transient(e.to_string()))
     }
@@ -933,15 +887,11 @@ mod tests {
             let mut state = lock_clean(&engine.pool.queue.state);
             state.draining = true;
         }
-        let handle = engine.submit(JobSpec::Diagnosis {
-            dictionary: Arc::new(sinw_atpg::FaultDictionary::from_signatures(
-                &capture_signatures(
-                    compiled.circuit(),
-                    &compiled.collapsed().representatives,
-                    &patterns_for(compiled.circuit(), 4),
-                ),
-            )),
-            observations: vec![],
+        let handle = engine.submit(JobSpec::FaultSim {
+            patterns: Arc::new(patterns_for(compiled.circuit(), 4)),
+            compiled,
+            drop_detected: false,
+            threads: 1,
         });
         assert!(matches!(handle.wait(), JobOutcome::Failed { .. }));
         // Clear the flag so Drop's drain can join the (still waiting)

@@ -21,7 +21,7 @@
 //!   re-parsing `.bench` text.
 //! * [`jobs`] — the bounded **job engine** ([`JobEngine`]): a fixed pool
 //!   of workers multiplexing concurrent fault-sim / signature-capture /
-//!   campaign / diagnosis requests over shared compiled artifacts, with
+//!   campaign requests over shared compiled artifacts, with
 //!   per-job progress, cooperative cancellation, and graceful drain on
 //!   shutdown. Heavy jobs prepare their patterns once, then fan out over
 //!   the same work-stealing driver ([`sinw_atpg::steal::fan_out`]) as the
@@ -67,13 +67,13 @@
 //!   frames whose header carries the frame type where a snapshot keeps
 //!   a reserved zero.
 //! * [`session`] — per-client sessions with byte and in-flight-job
-//!   quotas ([`SessionLimits`]), typed backpressure
-//!   ([`SessionError`]), and idle reaping that never strands a running
-//!   job.
+//!   quotas ([`SessionLimits`]) and typed backpressure
+//!   ([`SessionError`]).
 //! * [`net`] — the [`NetServer`] (std-only TCP, thread per connection)
 //!   composing registry + store + engine + sessions, streaming job
-//!   progress frame-by-frame over `AwaitJob`, and draining gracefully
-//!   on shutdown; plus the matching blocking [`NetClient`].
+//!   progress frame-by-frame over `AwaitJob`, closing idle connections
+//!   only when no job is in flight, and draining gracefully on
+//!   shutdown; plus the matching blocking [`NetClient`].
 //!
 //! ```
 //! use sinw_server::registry::CircuitRegistry;

@@ -59,45 +59,41 @@ use crate::wire::{
     self, ErrorCode, FrameEvent, Request, Response, WireJob, WireOutcome, WireStats,
 };
 
-/// Server configuration: pool sizes, quotas, persistence, and protocol
-/// knobs.
+/// Registry byte capacity ([`CircuitRegistry::with_capacity_bytes`]).
+const REGISTRY_CAPACITY: usize = 256 * 1024 * 1024;
+
+/// Socket read timeout — the handler's idle/drain tick period.
+const READ_POLL: Duration = Duration::from_millis(25);
+
+/// Poll period of the `AwaitJob` progress stream.
+const PROGRESS_POLL: Duration = Duration::from_millis(1);
+
+/// Server configuration: pool size, quotas, and persistence.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Job-engine worker threads.
     pub workers: usize,
-    /// Registry byte capacity ([`CircuitRegistry::with_capacity_bytes`]).
-    pub registry_capacity: usize,
     /// Per-session quotas.
     pub limits: SessionLimits,
     /// When set, a [`SnapshotStore`] opens here: the registry
     /// warm-starts from it on boot and every successful registration is
     /// persisted to it.
     pub store_dir: Option<PathBuf>,
-    /// Cap on a single frame's payload, enforced before allocation.
-    pub max_frame_payload: u64,
-    /// Socket read timeout — the handler's idle/drain tick period.
-    pub read_poll: Duration,
-    /// Poll period of the `AwaitJob` progress stream.
-    pub progress_poll: Duration,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             workers: 2,
-            registry_capacity: 256 * 1024 * 1024,
             limits: SessionLimits::default(),
             store_dir: None,
-            max_frame_payload: wire::DEFAULT_MAX_PAYLOAD,
-            read_poll: Duration::from_millis(25),
-            progress_poll: Duration::from_millis(1),
         }
     }
 }
 
 /// Everything the accept loop and the handlers share.
 struct ServerShared {
-    config: NetConfig,
+    idle_timeout: Duration,
     registry: CircuitRegistry,
     engine: JobEngine,
     sessions: SessionManager,
@@ -137,7 +133,7 @@ impl NetServer {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
-        let registry = CircuitRegistry::with_capacity_bytes(config.registry_capacity);
+        let registry = CircuitRegistry::with_capacity_bytes(REGISTRY_CAPACITY);
         let store = match &config.store_dir {
             None => None,
             Some(dir) => {
@@ -159,7 +155,7 @@ impl NetServer {
             draining: AtomicBool::new(false),
             jobs_submitted: AtomicU64::new(0),
             handlers: Mutex::new(Vec::new()),
-            config,
+            idle_timeout: config.limits.idle_timeout,
         });
 
         let accept_shared = Arc::clone(&shared);
@@ -302,6 +298,13 @@ fn error_response(code: ErrorCode, message: impl Into<String>) -> Response {
     }
 }
 
+fn unknown_key(key: u64) -> Response {
+    error_response(
+        ErrorCode::UnknownKey,
+        format!("no circuit registered under key {key:#018x}"),
+    )
+}
+
 fn session_error_response(e: &SessionError) -> Response {
     let code = match e {
         SessionError::ByteQuota { .. } => ErrorCode::ByteQuota,
@@ -354,10 +357,7 @@ fn registered(
 /// One connection's request → response loop.
 fn handle_connection(shared: &Arc<ServerShared>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    if stream
-        .set_read_timeout(Some(shared.config.read_poll))
-        .is_err()
-    {
+    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
     }
     let session = shared.sessions.open();
@@ -375,13 +375,13 @@ fn handle_connection(shared: &Arc<ServerShared>, mut stream: TcpStream) {
             );
             return;
         }
-        match wire::read_frame(&mut stream, shared.config.max_frame_payload) {
+        match wire::read_frame(&mut stream, wire::DEFAULT_MAX_PAYLOAD) {
             Ok(FrameEvent::Idle) => {
-                let in_flight = shared.sessions.in_flight(session);
-                if shared.draining.load(Ordering::SeqCst) && in_flight == 0 {
-                    return;
-                }
-                if in_flight == 0 && last_active.elapsed() >= shared.config.limits.idle_timeout {
+                // The one idle rule: close when draining or idle past the
+                // timeout, and never while a job is in flight.
+                let quiet = shared.draining.load(Ordering::SeqCst)
+                    || last_active.elapsed() >= shared.idle_timeout;
+                if quiet && shared.sessions.in_flight(session) == 0 {
                     return;
                 }
             }
@@ -391,7 +391,6 @@ fn handle_connection(shared: &Arc<ServerShared>, mut stream: TcpStream) {
                 payload,
             }) => {
                 last_active = Instant::now();
-                shared.sessions.touch(session);
                 let served = match Request::decode(frame_type, &payload) {
                     Ok(request) => {
                         handle_request(shared, session, &mut stream, request, payload.len() as u64)
@@ -484,13 +483,7 @@ fn handle_request(
                 } => (*key, *timeout_ms),
             };
             let Some(compiled) = shared.registry.get(key) else {
-                return send(
-                    stream,
-                    &error_response(
-                        ErrorCode::UnknownKey,
-                        format!("no circuit registered under key {key:#018x}"),
-                    ),
-                );
+                return send(stream, &unknown_key(key));
             };
             let n_pi = compiled.circuit().primary_inputs().len();
             if let WireJob::FaultSim { patterns, .. } | WireJob::Signatures { patterns, .. } = &job
@@ -543,21 +536,18 @@ fn handle_request(
             shared.jobs_submitted.fetch_add(1, Ordering::SeqCst);
             send(stream, &Response::Submitted { job: job_id })
         }
-        Request::JobProgress { job } => match shared.sessions.job(session, job) {
-            Ok(handle) => {
-                let p = handle.progress();
-                send(stream, &progress_frame(job, p, handle.is_finished()))
+        Request::JobProgress { job } | Request::CancelJob { job } => {
+            match shared.sessions.job(session, job) {
+                Ok(handle) => {
+                    if matches!(request, Request::CancelJob { .. }) {
+                        handle.cancel();
+                    }
+                    let p = handle.progress();
+                    send(stream, &progress_frame(job, p, handle.is_finished()))
+                }
+                Err(e) => send(stream, &session_error_response(&e)),
             }
-            Err(e) => send(stream, &session_error_response(&e)),
-        },
-        Request::CancelJob { job } => match shared.sessions.job(session, job) {
-            Ok(handle) => {
-                handle.cancel();
-                let p = handle.progress();
-                send(stream, &progress_frame(job, p, handle.is_finished()))
-            }
-            Err(e) => send(stream, &session_error_response(&e)),
-        },
+        }
         Request::AwaitJob { job } => match shared.sessions.job(session, job) {
             Ok(handle) => {
                 // Stream progress: one frame on entry, one per observed
@@ -569,7 +559,7 @@ fn handle_request(
                     // Delay injections stretch the cadence; an ioerr arm
                     // is ignored (polling is retried, not abandoned).
                     let _ = failpoint::hit("net.progress.poll");
-                    std::thread::sleep(shared.config.progress_poll);
+                    std::thread::sleep(PROGRESS_POLL);
                     let p = handle.progress();
                     if p != last {
                         last = p;
@@ -596,13 +586,7 @@ fn handle_request(
                     bytes: artifact.snapshot().encode(),
                 },
             ),
-            None => send(
-                stream,
-                &error_response(
-                    ErrorCode::UnknownKey,
-                    format!("no circuit registered under key {key:#018x}"),
-                ),
-            ),
+            None => send(stream, &unknown_key(key)),
         },
         Request::Stats => {
             let r = shared.registry.stats();

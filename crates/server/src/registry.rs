@@ -495,7 +495,8 @@ impl CircuitRegistry {
         }
         let artifact = Arc::new(compiled);
         *guard = Some(Arc::clone(&artifact));
-        drop(guard);
+        // Admit before releasing the slot: a racer that reads the
+        // artifact from the slot must find the key in `get` too.
         self.admit(key, bytes);
         Ok(artifact)
     }
@@ -560,7 +561,6 @@ impl CircuitRegistry {
             Some(existing) => Arc::clone(existing),
             None => {
                 *guard = Some(Arc::clone(&artifact));
-                drop(guard);
                 self.admit(key, bytes);
                 artifact
             }
@@ -569,17 +569,18 @@ impl CircuitRegistry {
 
     /// The finished artifact under `key`, if any. Touches the LRU clock
     /// but not the hit/miss counters, and never waits on an in-flight
-    /// compile.
+    /// compile: only an admitted key's slot is locked, and a finished
+    /// slot is only ever held briefly.
     #[must_use]
     pub fn get(&self, key: u64) -> Option<Arc<CompiledCircuit>> {
         let slot = {
             let inner = lock_clean(&self.inner);
+            if !inner.meta.contains_key(&key) {
+                return None;
+            }
             inner.slots.get(&key)?.clone()
         };
-        let artifact = {
-            let guard = slot.try_lock().ok()?;
-            guard.as_ref().map(Arc::clone)?
-        };
+        let artifact = lock_clean(&slot).as_ref().map(Arc::clone)?;
         self.touch(key);
         Some(artifact)
     }
@@ -673,6 +674,25 @@ mod tests {
         );
         assert_eq!(compiled.collapsed().class_of, collapsed.class_of);
         assert_eq!(compiled.graph().gate_count(), direct.gates().len());
+    }
+
+    #[test]
+    fn get_waits_out_a_brief_slot_hold_instead_of_missing() {
+        let registry = CircuitRegistry::new();
+        let key = registry.register_bench("c17", C17_BENCH).unwrap().key();
+        let slot = registry.slot(key);
+        let held = lock_clean(&slot);
+        std::thread::scope(|scope| {
+            let getter = scope.spawn(|| registry.get(key));
+            // Give the getter time to reach the held slot; if it has
+            // not, the test passes trivially rather than falsely failing.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            drop(held);
+            assert!(getter.join().unwrap().is_some(), "a finished key is found");
+        });
+        assert!(registry
+            .get(fnv1a(DOMAIN_BENCH, b"never registered"))
+            .is_none());
     }
 
     #[test]

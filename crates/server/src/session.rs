@@ -1,10 +1,8 @@
-//! Per-client sessions over the service: byte and job quotas, activity
-//! tracking, and idle reaping.
+//! Per-client sessions over the service: byte and job quotas.
 //!
 //! A **session** is the server-side state of one client connection: a
 //! numeric id, a cumulative byte account of everything the client has
-//! registered, the set of jobs it has in flight, and a last-activity
-//! stamp. Quotas come from one [`SessionLimits`] shared by every
+//! registered, and the set of jobs it has in flight. Quotas come from one [`SessionLimits`] shared by every
 //! session; breaching either quota is a typed [`SessionError`] the wire
 //! layer maps onto a backpressure frame — the request is refused, the
 //! session (and its connection) stays healthy.
@@ -15,15 +13,15 @@
 //!   checked *before* any compile work and charged only on success;
 //! * at most `max_inflight_jobs` unfinished jobs exist per session —
 //!   finished handles are pruned on every check, so slots recycle as
-//!   work completes;
-//! * [`SessionManager::reap`] removes only sessions that are both idle
-//!   past `idle_timeout` **and** have zero jobs in flight — reaping
-//!   never strands a running job.
+//!   work completes.
+//!
+//! Sessions are not reaped here: the connection handler closes an idle
+//! connection (and with it the session) only when no job is in flight.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::jobs::JobHandle;
 
@@ -34,8 +32,8 @@ pub struct SessionLimits {
     pub max_bytes: u64,
     /// Maximum unfinished jobs a session may hold at once.
     pub max_inflight_jobs: usize,
-    /// Idle time after which a session with no in-flight jobs is
-    /// reapable.
+    /// Idle time after which a connection with no in-flight jobs is
+    /// closed.
     pub idle_timeout: Duration,
 }
 
@@ -115,7 +113,6 @@ pub struct SessionView {
 struct SessionState {
     bytes_used: u64,
     jobs: HashMap<u64, JobHandle>,
-    last_activity: Instant,
 }
 
 impl SessionState {
@@ -168,7 +165,6 @@ impl SessionManager {
             SessionState {
                 bytes_used: 0,
                 jobs: HashMap::new(),
-                last_activity: Instant::now(),
             },
         );
         id
@@ -193,13 +189,6 @@ impl SessionManager {
         self.len() == 0
     }
 
-    /// Stamp activity on a session (any decoded request counts).
-    pub fn touch(&self, id: u64) {
-        if let Some(s) = self.table().get_mut(&id) {
-            s.last_activity = Instant::now();
-        }
-    }
-
     /// Check whether `requested` more bytes fit under the session's
     /// byte quota — called before compile work is spent on a register
     /// request.
@@ -211,6 +200,10 @@ impl SessionManager {
     pub fn check_bytes(&self, id: u64, requested: u64) -> Result<(), SessionError> {
         let table = self.table();
         let s = table.get(&id).ok_or(SessionError::UnknownSession { id })?;
+        self.fits(s, requested)
+    }
+
+    fn fits(&self, s: &SessionState, requested: u64) -> Result<(), SessionError> {
         if s.bytes_used.saturating_add(requested) > self.limits.max_bytes {
             return Err(SessionError::ByteQuota {
                 used: s.bytes_used,
@@ -234,13 +227,7 @@ impl SessionManager {
         let s = table
             .get_mut(&id)
             .ok_or(SessionError::UnknownSession { id })?;
-        if s.bytes_used.saturating_add(bytes) > self.limits.max_bytes {
-            return Err(SessionError::ByteQuota {
-                used: s.bytes_used,
-                requested: bytes,
-                quota: self.limits.max_bytes,
-            });
-        }
+        self.fits(s, bytes)?;
         s.bytes_used += bytes;
         Ok(())
     }
@@ -277,7 +264,6 @@ impl SessionManager {
         let s = table
             .get_mut(&id)
             .ok_or(SessionError::UnknownSession { id })?;
-        s.last_activity = Instant::now();
         s.jobs.insert(handle.id(), handle);
         Ok(())
     }
@@ -315,24 +301,6 @@ impl SessionManager {
             bytes_used: s.bytes_used,
             in_flight,
         })
-    }
-
-    /// Remove (and return the ids of) every session that is idle past
-    /// the configured `idle_timeout` **and** holds no unfinished job —
-    /// a session with work in flight is never reaped, however stale.
-    pub fn reap(&self) -> Vec<u64> {
-        let now = Instant::now();
-        let mut table = self.table();
-        let mut dead = Vec::new();
-        for (&id, s) in table.iter_mut() {
-            if now.duration_since(s.last_activity) >= self.limits.idle_timeout && s.prune() == 0 {
-                dead.push(id);
-            }
-        }
-        for id in &dead {
-            table.remove(id);
-        }
-        dead
     }
 }
 
@@ -413,56 +381,5 @@ mod tests {
         engine.shutdown(); // drains: both jobs reach terminal outcomes
         assert_eq!(m.in_flight(s), 0, "finished handles prune away");
         m.check_job_slot(s).expect("slots recycled");
-    }
-
-    #[test]
-    fn reaping_spares_sessions_with_inflight_jobs() {
-        let m = SessionManager::new(tiny_limits());
-        let idle = m.open();
-        let busy = m.open();
-        let engine = JobEngine::new(1);
-        // Queue several jobs behind one worker so the busy session still
-        // holds unfinished work when the 10 ms idle window expires.
-        let compiled = Arc::new(compile_circuit(
-            "mul3",
-            sinw_switch::generate::array_multiplier(3),
-        ));
-        let patterns = Arc::new(seeded_patterns(
-            compiled.circuit().primary_inputs().len(),
-            64,
-            2,
-        ));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                engine.submit(JobSpec::FaultSim {
-                    compiled: Arc::clone(&compiled),
-                    patterns: Arc::clone(&patterns),
-                    drop_detected: false,
-                    threads: 1,
-                })
-            })
-            .collect();
-        for h in &handles {
-            m.attach_job(busy, h.clone()).expect("attach");
-        }
-        std::thread::sleep(Duration::from_millis(15));
-        let dead = m.reap();
-        assert!(dead.contains(&idle), "idle session reaped");
-        let reaped_early = dead.contains(&busy);
-        if reaped_early {
-            // Only legal if every job had already finished.
-            for h in &handles {
-                assert!(h.is_finished(), "reaped a session with work in flight");
-            }
-        }
-        // Once the work drains and the session stays idle, it reaps too.
-        for h in &handles {
-            let _ = h.wait();
-        }
-        std::thread::sleep(Duration::from_millis(15));
-        if !reaped_early {
-            assert!(m.reap().contains(&busy), "drained idle session reaps");
-        }
-        engine.shutdown();
     }
 }

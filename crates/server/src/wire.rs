@@ -27,8 +27,8 @@ use sinw_atpg::faultsim::{FaultSimReport, SignatureMatrix};
 use sinw_atpg::tpg::AtpgReport;
 
 use crate::codec::{
-    encode_container, parse_header, put_indices, put_patterns, put_str, put_u16, put_u32, put_u64,
-    put_u64s, CodecError, Reader, HEADER_LEN,
+    encode_container, parse_header, put_count, put_str, put_u16, put_u32, put_u64, CodecError,
+    Reader, HEADER_LEN,
 };
 use crate::jobs::JobOutcome;
 
@@ -213,6 +213,242 @@ pub fn write_frame(w: &mut impl Write, frame_type: u16, payload: &[u8]) -> Resul
 }
 
 // ---------------------------------------------------------------------
+// Fields
+// ---------------------------------------------------------------------
+
+/// One wire field type: how it is written and how it is read back.
+/// `context` names the field in a [`CodecError::Malformed`].
+trait Field: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, CodecError>;
+}
+
+impl Field for u32 {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u32(out, *self);
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, CodecError> {
+        r.u32()
+    }
+}
+
+impl Field for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u64(out, *self);
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, CodecError> {
+        r.u64()
+    }
+}
+
+/// One byte, strictly `0` or `1`.
+impl Field for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, CodecError> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(CodecError::Malformed {
+                context,
+                detail: format!("bool byte must be 0 or 1, got {other}"),
+            }),
+        }
+    }
+}
+
+/// `u32` byte length, then the UTF-8 bytes.
+impl Field for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(out, self);
+    }
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, CodecError> {
+        r.str(context)
+    }
+}
+
+/// Raw bytes running to the end of the payload (a `.sinw` container).
+impl Field for Vec<u8> {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, CodecError> {
+        Ok(r.take(r.remaining())?.to_vec())
+    }
+}
+
+/// `u32` count, then one `u64` per value.
+fn put_u64s(out: &mut Vec<u8>, values: impl ExactSizeIterator<Item = u64>) {
+    put_count(out, values.len(), "u64 list");
+    for v in values {
+        put_u64(out, v);
+    }
+}
+
+fn get_u64s<T>(
+    r: &mut Reader<'_>,
+    context: &'static str,
+    from: impl Fn(u64) -> T,
+) -> Result<Vec<T>, CodecError> {
+    let n = r.count(context, 8)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(from(r.u64()?));
+    }
+    Ok(out)
+}
+
+impl Field for Vec<u64> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u64s(out, self.iter().copied());
+    }
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, CodecError> {
+        get_u64s(r, context, |v| v)
+    }
+}
+
+/// Indices travel as `u64`s.
+impl Field for Vec<usize> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u64s(out, self.iter().map(|&v| v as u64));
+    }
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, CodecError> {
+        get_u64s(r, context, |v| v as usize)
+    }
+}
+
+/// A uniform-width pattern set: `u32` count, `u32` width, then one byte
+/// per bit. Encoding panics if the rows are not all the same width
+/// (primary-input patterns always are, and `NetClient::submit` refuses
+/// ragged jobs before encoding). A non-empty set of zero-width rows is
+/// malformed: it would allocate a row per count while consuming no
+/// bytes.
+impl Field for Vec<Vec<bool>> {
+    fn put(&self, out: &mut Vec<u8>) {
+        let width = self.first().map_or(0, Vec::len);
+        put_count(out, self.len(), "pattern");
+        put_count(out, width, "pattern width");
+        for p in self {
+            assert_eq!(p.len(), width, "patterns must be uniform width");
+            out.extend(p.iter().map(|&bit| u8::from(bit)));
+        }
+    }
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, CodecError> {
+        let n = r.u32()? as usize;
+        let width = r.u32()? as usize;
+        if n > 0 && width == 0 {
+            return Err(CodecError::Malformed {
+                context,
+                detail: format!("{n} patterns of width 0"),
+            });
+        }
+        r.fits(context, n, width)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut row = Vec::with_capacity(width);
+            for _ in 0..width {
+                row.push(bool::get(r, context)?);
+            }
+            out.push(row);
+        }
+        Ok(out)
+    }
+}
+
+/// The `u16` on-wire code.
+impl Field for ErrorCode {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u16(out, self.code());
+    }
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, CodecError> {
+        let raw = r.u16()?;
+        ErrorCode::from_code(raw).ok_or_else(|| CodecError::Malformed {
+            context,
+            detail: format!("unknown error code {raw}"),
+        })
+    }
+}
+
+/// Nine `u64` counters, in declaration order.
+impl Field for WireStats {
+    fn put(&self, out: &mut Vec<u8>) {
+        let mut stats = *self;
+        for v in stats.counters() {
+            put_u64(out, *v);
+        }
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, CodecError> {
+        let mut stats = WireStats::default();
+        for v in stats.counters() {
+            *v = r.u64()?;
+        }
+        Ok(stats)
+    }
+}
+
+/// A message enum: a code naming the variant, then the variant's
+/// fields. Implemented by [`wire_fields!`].
+trait Message: Sized {
+    type Code;
+    fn code(&self) -> Self::Code;
+    fn put_fields(&self, out: &mut Vec<u8>);
+    /// `None` when `code` names no variant.
+    fn get_fields(code: Self::Code, r: &mut Reader<'_>) -> Result<Option<Self>, CodecError>;
+}
+
+/// A nested message ([`WireJob`], [`WireOutcome`]): a one-byte tag,
+/// then the variant's fields.
+impl<T: Message<Code = u8>> Field for T {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.code());
+        self.put_fields(out);
+    }
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, CodecError> {
+        let tag = r.u8()?;
+        T::get_fields(tag, r)?.ok_or_else(|| CodecError::Malformed {
+            context,
+            detail: format!("unknown {context} {tag}"),
+        })
+    }
+}
+
+/// One field list per message enum, in wire order:
+/// `code => Variant { field: binding "decode context", … }` (tuple
+/// variants name their field `0`). Implements [`Message`] from it, so
+/// the encoder and the decoder cannot disagree on the field order.
+macro_rules! wire_fields {
+    ($ty:ident: $code_ty:ty {
+        $($code:expr => $variant:ident { $($field:tt: $bind:ident $ctx:literal),* $(,)? }),* $(,)?
+    }) => {
+        impl Message for $ty {
+            type Code = $code_ty;
+
+            fn code(&self) -> $code_ty {
+                match self {
+                    $($ty::$variant { .. } => $code,)*
+                }
+            }
+
+            fn put_fields(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant { $($field: $bind),* } => {
+                        $(Field::put($bind, out);)*
+                    })*
+                }
+            }
+
+            fn get_fields(code: $code_ty, r: &mut Reader<'_>) -> Result<Option<Self>, CodecError> {
+                $(if code == $code {
+                    return Ok(Some($ty::$variant { $($field: Field::get(r, $ctx)?),* }));
+                })*
+                Ok(None)
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------
 
@@ -260,97 +496,26 @@ pub enum WireJob {
     },
 }
 
-const JOB_TAG_FAULTSIM: u8 = 1;
-const JOB_TAG_SIGNATURES: u8 = 2;
-const JOB_TAG_CAMPAIGN: u8 = 3;
-
-impl WireJob {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            WireJob::FaultSim {
-                key,
-                patterns,
-                drop_detected,
-                threads,
-                timeout_ms,
-            } => {
-                out.push(JOB_TAG_FAULTSIM);
-                put_u64(out, *key);
-                out.push(u8::from(*drop_detected));
-                put_u32(out, *threads);
-                put_u64(out, *timeout_ms);
-                put_patterns(out, patterns);
-            }
-            WireJob::Signatures {
-                key,
-                patterns,
-                threads,
-                timeout_ms,
-            } => {
-                out.push(JOB_TAG_SIGNATURES);
-                put_u64(out, *key);
-                put_u32(out, *threads);
-                put_u64(out, *timeout_ms);
-                put_patterns(out, patterns);
-            }
-            WireJob::Campaign {
-                key,
-                seed,
-                timeout_ms,
-            } => {
-                out.push(JOB_TAG_CAMPAIGN);
-                put_u64(out, *key);
-                put_u64(out, *seed);
-                put_u64(out, *timeout_ms);
-            }
-        }
-    }
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            JOB_TAG_FAULTSIM => {
-                let key = r.u64()?;
-                let drop_detected = r.bool("job drop_detected")?;
-                let threads = r.u32()?;
-                let timeout_ms = r.u64()?;
-                let patterns = r.patterns("job patterns")?;
-                Ok(WireJob::FaultSim {
-                    key,
-                    patterns,
-                    drop_detected,
-                    threads,
-                    timeout_ms,
-                })
-            }
-            JOB_TAG_SIGNATURES => {
-                let key = r.u64()?;
-                let threads = r.u32()?;
-                let timeout_ms = r.u64()?;
-                let patterns = r.patterns("job patterns")?;
-                Ok(WireJob::Signatures {
-                    key,
-                    patterns,
-                    threads,
-                    timeout_ms,
-                })
-            }
-            JOB_TAG_CAMPAIGN => {
-                let key = r.u64()?;
-                let seed = r.u64()?;
-                let timeout_ms = r.u64()?;
-                Ok(WireJob::Campaign {
-                    key,
-                    seed,
-                    timeout_ms,
-                })
-            }
-            other => Err(CodecError::Malformed {
-                context: "job tag",
-                detail: format!("unknown job tag {other}"),
-            }),
-        }
-    }
-}
+wire_fields!(WireJob: u8 {
+    1 => FaultSim {
+        key: key "job key",
+        drop_detected: drop_detected "job drop_detected",
+        threads: threads "job threads",
+        timeout_ms: timeout_ms "job timeout",
+        patterns: patterns "job patterns",
+    },
+    2 => Signatures {
+        key: key "job key",
+        threads: threads "job threads",
+        timeout_ms: timeout_ms "job timeout",
+        patterns: patterns "job patterns",
+    },
+    3 => Campaign {
+        key: key "job key",
+        seed: seed "campaign seed",
+        timeout_ms: timeout_ms "job timeout",
+    },
+});
 
 /// A client request, one frame each.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -394,44 +559,27 @@ pub enum Request {
     Stats,
 }
 
+wire_fields!(Request: u16 {
+    frame_type::REGISTER_BENCH => RegisterBench {
+        name: name "bench name",
+        source: source "bench source",
+    },
+    frame_type::REGISTER_SNAPSHOT => RegisterSnapshot { bytes: bytes "snapshot bytes" },
+    frame_type::SUBMIT_JOB => SubmitJob { 0: job "job tag" },
+    frame_type::JOB_PROGRESS => JobProgress { job: job "job id" },
+    frame_type::CANCEL_JOB => CancelJob { job: job "job id" },
+    frame_type::AWAIT_JOB => AwaitJob { job: job "job id" },
+    frame_type::FETCH_SNAPSHOT => FetchSnapshot { key: key "registry key" },
+    frame_type::STATS => Stats {},
+});
+
 impl Request {
     /// Encode into `(frame_type, payload)`, ready for [`write_frame`].
     #[must_use]
     pub fn encode(&self) -> (u16, Vec<u8>) {
         let mut out = Vec::new();
-        let ty = match self {
-            Request::RegisterBench { name, source } => {
-                put_str(&mut out, name);
-                put_str(&mut out, source);
-                frame_type::REGISTER_BENCH
-            }
-            Request::RegisterSnapshot { bytes } => {
-                out.extend_from_slice(bytes);
-                frame_type::REGISTER_SNAPSHOT
-            }
-            Request::SubmitJob(job) => {
-                job.encode_into(&mut out);
-                frame_type::SUBMIT_JOB
-            }
-            Request::JobProgress { job } => {
-                put_u64(&mut out, *job);
-                frame_type::JOB_PROGRESS
-            }
-            Request::CancelJob { job } => {
-                put_u64(&mut out, *job);
-                frame_type::CANCEL_JOB
-            }
-            Request::AwaitJob { job } => {
-                put_u64(&mut out, *job);
-                frame_type::AWAIT_JOB
-            }
-            Request::FetchSnapshot { key } => {
-                put_u64(&mut out, *key);
-                frame_type::FETCH_SNAPSHOT
-            }
-            Request::Stats => frame_type::STATS,
-        };
-        (ty, out)
+        self.put_fields(&mut out);
+        (self.code(), out)
     }
 
     /// Decode a request payload. Total: every malformed payload is a
@@ -443,20 +591,8 @@ impl Request {
     /// otherwise the typed decode failure.
     pub fn decode(ty: u16, payload: &[u8]) -> Result<Self, CodecError> {
         let mut r = Reader::new(payload);
-        let req = match ty {
-            frame_type::REGISTER_BENCH => Request::RegisterBench {
-                name: r.str("bench name")?,
-                source: r.str("bench source")?,
-            },
-            frame_type::REGISTER_SNAPSHOT => Request::RegisterSnapshot { bytes: r.rest() },
-            frame_type::SUBMIT_JOB => Request::SubmitJob(WireJob::decode_from(&mut r)?),
-            frame_type::JOB_PROGRESS => Request::JobProgress { job: r.u64()? },
-            frame_type::CANCEL_JOB => Request::CancelJob { job: r.u64()? },
-            frame_type::AWAIT_JOB => Request::AwaitJob { job: r.u64()? },
-            frame_type::FETCH_SNAPSHOT => Request::FetchSnapshot { key: r.u64()? },
-            frame_type::STATS => Request::Stats,
-            other => return Err(CodecError::UnknownFrameType { found: other }),
-        };
+        let req =
+            Self::get_fields(ty, &mut r)?.ok_or(CodecError::UnknownFrameType { found: ty })?;
         r.finish()?;
         Ok(req)
     }
@@ -587,12 +723,31 @@ pub enum WireOutcome {
     },
 }
 
-const OUTCOME_TAG_FAULTSIM: u8 = 1;
-const OUTCOME_TAG_SIGNATURES: u8 = 2;
-const OUTCOME_TAG_CAMPAIGN: u8 = 3;
-const OUTCOME_TAG_CANCELLED: u8 = 4;
-const OUTCOME_TAG_TIMED_OUT: u8 = 5;
-const OUTCOME_TAG_FAILED: u8 = 6;
+wire_fields!(WireOutcome: u8 {
+    1 => FaultSim {
+        detected: detected "detected faults",
+        undetected: undetected "undetected faults",
+        first_detections: first_detections "first detections",
+    },
+    2 => Signatures {
+        faults: faults "signature faults",
+        patterns: patterns "signature patterns",
+        outputs: outputs "signature outputs",
+        bits: bits "signature words",
+    },
+    3 => Campaign {
+        total_faults: total_faults "campaign total_faults",
+        detected_random: detected_random "campaign detected_random",
+        detected_deterministic: detected_deterministic "campaign detected_deterministic",
+        untestable: untestable "campaign untestable",
+        aborted: aborted "campaign aborted",
+        podem_calls: podem_calls "campaign podem_calls",
+        patterns: patterns "campaign patterns",
+    },
+    4 => Cancelled {},
+    5 => TimedOut {},
+    6 => Failed { reason: reason "failure reason" },
+});
 
 impl WireOutcome {
     /// Project an engine [`JobOutcome`] onto its wire form — the
@@ -605,9 +760,6 @@ impl WireOutcome {
             JobOutcome::FaultSim(report) => Self::from_fault_sim(report),
             JobOutcome::Signatures(matrix) => Self::from_signatures(matrix),
             JobOutcome::Campaign(report) => Self::from_campaign(report),
-            JobOutcome::Diagnosis(_) => WireOutcome::Failed {
-                reason: String::from("diagnosis jobs are not served over the wire"),
-            },
             JobOutcome::Cancelled => WireOutcome::Cancelled,
             JobOutcome::TimedOut => WireOutcome::TimedOut,
             JobOutcome::Failed { reason } => WireOutcome::Failed {
@@ -649,91 +801,6 @@ impl WireOutcome {
             podem_calls: report.podem_calls as u64,
         }
     }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            WireOutcome::FaultSim {
-                detected,
-                undetected,
-                first_detections,
-            } => {
-                out.push(OUTCOME_TAG_FAULTSIM);
-                put_indices(out, detected, "detected fault");
-                put_indices(out, undetected, "undetected fault");
-                put_indices(out, first_detections, "first detection");
-            }
-            WireOutcome::Signatures {
-                faults,
-                patterns,
-                outputs,
-                bits,
-            } => {
-                out.push(OUTCOME_TAG_SIGNATURES);
-                put_u64(out, *faults);
-                put_u64(out, *patterns);
-                put_u64(out, *outputs);
-                put_u64s(out, bits, "signature word");
-            }
-            WireOutcome::Campaign {
-                patterns,
-                total_faults,
-                detected_random,
-                detected_deterministic,
-                untestable,
-                aborted,
-                podem_calls,
-            } => {
-                out.push(OUTCOME_TAG_CAMPAIGN);
-                put_u64(out, *total_faults);
-                put_u64(out, *detected_random);
-                put_u64(out, *detected_deterministic);
-                put_u64(out, *untestable);
-                put_u64(out, *aborted);
-                put_u64(out, *podem_calls);
-                put_patterns(out, patterns);
-            }
-            WireOutcome::Cancelled => out.push(OUTCOME_TAG_CANCELLED),
-            WireOutcome::TimedOut => out.push(OUTCOME_TAG_TIMED_OUT),
-            WireOutcome::Failed { reason } => {
-                out.push(OUTCOME_TAG_FAILED);
-                put_str(out, reason);
-            }
-        }
-    }
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            OUTCOME_TAG_FAULTSIM => Ok(WireOutcome::FaultSim {
-                detected: r.indices("detected faults")?,
-                undetected: r.indices("undetected faults")?,
-                first_detections: r.indices("first detections")?,
-            }),
-            OUTCOME_TAG_SIGNATURES => Ok(WireOutcome::Signatures {
-                faults: r.u64()?,
-                patterns: r.u64()?,
-                outputs: r.u64()?,
-                bits: r.u64s("signature words")?,
-            }),
-            OUTCOME_TAG_CAMPAIGN => Ok(WireOutcome::Campaign {
-                total_faults: r.u64()?,
-                detected_random: r.u64()?,
-                detected_deterministic: r.u64()?,
-                untestable: r.u64()?,
-                aborted: r.u64()?,
-                podem_calls: r.u64()?,
-                patterns: r.patterns("campaign patterns")?,
-            }),
-            OUTCOME_TAG_CANCELLED => Ok(WireOutcome::Cancelled),
-            OUTCOME_TAG_TIMED_OUT => Ok(WireOutcome::TimedOut),
-            OUTCOME_TAG_FAILED => Ok(WireOutcome::Failed {
-                reason: r.str("failure reason")?,
-            }),
-            other => Err(CodecError::Malformed {
-                context: "outcome tag",
-                detail: format!("unknown outcome tag {other}"),
-            }),
-        }
-    }
 }
 
 /// Server counters shipped by [`Response::StatsReport`].
@@ -757,6 +824,23 @@ pub struct WireStats {
     pub bytes: u64,
     /// Registry byte capacity.
     pub capacity: u64,
+}
+
+impl WireStats {
+    /// The counters in wire order.
+    fn counters(&mut self) -> [&mut u64; 9] {
+        [
+            &mut self.sessions,
+            &mut self.jobs_submitted,
+            &mut self.hits,
+            &mut self.misses,
+            &mut self.compiles,
+            &mut self.evictions,
+            &mut self.entries,
+            &mut self.bytes,
+            &mut self.capacity,
+        ]
+    }
 }
 
 /// A server response, one frame each (an `AwaitJob` elicits a stream of
@@ -810,61 +894,37 @@ pub enum Response {
     },
 }
 
+wire_fields!(Response: u16 {
+    frame_type::REGISTERED => Registered {
+        key: key "registry key",
+        approx_bytes: approx_bytes "approx bytes",
+    },
+    frame_type::SUBMITTED => Submitted { job: job "job id" },
+    frame_type::PROGRESS => Progress {
+        job: job "job id",
+        done: done "progress done",
+        total: total "progress total",
+        finished: finished "progress finished",
+    },
+    frame_type::OUTCOME => Outcome {
+        job: job "job id",
+        outcome: outcome "outcome tag",
+    },
+    frame_type::SNAPSHOT_BYTES => SnapshotBytes { bytes: bytes "snapshot bytes" },
+    frame_type::STATS_REPORT => StatsReport { 0: stats "stats" },
+    frame_type::ERROR => Error {
+        code: code "error code",
+        message: message "error message",
+    },
+});
+
 impl Response {
     /// Encode into `(frame_type, payload)`, ready for [`write_frame`].
     #[must_use]
     pub fn encode(&self) -> (u16, Vec<u8>) {
         let mut out = Vec::new();
-        let ty = match self {
-            Response::Registered { key, approx_bytes } => {
-                put_u64(&mut out, *key);
-                put_u64(&mut out, *approx_bytes);
-                frame_type::REGISTERED
-            }
-            Response::Submitted { job } => {
-                put_u64(&mut out, *job);
-                frame_type::SUBMITTED
-            }
-            Response::Progress {
-                job,
-                done,
-                total,
-                finished,
-            } => {
-                put_u64(&mut out, *job);
-                put_u64(&mut out, *done);
-                put_u64(&mut out, *total);
-                out.push(u8::from(*finished));
-                frame_type::PROGRESS
-            }
-            Response::Outcome { job, outcome } => {
-                put_u64(&mut out, *job);
-                outcome.encode_into(&mut out);
-                frame_type::OUTCOME
-            }
-            Response::SnapshotBytes { bytes } => {
-                out.extend_from_slice(bytes);
-                frame_type::SNAPSHOT_BYTES
-            }
-            Response::StatsReport(stats) => {
-                put_u64(&mut out, stats.sessions);
-                put_u64(&mut out, stats.jobs_submitted);
-                put_u64(&mut out, stats.hits);
-                put_u64(&mut out, stats.misses);
-                put_u64(&mut out, stats.compiles);
-                put_u64(&mut out, stats.evictions);
-                put_u64(&mut out, stats.entries);
-                put_u64(&mut out, stats.bytes);
-                put_u64(&mut out, stats.capacity);
-                frame_type::STATS_REPORT
-            }
-            Response::Error { code, message } => {
-                put_u16(&mut out, code.code());
-                put_str(&mut out, message);
-                frame_type::ERROR
-            }
-        };
-        (ty, out)
+        self.put_fields(&mut out);
+        (self.code(), out)
     }
 
     /// Decode a response payload. Total, full-consumption, typed — the
@@ -876,47 +936,8 @@ impl Response {
     /// code; otherwise the typed decode failure.
     pub fn decode(ty: u16, payload: &[u8]) -> Result<Self, CodecError> {
         let mut r = Reader::new(payload);
-        let resp = match ty {
-            frame_type::REGISTERED => Response::Registered {
-                key: r.u64()?,
-                approx_bytes: r.u64()?,
-            },
-            frame_type::SUBMITTED => Response::Submitted { job: r.u64()? },
-            frame_type::PROGRESS => Response::Progress {
-                job: r.u64()?,
-                done: r.u64()?,
-                total: r.u64()?,
-                finished: r.bool("progress finished")?,
-            },
-            frame_type::OUTCOME => Response::Outcome {
-                job: r.u64()?,
-                outcome: WireOutcome::decode_from(&mut r)?,
-            },
-            frame_type::SNAPSHOT_BYTES => Response::SnapshotBytes { bytes: r.rest() },
-            frame_type::STATS_REPORT => Response::StatsReport(WireStats {
-                sessions: r.u64()?,
-                jobs_submitted: r.u64()?,
-                hits: r.u64()?,
-                misses: r.u64()?,
-                compiles: r.u64()?,
-                evictions: r.u64()?,
-                entries: r.u64()?,
-                bytes: r.u64()?,
-                capacity: r.u64()?,
-            }),
-            frame_type::ERROR => {
-                let raw = r.u16()?;
-                let code = ErrorCode::from_code(raw).ok_or_else(|| CodecError::Malformed {
-                    context: "error code",
-                    detail: format!("unknown error code {raw}"),
-                })?;
-                Response::Error {
-                    code,
-                    message: r.str("error message")?,
-                }
-            }
-            other => return Err(CodecError::UnknownFrameType { found: other }),
-        };
+        let resp =
+            Self::get_fields(ty, &mut r)?.ok_or(CodecError::UnknownFrameType { found: ty })?;
         r.finish()?;
         Ok(resp)
     }

@@ -1,5 +1,5 @@
-//! Chaos soak: the full service loop — register → snapshot → jobs →
-//! diagnose — under seeded fault-injection matrices.
+//! Chaos soak: the full service loop — register → snapshot → jobs —
+//! under seeded fault-injection matrices.
 //!
 //! Invariants proved per seed:
 //!
@@ -22,7 +22,6 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
-use sinw_atpg::diagnose::FaultDictionary;
 use sinw_atpg::faultsim::{capture_signatures, seeded_patterns};
 use sinw_atpg::simulate_faults;
 use sinw_server::failpoint::{self, FailAction, FailConfig};
@@ -55,14 +54,13 @@ fn seeds() -> Vec<u64> {
         .collect()
 }
 
-/// Fault-free references for one circuit: the serial fault-sim report,
-/// the signature matrix, and a dictionary diagnosis of a known fault.
+/// Fault-free references for one circuit: the serial fault-sim report
+/// and the signature matrix.
 struct Reference {
     compiled: Arc<CompiledCircuit>,
     patterns: Arc<Vec<Vec<bool>>>,
     fault_sim: sinw_atpg::faultsim::FaultSimReport,
     signatures: sinw_atpg::faultsim::SignatureMatrix,
-    dictionary: Arc<FaultDictionary>,
 }
 
 fn references(seed: u64) -> Vec<Reference> {
@@ -91,13 +89,11 @@ fn references(seed: u64) -> Vec<Reference> {
                 &compiled.collapsed().representatives,
                 &patterns,
             );
-            let dictionary = Arc::new(FaultDictionary::from_signatures(&signatures));
             Reference {
                 compiled,
                 patterns,
                 fault_sim,
                 signatures,
-                dictionary,
             }
         })
         .collect()
@@ -115,7 +111,6 @@ fn arm_matrix(seed: u64) {
     io("jobs.faultsim.chunk", 0.20, 1);
     io("jobs.signatures.chunk", 0.20, 2);
     io("jobs.campaign.run", 0.10, 3);
-    io("jobs.diagnosis.run", 0.10, 4);
     io("registry.compile", 0.25, 5);
     io("snapshot.write.fsync", 0.20, 6);
     io("snapshot.write.rename", 0.20, 7);
@@ -173,7 +168,7 @@ fn full_service_loop_survives_seeded_fault_matrices() {
             retry_backoff: Duration::from_millis(1),
         };
         let mut submitted = Vec::new();
-        for round in 0..3 {
+        for _ in 0..3 {
             for (i, r) in refs.iter().enumerate() {
                 submitted.push((
                     i,
@@ -200,19 +195,6 @@ fn full_service_loop_survives_seeded_fault_matrices() {
                         policy,
                     ),
                 ));
-                if round == 0 {
-                    submitted.push((
-                        i,
-                        "diagnosis",
-                        engine.submit_with(
-                            JobSpec::Diagnosis {
-                                dictionary: Arc::clone(&r.dictionary),
-                                observations: vec![(0, 0)],
-                            },
-                            policy,
-                        ),
-                    ));
-                }
             }
         }
 
@@ -233,11 +215,6 @@ fn full_service_loop_survives_seeded_fault_matrices() {
                 }
                 JobOutcome::Signatures(matrix) => {
                     assert_eq!(matrix, refs[*i].signatures, "seed {seed}: corrupt survivor");
-                    successes += 1;
-                }
-                JobOutcome::Diagnosis(report) => {
-                    let reference = refs[*i].dictionary.diagnose(&[(0, 0)]);
-                    assert_eq!(report.candidates, reference.candidates);
                     successes += 1;
                 }
                 JobOutcome::Campaign(_) => unreachable!("no campaign submitted in the storm"),
@@ -386,8 +363,10 @@ fn wire_loop_survives_seeded_fault_matrices() {
             })
             .collect();
 
-        let mut config = NetConfig::default();
-        config.store_dir = Some(dir.clone());
+        let config = NetConfig {
+            store_dir: Some(dir.clone()),
+            ..NetConfig::default()
+        };
         let server = NetServer::bind("127.0.0.1:0", config).expect("bind");
         let addr = server.local_addr();
 

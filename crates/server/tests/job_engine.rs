@@ -6,7 +6,6 @@
 
 use std::sync::Arc;
 
-use sinw_atpg::diagnose::{full_pass_observations, FaultDictionary};
 use sinw_atpg::faultsim::{capture_signatures, seeded_patterns, simulate_faults};
 use sinw_atpg::tpg::{AtpgConfig, AtpgEngine};
 use sinw_server::jobs::{JobEngine, JobOutcome, JobSpec};
@@ -76,33 +75,19 @@ fn concurrent_jobs_are_bit_identical_to_serial_calls() {
 }
 
 #[test]
-fn campaign_and_diagnosis_jobs_match_direct_calls() {
+fn campaign_jobs_match_direct_calls() {
     let compiled = Arc::new(compile_circuit("csel", carry_select_adder(8, 4)));
     let config = AtpgConfig {
-        seed: 0x7E57_5E7,
+        seed: 0x07E5_75E7,
         ..AtpgConfig::default()
     };
-    let direct = AtpgEngine::new(compiled.circuit(), config.clone())
-        .run(&compiled.collapsed().representatives);
-
-    let patterns = seeded_patterns(compiled.circuit().primary_inputs().len(), 32, 0xD1A6);
-    let dictionary = Arc::new(FaultDictionary::build(
-        compiled.circuit(),
-        compiled.faults(),
-        &patterns,
-    ));
-    let injected = compiled.collapsed().representatives[3];
-    let observations = full_pass_observations(compiled.circuit(), injected, &patterns);
-    let direct_diag = dictionary.diagnose(&observations);
+    let direct =
+        AtpgEngine::new(compiled.circuit(), config).run(&compiled.collapsed().representatives);
 
     let engine = JobEngine::new(2);
     let campaign = engine.submit(JobSpec::Campaign {
         compiled: Arc::clone(&compiled),
         config,
-    });
-    let diagnosis = engine.submit(JobSpec::Diagnosis {
-        dictionary,
-        observations,
     });
 
     match campaign.wait() {
@@ -112,18 +97,6 @@ fn campaign_and_diagnosis_jobs_match_direct_calls() {
             assert_eq!(report.podem_calls, direct.podem_calls);
         }
         other => panic!("campaign job: unexpected outcome {other:?}"),
-    }
-    match diagnosis.wait() {
-        JobOutcome::Diagnosis(report) => {
-            let (a, b) = (
-                report.best().expect("candidates"),
-                direct_diag.best().expect("candidates"),
-            );
-            assert_eq!(a.class, b.class);
-            assert_eq!(a.distance, b.distance);
-            assert_eq!(report.candidates.len(), direct_diag.candidates.len());
-        }
-        other => panic!("diagnosis job: unexpected outcome {other:?}"),
     }
     engine.shutdown();
 }

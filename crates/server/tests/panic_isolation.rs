@@ -9,10 +9,9 @@
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
-use sinw_atpg::faultsim::{capture_signatures, seeded_patterns};
+use sinw_atpg::faultsim::seeded_patterns;
 use sinw_atpg::simulate_faults;
 use sinw_atpg::tpg::AtpgConfig;
-use sinw_atpg::FaultDictionary;
 use sinw_server::failpoint::{self, FailAction, FailConfig};
 use sinw_server::jobs::{JobEngine, JobOutcome, JobPolicy, JobSpec};
 use sinw_server::registry::{compile_circuit, CompiledCircuit};
@@ -119,23 +118,6 @@ fn campaign_panic_is_isolated() {
         JobSpec::Campaign {
             compiled,
             config: AtpgConfig::default(),
-        },
-    );
-}
-
-#[test]
-fn diagnosis_panic_is_isolated() {
-    let (compiled, patterns) = fixture();
-    let dictionary = Arc::new(FaultDictionary::from_signatures(&capture_signatures(
-        compiled.circuit(),
-        &compiled.collapsed().representatives,
-        &patterns,
-    )));
-    panic_then_recover(
-        "jobs.diagnosis.run",
-        JobSpec::Diagnosis {
-            dictionary,
-            observations: vec![(0, 0)],
         },
     );
 }

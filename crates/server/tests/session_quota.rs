@@ -1,21 +1,26 @@
 //! Property tests of the session layer's quota discipline: random
 //! register/submit sequences against random limits must (a) never push
 //! a session past either quota, (b) refuse breaches with the exact
-//! typed [`SessionError`], (c) drive every admitted job to a terminal
-//! outcome, and (d) never reap a session that still has work in flight.
+//! typed [`SessionError`], and (c) drive every admitted job to a
+//! terminal outcome. Plus the idle rule, tested where it runs — in the
+//! connection handler: an idle connection closes only once no job is in
+//! flight.
 
 use proptest::prelude::*;
-use sinw_atpg::faultsim::seeded_patterns;
+use sinw_atpg::faultsim::{seeded_patterns, simulate_faults, JOB_CHUNK};
 use sinw_server::failpoint::{self, FailAction, FailConfig};
 use sinw_server::jobs::{JobEngine, JobHandle, JobOutcome, JobSpec};
+use sinw_server::net::{NetClient, NetConfig, NetServer};
 use sinw_server::registry::{compile_circuit, CompiledCircuit};
 use sinw_server::session::{SessionError, SessionLimits, SessionManager};
+use sinw_server::wire::{WireJob, WireOutcome};
 use sinw_switch::generate::array_multiplier;
+use sinw_switch::iscas::{parse_bench, CSA16_BENCH};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Fail-point state is process-global; the delay-armed property below
-/// serializes against anything else in this binary.
+/// Fail-point state is process-global; the delay-armed tests below
+/// serialize against anything else in this binary.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -30,13 +35,12 @@ fn fixture() -> Arc<CompiledCircuit> {
 
 /// One step of a random client. `Register` carries a payload size;
 /// `Submit` queues one fault-sim job; `Drain` waits the session's work
-/// dry; `Reap` runs the reaper against a zero idle timeout.
+/// dry.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Register(u64),
     Submit,
     Drain,
-    Reap,
 }
 
 /// The vendored proptest has no `prop_map`, so ops arrive as raw
@@ -46,8 +50,7 @@ fn decode_op(raw: u64) -> Op {
     match raw % 7 {
         0 | 1 => Op::Register(raw / 7),
         2..=4 => Op::Submit,
-        5 => Op::Drain,
-        _ => Op::Reap,
+        _ => Op::Drain,
     }
 }
 
@@ -55,19 +58,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random op sequences against random limits. Shadow accounting
-    /// cross-checks the manager at every step; the zero idle timeout
-    /// makes every session instantly reapable so `Reap` steps probe
-    /// the in-flight guard as hard as possible.
+    /// cross-checks the manager at every step.
     #[test]
-    fn quotas_hold_and_reaping_spares_inflight_work(
+    fn quotas_hold_and_every_admitted_job_finishes(
         raw_ops in proptest::collection::vec(0u64..10_500, 1..28),
         max_bytes in 1u64..4096,
         max_inflight in 1usize..4,
     ) {
         let _serial = serial();
         failpoint::clear();
-        // Stretch each job past the reap/submit churn so the in-flight
-        // guard actually has unfinished work to spare.
+        // Stretch each job past the submit churn so the job quota
+        // actually fills with unfinished work.
         let _slow = failpoint::scoped(
             "jobs.faultsim.chunk",
             FailConfig::always(FailAction::Delay(Duration::from_millis(2))),
@@ -76,7 +77,7 @@ proptest! {
         let limits = SessionLimits {
             max_bytes,
             max_inflight_jobs: max_inflight,
-            idle_timeout: Duration::ZERO,
+            ..SessionLimits::default()
         };
         let manager = SessionManager::new(limits);
         let engine = JobEngine::new(1);
@@ -87,7 +88,7 @@ proptest! {
             0xC0FFEE,
         ));
 
-        let mut session = manager.open();
+        let session = manager.open();
         let mut shadow_bytes = 0u64;
         let mut handles: Vec<JobHandle> = Vec::new();
 
@@ -136,23 +137,6 @@ proptest! {
                         let _ = h.wait();
                     }
                 }
-                Op::Reap => {
-                    let dead = manager.reap();
-                    if dead.contains(&session) {
-                        // Legal only if nothing was in flight at reap
-                        // time: finished-ness is monotone, so every
-                        // attached handle must be finished now.
-                        for h in &handles {
-                            prop_assert!(h.is_finished(),
-                                "reaped a session holding unfinished work");
-                        }
-                        // The client reconnects: fresh session, fresh
-                        // accounts.
-                        session = manager.open();
-                        shadow_bytes = 0;
-                        handles.clear();
-                    }
-                }
             }
 
             // Global invariants, every step.
@@ -195,4 +179,68 @@ proptest! {
         prop_assert_eq!(manager.view(s).expect("open").bytes_used, max_bytes,
             "a refused request must not touch the account");
     }
+}
+
+/// The idle rule lives in the connection handler: a client may stay
+/// silent past `idle_timeout` while its job runs and still await the
+/// outcome on the same connection; once the job is done and the
+/// connection stays idle, the server closes it.
+#[test]
+fn an_idle_connection_outlives_its_running_job_then_closes() {
+    let _serial = serial();
+    failpoint::clear();
+    let idle_timeout = Duration::from_millis(50);
+    let chunk_delay = Duration::from_millis(40);
+
+    let compiled = compile_circuit("csa16", parse_bench(CSA16_BENCH).expect("fixture parses"));
+    let faults = &compiled.collapsed().representatives;
+    let chunks = faults.len().div_ceil(JOB_CHUNK);
+    assert!(chunks >= 8, "the job must span many chunks, got {chunks}");
+    let patterns = seeded_patterns(compiled.circuit().primary_inputs().len(), 32, 0x1D1E);
+    let reference = WireOutcome::from_fault_sim(&simulate_faults(
+        compiled.circuit(),
+        faults,
+        &patterns,
+        false,
+    ));
+
+    let mut config = NetConfig::default();
+    config.limits.idle_timeout = idle_timeout;
+    let server = NetServer::bind("127.0.0.1:0", config).expect("bind");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let (key, _) = client
+        .register_bench("csa16", CSA16_BENCH)
+        .expect("register");
+
+    // Every chunk sleeps, so one thread runs the job for at least
+    // `chunks * chunk_delay` (>= 320 ms) — far past the idle timeout.
+    let _slow = failpoint::scoped(
+        "jobs.faultsim.chunk",
+        FailConfig::always(FailAction::Delay(chunk_delay)),
+    );
+    let submitted = Instant::now();
+    let job = client
+        .submit(WireJob::FaultSim {
+            key,
+            patterns,
+            drop_detected: false,
+            threads: 1,
+            timeout_ms: 0,
+        })
+        .expect("submit");
+    std::thread::sleep(3 * idle_timeout);
+    assert!(
+        submitted.elapsed() < chunk_delay * chunks as u32,
+        "the silence must end while the job is still running"
+    );
+    let outcome = client
+        .await_job(job, |_, _| {})
+        .expect("await after silence");
+    assert_eq!(outcome, reference, "the awaited outcome is bit-identical");
+
+    // The job is finished and the client goes quiet: the handler's next
+    // idle tick closes the connection.
+    assert_eq!(client.drain_until_closed().expect("server closes"), 0);
+    drop(client);
+    server.shutdown();
 }

@@ -4,10 +4,11 @@
 //! by a scratch snapshot store, then drives the whole protocol from a
 //! [`NetClient`](sinw::server::net::NetClient): registers each demo
 //! circuit cold and warm (the server's compile counter proves the hit
-//! path), round-trips a compiled artifact through `FetchSnapshot`,
-//! streams a fault-sim job's progress frames, and checks the served
-//! result bit-identical against a direct in-process serial call before
-//! draining the server.
+//! path), round-trips a compiled artifact through `FetchSnapshot` and
+//! restores it to the same key and collapsed universe as a direct
+//! compile, streams a fault-sim job's progress frames, and checks the
+//! served result bit-identical against a direct in-process serial call
+//! before draining the server.
 //!
 //! ```text
 //! cargo run --release --example serve_tcp             # csa16 + mul8
@@ -20,7 +21,7 @@ use std::sync::Arc;
 use sinw::atpg::faultsim::seeded_patterns;
 use sinw::atpg::simulate_faults;
 use sinw::server::net::{NetClient, NetConfig, NetServer};
-use sinw::server::registry::compile_circuit;
+use sinw::server::registry::{compile_circuit, CompiledCircuit};
 use sinw::server::snapshot::Snapshot;
 use sinw::server::wire::{WireJob, WireOutcome};
 use sinw::switch::generate::array_multiplier;
@@ -70,19 +71,27 @@ fn main() {
         );
 
         // The registered artifact round-trips through FetchSnapshot as
-        // the same versioned `.sinw` bytes the store persists.
+        // the same versioned `.sinw` bytes the store persists, and the
+        // restored artifact is the one a direct compile produces.
+        let circuit = parse_bench(source).expect("demo source parses");
+        let compiled = Arc::new(compile_circuit(name, circuit));
         let bytes = client.fetch_snapshot(key).expect("fetch snapshot");
         let snapshot = Snapshot::decode(&bytes).expect("served snapshot decodes");
         assert_eq!(
             &snapshot.name, name,
             "snapshot names the registered circuit"
         );
+        let restored = CompiledCircuit::from_snapshot(snapshot);
+        assert_eq!(restored.key(), compiled.key(), "restore keeps the key");
+        assert_eq!(
+            restored.collapsed().representatives,
+            compiled.collapsed().representatives,
+            "restore keeps the collapsed universe"
+        );
         println!("{name:>6}: snapshot round-trip {} bytes", bytes.len());
 
         // Stream a fault-sim job and check it bit-identical against a
         // direct serial call on the same compiled circuit.
-        let circuit = parse_bench(source).expect("demo source parses");
-        let compiled = Arc::new(compile_circuit(name, circuit));
         let patterns = seeded_patterns(compiled.circuit().primary_inputs().len(), 64, 0xD47E);
         let reference = WireOutcome::from_fault_sim(&simulate_faults(
             compiled.circuit(),
