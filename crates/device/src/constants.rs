@@ -18,10 +18,10 @@ pub const H_PLANCK: f64 = 6.626_070_15e-34;
 pub const HBAR: f64 = 1.054_571_817e-34;
 
 /// Free-electron rest mass in kilograms.
-pub const M0: f64 = 9.109_383_7015e-31;
+pub const M0: f64 = 9.109_383_701_5e-31;
 
 /// Vacuum permittivity in farads per meter.
-pub const EPS0: f64 = 8.854_187_8128e-12;
+pub const EPS0: f64 = 8.854_187_812_8e-12;
 
 /// Relative permittivity of silicon.
 pub const EPS_SI: f64 = 11.7;

@@ -105,13 +105,12 @@ impl CouplingProfile {
 /// Result of a screened-Poisson solve: the conduction-band edge along the
 /// axis **including** the two contact boundary points.
 ///
-/// Besides the electrostatic profile, the struct carries two transport-level
-/// defect annotations used by [`crate::transport`]:
-///
-/// * `bypass` — samples covered by the metallic plug of a gate-oxide short;
-///   carriers traverse them without accumulating WKB action.
-/// * `blockage_action` — extra energy-independent WKB action from a
-///   (possibly partial) nanowire break in series with the channel.
+/// Besides the electrostatic profile, the struct carries one transport-level
+/// defect annotation used by [`crate::transport`]: `blockage_action`, the
+/// extra energy-independent WKB action of a (possibly partial) nanowire
+/// break in series with the channel. A gate-oxide short needs none: its
+/// plug acts through the electrostatics, pinning the channel under it to
+/// the gate potential (see [`crate::model::TigFet::band_profile`]).
 #[derive(Debug, Clone)]
 pub struct BandProfile {
     /// Grid spacing in meters.
@@ -119,8 +118,6 @@ pub struct BandProfile {
     /// `E_c(x)` in eV relative to the source Fermi level; index 0 is the
     /// source contact, the last index is the drain contact.
     pub e_c: Vec<f64>,
-    /// Samples shunted by a conductive GOS plug (empty when defect-free).
-    pub bypass: Vec<bool>,
     /// Additional series WKB action (dimensionless, ≥ 0) modeling a
     /// nanowire break; transmission is multiplied by `exp(-2·action)`.
     pub blockage_action: f64,
@@ -200,7 +197,6 @@ pub fn solve(
     BandProfile {
         dx: geometry.dx,
         e_c,
-        bypass: Vec::new(),
         blockage_action: 0.0,
     }
 }

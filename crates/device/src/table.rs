@@ -321,6 +321,37 @@ mod tests {
         TABLE.get_or_init(|| TigTable::build_coarse(&TigFet::ideal()))
     }
 
+    /// FNV-1a (64-bit) over the little-endian bits of every sample.
+    fn fnv1a(data: &[f64]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for x in data {
+            for b in x.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The coarse table, pinned bit for bit: any change to the transport
+    /// kernel's arithmetic or summation order shows here.
+    #[test]
+    fn coarse_table_is_pinned() {
+        let t = shared_table();
+        assert_eq!(t.len(), 9 * 9 * 9 * 7);
+        assert_eq!(fnv1a(&t.data), 0xba44_3f31_65ce_ba58);
+    }
+
+    /// The standard table, pinned bit for bit (run with `--ignored`, in
+    /// release: the build samples 13⁴ biases on the fine energy grid).
+    #[test]
+    #[ignore = "builds the standard table; run in release with --ignored"]
+    fn standard_table_is_pinned() {
+        let t = TigTable::build_standard(&TigFet::ideal());
+        assert_eq!(t.len(), 13 * 13 * 13 * 13);
+        assert_eq!(fnv1a(&t.data), 0x8fba_22d6_0b4d_1b78);
+    }
+
     #[test]
     fn axis_locate_clamps_and_interpolates() {
         let a = Axis::new(0.0, 1.0, 11);

@@ -15,6 +15,17 @@
 //! band) are integrated, which is what produces the ambipolar behaviour and,
 //! with the gate biases of Section III-C, the controllable-polarity
 //! conduction rule `CG = PGS = PGD`.
+//!
+//! ## Early stop
+//!
+//! [`landauer_current`] drops any transmission at or below `1e-15`, so it
+//! stops summing an energy's WKB action once the action passes 18
+//! (`exp(-36) ≈ 2.3e-16`). On a fixed profile the computed electron action
+//! only falls as the energy rises and the hole action only rises, so each
+//! branch also stops scanning energies at the first one that passes. The
+//! terms that remain are summed in the same order as the full integral, so
+//! the current is bit-identical to it (the argument sits at the scan; the
+//! compact-model table pins in [`crate::table`] check it).
 
 use crate::constants::{HBAR, H_PLANCK, M0, Q, VT};
 use crate::poisson::BandProfile;
@@ -99,6 +110,31 @@ pub fn fermi(e: f64, mu: f64) -> f64 {
     }
 }
 
+/// WKB momentum prefactor `sqrt(2 m q) / ħ` for a tunneling mass of
+/// `mass_rel` m₀, so that `κ(x) = pref · sqrt(ΔE(x))` with `ΔE` in eV.
+fn wkb_pref(mass_rel: f64) -> f64 {
+    (2.0 * mass_rel * M0 * Q).sqrt() / HBAR
+}
+
+/// WKB action `blockage_action + Σ pref·sqrt(db)·dx` over the samples whose
+/// barrier `db = db_of(E_c(x))` is positive, summed in index order.
+///
+/// Returns `None` as soon as a partial sum exceeds `limit`; the terms are
+/// non-negative, so the full action would exceed it too.
+fn action(profile: &BandProfile, pref: f64, db_of: impl Fn(f64) -> f64, limit: f64) -> Option<f64> {
+    let mut action = profile.blockage_action;
+    for &ec in &profile.e_c {
+        let db = db_of(ec);
+        if db > 0.0 {
+            action += pref * db.sqrt() * profile.dx;
+            if action > limit {
+                return None;
+            }
+        }
+    }
+    Some(action)
+}
+
 /// WKB transmission of a carrier at energy `e` through the barrier profile
 /// `barrier(x) − e` wherever positive.
 ///
@@ -108,40 +144,29 @@ pub fn fermi(e: f64, mu: f64) -> f64 {
 #[must_use]
 pub fn wkb_transmission(e: f64, profile: &BandProfile, mass_rel: f64) -> f64 {
     // kappa(x) = sqrt(2 m (E_c - E) q) / hbar, integrate 2*kappa*dx over the
-    // classically forbidden region. Samples under a GOS plug are metallic
-    // and contribute no action; a nanowire break adds a fixed series action.
-    let pref = (2.0 * mass_rel * M0 * Q).sqrt() / HBAR;
-    let mut action = profile.blockage_action;
-    for (i, &ec) in profile.e_c.iter().enumerate() {
-        if profile.bypass.get(i).copied().unwrap_or(false) {
-            continue;
-        }
-        let db = ec - e;
-        if db > 0.0 {
-            action += pref * db.sqrt() * profile.dx;
-        }
-    }
-    (-2.0 * action).exp()
+    // classically forbidden region; a nanowire break adds a fixed series
+    // action.
+    action(profile, wkb_pref(mass_rel), |ec| ec - e, f64::INFINITY)
+        .map_or(0.0, |a| (-2.0 * a).exp())
 }
 
 /// WKB transmission for a hole at energy `e`: forbidden wherever the local
 /// valence-band edge `E_v(x) = E_c(x) − E_g` is **below** `e`.
 #[must_use]
 pub fn hole_transmission(e: f64, profile: &BandProfile, mass_rel: f64, e_gap: f64) -> f64 {
-    let pref = (2.0 * mass_rel * M0 * Q).sqrt() / HBAR;
-    let mut action = profile.blockage_action;
-    for (i, &ec) in profile.e_c.iter().enumerate() {
-        if profile.bypass.get(i).copied().unwrap_or(false) {
-            continue;
-        }
-        let ev = ec - e_gap;
-        let db = e - ev;
-        if db > 0.0 {
-            action += pref * db.sqrt() * profile.dx;
-        }
-    }
-    (-2.0 * action).exp()
+    action(
+        profile,
+        wkb_pref(mass_rel),
+        |ec| e - (ec - e_gap),
+        f64::INFINITY,
+    )
+    .map_or(0.0, |a| (-2.0 * a).exp())
 }
+
+/// Action past which [`landauer_current`] stops summing: the transmission
+/// would be at most `exp(-2·18) ≈ 2.3e-16`, below the `1e-15` cutoff under
+/// which a transmission is not counted.
+const ACTION_LIMIT: f64 = 18.0;
 
 /// Breakdown of a Landauer-current evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -179,22 +204,57 @@ pub fn landauer_current(
     // dE conversion cancels one q.
     let g_quantum = 2.0 * Q * Q / H_PLANCK;
 
-    let mut i_e = 0.0;
-    let mut i_h = 0.0;
+    // The in-window energies, accumulated exactly as the grid is walked.
+    let mut window = Vec::new();
     let mut e = grid.e_min;
     while e <= grid.e_max {
         let occ = fermi(e, mu_s) - fermi(e, mu_d);
         if occ.abs() > 1e-12 {
-            let te = wkb_transmission(e, profile, params.m_e);
-            if te > 1e-15 {
-                i_e += te * occ;
-            }
-            let th = hole_transmission(e, profile, params.m_h, params.e_gap);
-            if th > 1e-15 {
-                i_h += th * occ;
-            }
+            window.push((e, occ));
         }
         e += grid.de;
+    }
+
+    // Early stop. The profile is fixed, so every sample's electron barrier
+    // `fl(ec − e)` can only fall as `e` rises, and every hole barrier
+    // `fl(e − ev)` can only rise. `sqrt`, the products with the positive
+    // `pref` and `dx`, and the sums of non-negative terms in index order are
+    // all monotone, so each partial sum of the electron action is
+    // non-increasing in energy and each partial sum of the hole action is
+    // non-decreasing. Once one energy bails past `ACTION_LIMIT`, every
+    // lower energy bails for electrons and every higher energy for holes:
+    // scan electrons down from the top and holes up from the bottom, and
+    // stop each branch at its first bail. A bailed energy's transmission
+    // would fail the `> 1e-15` filter below, and the sums still run in
+    // ascending energy order, so the result is bit-identical to summing
+    // every energy in full.
+    let pref_e = wkb_pref(params.m_e);
+    let mut t_e = vec![0.0; window.len()];
+    for (t, &(e, _)) in t_e.iter_mut().zip(&window).rev() {
+        match action(profile, pref_e, |ec| ec - e, ACTION_LIMIT) {
+            Some(a) => *t = (-2.0 * a).exp(),
+            None => break,
+        }
+    }
+    let pref_h = wkb_pref(params.m_h);
+    let mut holes_open = true;
+    let mut i_e = 0.0;
+    let mut i_h = 0.0;
+    for (&(e, occ), &te) in window.iter().zip(&t_e) {
+        if te > 1e-15 {
+            i_e += te * occ;
+        }
+        if holes_open {
+            match action(profile, pref_h, |ec| e - (ec - params.e_gap), ACTION_LIMIT) {
+                Some(a) => {
+                    let th = (-2.0 * a).exp();
+                    if th > 1e-15 {
+                        i_h += th * occ;
+                    }
+                }
+                None => holes_open = false,
+            }
+        }
     }
     CurrentBreakdown {
         electron: g_quantum * params.modes_e * i_e * grid.de,
@@ -205,8 +265,9 @@ pub fn landauer_current(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::DeviceGeometry;
+    use crate::geometry::{DeviceGeometry, GateTerminal};
     use crate::poisson::{solve, CouplingProfile};
+    use proptest::prelude::*;
 
     fn flat_profile(level: f64, v_ds: f64) -> BandProfile {
         let g = DeviceGeometry::table_ii();
@@ -296,6 +357,56 @@ mod tests {
             let i = landauer_current(&p, vds, &params, &grid).total();
             assert!(i > last, "I({vds}) = {i} not above {last}");
             last = i;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The invariant behind `landauer_current`'s early stop: walking the
+        /// standard grid upwards, the electron action never rises and the
+        /// hole action never falls, and a bail at one energy implies a bail
+        /// at every lower (electron) or higher (hole) energy.
+        #[test]
+        fn action_is_monotone_in_energy(
+            t_pgs in -0.8f64..1.4,
+            t_cg in -0.8f64..1.4,
+            t_pgd in -0.8f64..1.4,
+            v_ds in 0.0f64..1.2,
+            blockage in 0.0f64..9.0,
+        ) {
+            let g = DeviceGeometry::table_ii();
+            let coupling =
+                CouplingProfile::from_geometry_sharpened(&g, 3.0, 4.0e-9, |gate| match gate {
+                    GateTerminal::Pgs => t_pgs,
+                    GateTerminal::Cg => t_cg,
+                    GateTerminal::Pgd => t_pgd,
+                });
+            let mut profile = solve(&g, &coupling, 0.41, 0.41 - v_ds);
+            profile.blockage_action = blockage;
+            let params = TransportParams::default();
+            let (pref_e, pref_h) = (wkb_pref(params.m_e), wkb_pref(params.m_h));
+            let branches = |e: f64, limit: f64| {
+                (
+                    action(&profile, pref_e, |ec| ec - e, limit),
+                    action(&profile, pref_h, |ec| e - (ec - params.e_gap), limit),
+                )
+            };
+            let grid = EnergyGrid::standard();
+            let mut e = grid.e_min;
+            let mut last = branches(e, f64::INFINITY);
+            let mut last_bail = branches(e, ACTION_LIMIT);
+            while e + grid.de <= grid.e_max {
+                e += grid.de;
+                let (el, ho) = branches(e, f64::INFINITY);
+                prop_assert!(el <= last.0, "electron action rose at {e}: {last:?} -> {el:?}");
+                prop_assert!(ho >= last.1, "hole action fell at {e}: {last:?} -> {ho:?}");
+                let (el_bail, ho_bail) = branches(e, ACTION_LIMIT);
+                prop_assert!(el_bail.is_some() || last_bail.0.is_none(), "electron bail not monotone at {e}");
+                prop_assert!(last_bail.1.is_some() || ho_bail.is_none(), "hole bail not monotone at {e}");
+                last = (el, ho);
+                last_bail = (el_bail, ho_bail);
+            }
         }
     }
 }

@@ -2,16 +2,103 @@
 //! transmission bounds and table-model consistency.
 
 use proptest::prelude::*;
+use sinw_device::constants::{HBAR, H_PLANCK, M0, Q};
+use sinw_device::defects::DeviceDefect;
 use sinw_device::geometry::{DeviceGeometry, GateTerminal};
 use sinw_device::model::{Bias, TigFet};
-use sinw_device::poisson::{solve, CouplingProfile};
+use sinw_device::poisson::{solve, BandProfile, CouplingProfile};
 use sinw_device::table::TigTable;
-use sinw_device::transport::wkb_transmission;
+use sinw_device::transport::{
+    fermi, landauer_current, wkb_transmission, CurrentBreakdown, EnergyGrid, TransportParams,
+};
 use std::sync::OnceLock;
 
 fn shared_table() -> &'static TigTable {
     static TABLE: OnceLock<TigTable> = OnceLock::new();
     TABLE.get_or_init(|| TigTable::build_coarse(&TigFet::ideal()))
+}
+
+/// The Landauer integral without any early stop: every in-window energy,
+/// both WKB actions summed over every sample. `landauer_current` must
+/// reproduce it bit for bit.
+fn reference_current(
+    profile: &BandProfile,
+    v_ds: f64,
+    params: &TransportParams,
+    grid: &EnergyGrid,
+) -> CurrentBreakdown {
+    let transmission = |mass_rel: f64, db_of: &dyn Fn(f64) -> f64| {
+        let pref = (2.0 * mass_rel * M0 * Q).sqrt() / HBAR;
+        let mut action = profile.blockage_action;
+        for &ec in &profile.e_c {
+            let db = db_of(ec);
+            if db > 0.0 {
+                action += pref * db.sqrt() * profile.dx;
+            }
+        }
+        (-2.0 * action).exp()
+    };
+    let g_quantum = 2.0 * Q * Q / H_PLANCK;
+    let mut i_e = 0.0;
+    let mut i_h = 0.0;
+    let mut e = grid.e_min;
+    while e <= grid.e_max {
+        let occ = fermi(e, 0.0) - fermi(e, -v_ds);
+        if occ.abs() > 1e-12 {
+            let te = transmission(params.m_e, &|ec| ec - e);
+            if te > 1e-15 {
+                i_e += te * occ;
+            }
+            let th = transmission(params.m_h, &|ec| e - (ec - params.e_gap));
+            if th > 1e-15 {
+                i_h += th * occ;
+            }
+        }
+        e += grid.de;
+    }
+    CurrentBreakdown {
+        electron: g_quantum * params.modes_e * i_e * grid.de,
+        hole: g_quantum * params.modes_h * i_h * grid.de,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The early-stopping Landauer kernel equals the unbounded integral bit
+    /// for bit, on both energy grids, for a healthy device, a nanowire break
+    /// of random severity and a gate-oxide short at each site.
+    #[test]
+    fn landauer_early_stop_is_bit_identical(
+        v_cg in -1.2f64..1.2,
+        v_pgs in -1.2f64..1.2,
+        v_pgd in -1.2f64..1.2,
+        v_ds in 0.0f64..1.2,
+        position in 0.0f64..1.0,
+        severity in 0.0f64..1.0,
+    ) {
+        let bias = Bias { v_cg, v_pgs, v_pgd, v_ds };
+        let devices = [
+            TigFet::ideal(),
+            TigFet::ideal().with_defect(DeviceDefect::NanowireBreak { position, severity }),
+            TigFet::ideal().with_defect(DeviceDefect::gos(GateTerminal::Pgs)),
+            TigFet::ideal().with_defect(DeviceDefect::gos(GateTerminal::Cg)),
+            TigFet::ideal().with_defect(DeviceDefect::gos(GateTerminal::Pgd)),
+        ];
+        for fet in &devices {
+            let profile = fet.band_profile(bias);
+            for grid in [EnergyGrid::standard(), EnergyGrid::coarse()] {
+                let got = landauer_current(&profile, v_ds, &fet.params.transport, &grid);
+                let want = reference_current(&profile, v_ds, &fet.params.transport, &grid);
+                prop_assert_eq!(
+                    (got.electron.to_bits(), got.hole.to_bits()),
+                    (want.electron.to_bits(), want.hole.to_bits()),
+                    "{:?} at {:?} on {:?}: {:?} vs {:?}",
+                    fet.defects(), bias, grid, got, want
+                );
+            }
+        }
+    }
 }
 
 proptest! {
