@@ -174,6 +174,17 @@ impl AnalogCircuit {
         &self.elements
     }
 
+    /// Number of MNA unknowns: node voltages (ground excluded) plus one
+    /// branch current per voltage source.
+    pub(crate) fn unknowns(&self) -> usize {
+        let sources = self
+            .elements
+            .iter()
+            .filter(|e| matches!(e, Element::Vsource { .. }))
+            .count();
+        self.node_count() - 1 + sources
+    }
+
     /// Add a resistor.
     pub fn add_resistor(&mut self, a: NodeId, b: NodeId, ohms: f64) {
         assert!(ohms > 0.0, "resistance must be positive");

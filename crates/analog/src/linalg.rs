@@ -72,8 +72,7 @@ impl Matrix {
             perm.swap(col, best);
             let p = perm[col];
             let pivot = a[p * n + col];
-            for r in (col + 1)..n {
-                let rr = perm[r];
+            for &rr in &perm[col + 1..] {
                 let factor = a[rr * n + col] / pivot;
                 if factor == 0.0 {
                     continue;
@@ -174,12 +173,9 @@ mod tests {
         }
         let b: Vec<f64> = (0..n).map(|i| i as f64 - 3.0).collect();
         let x = m.solve(&b).expect("dominant");
-        for r in 0..n {
-            let mut acc = 0.0;
-            for c in 0..n {
-                acc += m.get(r, c) * x[c];
-            }
-            assert!((acc - b[r]).abs() < 1e-9, "row {r}: {acc} vs {}", b[r]);
+        for (r, b_r) in b.iter().enumerate() {
+            let acc: f64 = x.iter().enumerate().map(|(c, x_c)| m.get(r, c) * x_c).sum();
+            assert!((acc - b_r).abs() < 1e-9, "row {r}: {acc} vs {b_r}");
         }
     }
 }

@@ -4,7 +4,9 @@
 //! The unknown vector is `[v_1 … v_{N−1}, i_1 … i_M]` — node voltages
 //! (ground excluded) followed by the branch currents of the voltage
 //! sources. TIG-FETs are linearised each Newton iteration from the lookup
-//! table's value and numerical gradients.
+//! table's value and the exact partials of its interpolant
+//! ([`sinw_device::table::TigTable::current_and_gradients`]), taken in one
+//! pass over the bias's grid cell.
 
 use crate::circuit::{AnalogCircuit, Element, NodeId};
 use crate::linalg::Matrix;
@@ -108,11 +110,19 @@ impl Transient {
 }
 
 enum Mode<'a> {
-    Dc,
+    /// Operating point with every source waveform scaled by `scale`
+    /// (source stepping ramps it up to 1).
+    Dc { scale: f64 },
+    /// One Backward-Euler step of size `h` from the node voltages `v_prev`.
     Tran { h: f64, v_prev: &'a [f64] },
 }
 
-/// Assemble the Jacobian and KCL residual at the current guess `x`.
+/// Assemble the KCL residual at the current guess `x`, and the Jacobian
+/// when `jac` is given.
+///
+/// A residual-only assembly reads each TIG-FET's current from
+/// `TigTable::current`; a Jacobian assembly reads the same current and its
+/// exact partials from one `TigTable::current_and_gradients` call.
 ///
 /// The TIG-FET self-conductance is floored at a small positive value: the
 /// multilinear table can exhibit spurious negative differential
@@ -124,7 +134,6 @@ fn assemble(
     ckt: &AnalogCircuit,
     x: &[f64],
     t: f64,
-    scale: f64,
     mode: &Mode<'_>,
     opts: &SolverOpts,
     jac: Option<&mut Matrix>,
@@ -138,6 +147,10 @@ fn assemble(
         } else {
             x[n.0 - 1]
         }
+    };
+    let scale = match mode {
+        Mode::Dc { scale } => *scale,
+        Mode::Tran { .. } => 1.0,
     };
     residual.fill(0.0);
     let mut jac = jac;
@@ -247,9 +260,8 @@ fn assemble(
                     v_pgd: volt(*pgd) - vs,
                     v_ds: volt(*d) - vs,
                 };
-                let i_d = ckt.table.current(bias);
-                if let Some(j) = jac.as_deref_mut() {
-                    let (g_cg, g_pgs, g_pgd, g_ds) = ckt.table.gradients(bias);
+                let i_d = if let Some(j) = jac.as_deref_mut() {
+                    let (i_d, [g_cg, g_pgs, g_pgd, g_ds]) = ckt.table.current_and_gradients(bias);
                     // Regularise: floor the channel self-conductance.
                     let g_ds = g_ds.max(1.0e-9);
                     let g_s = -(g_cg + g_pgs + g_pgd + g_ds);
@@ -274,7 +286,10 @@ fn assemble(
                             }
                         }
                     }
-                }
+                    i_d
+                } else {
+                    ckt.table.current(bias)
+                };
                 if let Some(r) = row(*d) {
                     residual[r] += i_d;
                 }
@@ -290,24 +305,18 @@ fn max_abs(v: &[f64]) -> f64 {
     v.iter().fold(0.0f64, |m, x| m.max(x.abs()))
 }
 
-/// One Newton solve at time `t` with source scale `scale`.
+/// One Newton solve at time `t` in analysis mode `mode`.
 ///
 /// `x` holds the initial guess and is updated in place.
 fn newton(
     ckt: &AnalogCircuit,
     x: &mut [f64],
     t: f64,
-    scale: f64,
     mode: &Mode<'_>,
     opts: &SolverOpts,
 ) -> Result<(), SolveError> {
     let n_nodes = ckt.node_count();
-    let n_src = ckt
-        .elements()
-        .iter()
-        .filter(|e| matches!(e, Element::Vsource { .. }))
-        .count();
-    let dim = (n_nodes - 1) + n_src;
+    let dim = ckt.unknowns();
 
     let mut jac = Matrix::zeros(dim);
     let mut residual = vec![0.0f64; dim];
@@ -315,7 +324,7 @@ fn newton(
     let mut res_trial = vec![0.0f64; dim];
 
     for _ in 0..opts.max_iter {
-        assemble(ckt, x, t, scale, mode, opts, Some(&mut jac), &mut residual);
+        assemble(ckt, x, t, mode, opts, Some(&mut jac), &mut residual);
         let norm0 = max_abs(&residual);
         if norm0 < 1e-13 {
             return Ok(());
@@ -337,7 +346,7 @@ fn newton(
                 }
                 trial[k] = x[k] + step;
             }
-            assemble(ckt, &trial, t, scale, mode, opts, None, &mut res_trial);
+            assemble(ckt, &trial, t, mode, opts, None, &mut res_trial);
             let norm1 = max_abs(&res_trial);
             if norm1 <= norm0 || max_dv < opts.v_tol {
                 accepted = true;
@@ -350,12 +359,11 @@ fn newton(
             // may still pull the iteration into the convergent basin.
         }
         x.copy_from_slice(&trial);
-        if max_dv < opts.v_tol {
-            // Converged in voltage; verify the residual is healthy.
-            assemble(ckt, x, t, scale, mode, opts, None, &mut res_trial);
-            if max_abs(&res_trial) < 1e-10 {
-                return Ok(());
-            }
+        // Converged in voltage; verify the residual is healthy. The line
+        // search's last assembly ran on `trial`, now copied into `x`, so
+        // `res_trial` already holds the residual at `x`.
+        if max_dv < opts.v_tol && max_abs(&res_trial) < 1e-10 {
+            return Ok(());
         }
     }
     Err(SolveError::NoConvergence)
@@ -367,14 +375,7 @@ fn newton(
 ///
 /// Returns [`SolveError`] when Newton fails even with source stepping.
 pub fn dc_at(ckt: &AnalogCircuit, t: f64, opts: &SolverOpts) -> Result<DcSolution, SolveError> {
-    let n_nodes = ckt.node_count();
-    let n_src = ckt
-        .elements()
-        .iter()
-        .filter(|e| matches!(e, Element::Vsource { .. }))
-        .count();
-    let dim = (n_nodes - 1) + n_src;
-    let mut x = vec![0.0f64; dim];
+    let mut x = vec![0.0f64; ckt.unknowns()];
 
     // Solve at a comfortable gmin first, then step gmin down to the
     // requested value with warm starts (classic gmin stepping). If a
@@ -382,12 +383,12 @@ pub fn dc_at(ckt: &AnalogCircuit, t: f64, opts: &SolverOpts) -> Result<DcSolutio
     // gmin artifact is at worst the coarser level.
     let mut work = *opts;
     work.gmin = opts.gmin.max(1e-9);
-    if newton(ckt, &mut x, t, 1.0, &Mode::Dc, &work).is_err() {
+    if newton(ckt, &mut x, t, &Mode::Dc { scale: 1.0 }, &work).is_err() {
         // Source stepping: ramp the supplies up gradually.
         x.fill(0.0);
         let stepped = (1..=work.source_steps).try_for_each(|step| {
             let scale = step as f64 / work.source_steps as f64;
-            newton(ckt, &mut x, t, scale, &Mode::Dc, &work)
+            newton(ckt, &mut x, t, &Mode::Dc { scale }, &work)
         });
         if stepped.is_err() {
             // Last resort: heavily damped relaxation from zero.
@@ -395,13 +396,13 @@ pub fn dc_at(ckt: &AnalogCircuit, t: f64, opts: &SolverOpts) -> Result<DcSolutio
             let mut slow = work;
             slow.damping = 0.04;
             slow.max_iter = 4000;
-            newton(ckt, &mut x, t, 1.0, &Mode::Dc, &slow)?;
+            newton(ckt, &mut x, t, &Mode::Dc { scale: 1.0 }, &slow)?;
         }
     }
     while work.gmin > opts.gmin * 1.001 {
         work.gmin = (work.gmin / 10.0).max(opts.gmin);
         let backup = x.clone();
-        if newton(ckt, &mut x, t, 1.0, &Mode::Dc, &work).is_err() {
+        if newton(ckt, &mut x, t, &Mode::Dc { scale: 1.0 }, &work).is_err() {
             x = backup;
             break;
         }
@@ -421,9 +422,7 @@ pub fn dc(ckt: &AnalogCircuit, opts: &SolverOpts) -> Result<DcSolution, SolveErr
 fn unpack(ckt: &AnalogCircuit, x: &[f64]) -> DcSolution {
     let n_nodes = ckt.node_count();
     let mut v = vec![0.0f64; n_nodes];
-    for n in 1..n_nodes {
-        v[n] = x[n - 1];
-    }
+    v[1..].copy_from_slice(&x[..n_nodes - 1]);
     let i_src = x[(n_nodes - 1)..].to_vec();
     DcSolution { v, i_src }
 }
@@ -441,22 +440,9 @@ pub fn transient(
     opts: &SolverOpts,
 ) -> Result<Transient, SolveError> {
     assert!(dt > 0.0 && t_stop > dt, "bad time parameters");
-    let n_nodes = ckt.node_count();
-    let n_src = ckt
-        .elements()
-        .iter()
-        .filter(|e| matches!(e, Element::Vsource { .. }))
-        .count();
-    let dim = (n_nodes - 1) + n_src;
 
     let ic = dc_at(ckt, 0.0, opts)?;
-    let mut x = vec![0.0f64; dim];
-    for n in 1..n_nodes {
-        x[n - 1] = ic.v[n];
-    }
-    for (k, i) in ic.i_src.iter().enumerate() {
-        x[(n_nodes - 1) + k] = *i;
-    }
+    let mut x = [&ic.v[1..], &ic.i_src[..]].concat();
 
     let mut out = Transient {
         time: vec![0.0],
@@ -472,7 +458,6 @@ pub fn transient(
             ckt,
             &mut x,
             t,
-            1.0,
             &Mode::Tran {
                 h: dt,
                 v_prev: &v_prev,
@@ -491,8 +476,10 @@ pub fn transient(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cells::AnalogCell;
     use crate::circuit::{AnalogCircuit, Waveform, GROUND};
     use sinw_device::{TigFet, TigTable};
+    use sinw_switch::cells::CellKind;
     use std::sync::{Arc, OnceLock};
 
     fn shared_table() -> Arc<TigTable> {
@@ -584,6 +571,115 @@ mod tests {
         c.add_fet(out, a, vdd, vdd, GROUND);
         let sol = dc(&c, &SolverOpts::default()).expect("inverter at 1");
         assert!(sol.voltage(out) < 0.2, "out low: {}", sol.voltage(out));
+    }
+
+    /// Bias of every unbroken TIG-FET at the unknown vector `x`.
+    fn fet_biases(ckt: &AnalogCircuit, x: &[f64]) -> Vec<Bias> {
+        let volt = |n: NodeId| if n.0 == 0 { 0.0 } else { x[n.0 - 1] };
+        ckt.elements()
+            .iter()
+            .filter_map(|e| match e {
+                Element::TigFet {
+                    d,
+                    cg,
+                    pgs,
+                    pgd,
+                    s,
+                    broken: false,
+                } => Some(Bias {
+                    v_cg: volt(*cg) - volt(*s),
+                    v_pgs: volt(*pgs) - volt(*s),
+                    v_pgd: volt(*pgd) - volt(*s),
+                    v_ds: volt(*d) - volt(*s),
+                }),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Whether every coordinate of `bias`, and of its source/drain fold, is
+    /// at least 1 mV from a grid line of the coarse table (gate pitch 0.3 V
+    /// from −1.2 V, drain pitch 0.2 V from 0 V).
+    fn off_coarse_grid(bias: Bias) -> bool {
+        let far = |v: f64, start: f64, pitch: f64| {
+            let t = (v - start) / pitch;
+            (t - t.round()).abs() * pitch >= 1e-3
+        };
+        let gate = |v: f64| far(v, -1.2, 0.3);
+        [bias.v_cg, bias.v_pgs, bias.v_pgd]
+            .into_iter()
+            .all(|v| gate(v) && gate(v - bias.v_ds))
+            && far(bias.v_ds.abs(), 0.0, 0.2)
+    }
+
+    /// Every column of `assemble`'s Jacobian is the central difference of
+    /// its residual, at seeded unknowns of the SP inverter and the XOR2
+    /// cell. The points are drawn off the table's grid lines, so a ±h step
+    /// stays inside one cell, and where every channel's `g_ds` is above the
+    /// regularisation floor, so the Jacobian is exact there. This checks
+    /// the stamp signs and the source/drain fold end to end.
+    #[test]
+    fn jacobian_matches_central_difference_of_residual() {
+        let table = shared_table();
+        let opts = SolverOpts::default();
+        let mode = Mode::Dc { scale: 1.0 };
+        let h = 1e-7;
+        let mut seed = 0x5eed_u64;
+        let mut rnd = || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for kind in [CellKind::Inv, CellKind::Xor2] {
+            let waves = vec![Waveform::Dc(0.0); kind.input_count()];
+            let ckt = AnalogCell::build(kind, table.clone(), &waves).circuit;
+            let dim = ckt.unknowns();
+            let n_v = ckt.node_count() - 1;
+            let mut jac = Matrix::zeros(dim);
+            let mut res = vec![0.0; dim];
+            let (mut plus, mut minus) = (vec![0.0; dim], vec![0.0; dim]);
+            let mut checked = 0;
+            for _ in 0..100_000 {
+                let x: Vec<f64> = (0..dim)
+                    .map(|k| {
+                        if k < n_v {
+                            1.6 * rnd() - 0.2
+                        } else {
+                            2e-5 * rnd() - 1e-5
+                        }
+                    })
+                    .collect();
+                let admissible = fet_biases(&ckt, &x)
+                    .into_iter()
+                    .all(|b| off_coarse_grid(b) && table.current_and_gradients(b).1[3] > 1e-9);
+                if !admissible {
+                    continue;
+                }
+                assemble(&ckt, &x, 0.0, &mode, &opts, Some(&mut jac), &mut res);
+                for c in 0..dim {
+                    let mut xp = x.clone();
+                    xp[c] += h;
+                    let mut xm = x.clone();
+                    xm[c] -= h;
+                    assemble(&ckt, &xp, 0.0, &mode, &opts, None, &mut plus);
+                    assemble(&ckt, &xm, 0.0, &mode, &opts, None, &mut minus);
+                    for r in 0..dim {
+                        let fd = (plus[r] - minus[r]) / (xp[c] - xm[c]);
+                        let j = jac.get(r, c);
+                        assert!(
+                            (j - fd).abs() <= 1e-5 * j.abs() + 1e-12,
+                            "{kind:?} at {x:?}: J[{r}][{c}] = {j}, central difference {fd}"
+                        );
+                    }
+                }
+                checked += 1;
+                if checked == 4 {
+                    break;
+                }
+            }
+            assert_eq!(checked, 4, "{kind:?}: too few admissible points");
+        }
     }
 
     #[test]

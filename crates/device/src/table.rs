@@ -46,20 +46,31 @@ impl Axis {
         self.start + self.step() * i as f64
     }
 
-    /// Locate `v` on the axis: returns the lower cell index and the
-    /// fractional position inside the cell, clamping out-of-range queries.
+    /// Locate `v` on the axis: returns the lower cell index, the
+    /// fractional position inside the cell and `d(fraction)/dv`, clamping
+    /// out-of-range queries.
+    ///
+    /// The derivative is `1/step` on the closed axis range and exactly `0.0`
+    /// strictly outside it, where the clamped position no longer moves with
+    /// `v`. On a grid line it is the slope of the cell returned.
     #[inline]
-    fn locate(&self, v: f64) -> (usize, f64) {
-        let t = (v - self.start) / self.step();
-        if t <= 0.0 {
-            return (0, 0.0);
-        }
+    fn locate(&self, v: f64) -> (usize, f64, f64) {
+        let step = self.step();
+        let t = (v - self.start) / step;
         let max = (self.points - 1) as f64;
+        let slope = if (0.0..=max).contains(&t) {
+            step.recip()
+        } else {
+            0.0
+        };
+        if t <= 0.0 {
+            return (0, 0.0, slope);
+        }
         if t >= max {
-            return (self.points - 2, 1.0);
+            return (self.points - 2, 1.0, slope);
         }
         let i = t.floor() as usize;
-        (i.min(self.points - 2), t - t.floor())
+        (i.min(self.points - 2), t - t.floor(), slope)
     }
 }
 
@@ -107,6 +118,13 @@ impl Parasitics {
 /// `V_DS` handled by the source/drain symmetry of the device
 /// (`I(g; −v) = −I(g'; v)` with the gate voltages re-referenced to the
 /// swapped source and PGS/PGD exchanged).
+///
+/// [`TigTable::current_and_gradients`] returns the same value together
+/// with the exact partials of the interpolant, which are the Newton
+/// conductances of the analog solver. Queries outside an axis range clamp
+/// to its end, so the interpolant is flat there and the partial along that
+/// axis is exactly zero. For negative `V_DS` the partials follow the fold
+/// by the chain rule.
 ///
 /// # Examples
 ///
@@ -197,35 +215,106 @@ impl TigTable {
         self.data[((icg * n_g + ipgs) * n_g + ipgd) * n_d + ids]
     }
 
+    /// The grid cell holding a non-negative-`v_ds` bias, per axis in
+    /// `(v_cg, v_pgs, v_pgd, v_ds)` order: the lower corner index, the two
+    /// corner weights `[1 − f, f]`, and `df/dV` (see [`Axis::locate`]).
+    #[inline]
+    fn cell(&self, bias: Bias) -> ([usize; 4], [[f64; 2]; 4], [f64; 4]) {
+        let (i0, f0, s0) = self.gate_axis.locate(bias.v_cg);
+        let (i1, f1, s1) = self.gate_axis.locate(bias.v_pgs);
+        let (i2, f2, s2) = self.gate_axis.locate(bias.v_pgd);
+        let (i3, f3, s3) = self.vds_axis.locate(bias.v_ds);
+        (
+            [i0, i1, i2, i3],
+            [
+                [1.0 - f0, f0],
+                [1.0 - f1, f1],
+                [1.0 - f2, f2],
+                [1.0 - f3, f3],
+            ],
+            [s0, s1, s2, s3],
+        )
+    }
+
     /// Interpolated drain current for non-negative `v_ds`.
     fn current_fwd(&self, bias: Bias) -> f64 {
-        let (i0, fc) = self.gate_axis.locate(bias.v_cg);
-        let (i1, fs) = self.gate_axis.locate(bias.v_pgs);
-        let (i2, fd) = self.gate_axis.locate(bias.v_pgd);
-        let (i3, fv) = self.vds_axis.locate(bias.v_ds);
+        let (i, w, _) = self.cell(bias);
         let mut acc = 0.0;
-        for (d0, w0) in [(0usize, 1.0 - fc), (1, fc)] {
+        for (d0, w0) in w[0].into_iter().enumerate() {
             if w0 == 0.0 {
                 continue;
             }
-            for (d1, w1) in [(0usize, 1.0 - fs), (1, fs)] {
+            for (d1, w1) in w[1].into_iter().enumerate() {
                 if w1 == 0.0 {
                     continue;
                 }
-                for (d2, w2) in [(0usize, 1.0 - fd), (1, fd)] {
+                for (d2, w2) in w[2].into_iter().enumerate() {
                     if w2 == 0.0 {
                         continue;
                     }
-                    for (d3, w3) in [(0usize, 1.0 - fv), (1, fv)] {
+                    for (d3, w3) in w[3].into_iter().enumerate() {
                         if w3 == 0.0 {
                             continue;
                         }
-                        acc += w0 * w1 * w2 * w3 * self.sample(i0 + d0, i1 + d1, i2 + d2, i3 + d3);
+                        acc += w0
+                            * w1
+                            * w2
+                            * w3
+                            * self.sample(i[0] + d0, i[1] + d1, i[2] + d2, i[3] + d3);
                     }
                 }
             }
         }
         acc.sinh() * I_REF
+    }
+
+    /// [`TigTable::current_fwd`] and its four partials, in one pass over
+    /// the 16 corners of the cell.
+    ///
+    /// The value adds the same products in the same order, skipping the
+    /// same zero-weight corners, so it equals `current_fwd` bit for bit.
+    /// A zero-weight corner still enters the partial along its own axis.
+    fn current_and_gradients_fwd(&self, bias: Bias) -> (f64, [f64; 4]) {
+        // d(weight)/df: −1 for the lower corner, +1 for the upper one.
+        const DW: [f64; 2] = [-1.0, 1.0];
+        let (i, w, slope) = self.cell(bias);
+        let mut acc = 0.0;
+        let mut dacc = [0.0f64; 4];
+        for d0 in 0..2 {
+            for d1 in 0..2 {
+                for d2 in 0..2 {
+                    for d3 in 0..2 {
+                        let s = self.sample(i[0] + d0, i[1] + d1, i[2] + d2, i[3] + d3);
+                        let (w0, w1, w2, w3) = (w[0][d0], w[1][d1], w[2][d2], w[3][d3]);
+                        if w0 != 0.0 && w1 != 0.0 && w2 != 0.0 && w3 != 0.0 {
+                            acc += w0 * w1 * w2 * w3 * s;
+                        }
+                        dacc[0] += DW[d0] * w1 * w2 * w3 * s;
+                        dacc[1] += w0 * DW[d1] * w2 * w3 * s;
+                        dacc[2] += w0 * w1 * DW[d2] * w3 * s;
+                        dacc[3] += w0 * w1 * w2 * DW[d3] * s;
+                    }
+                }
+            }
+        }
+        // I = sinh(acc)·I_REF, so dI/dV = cosh(acc)·I_REF·(dacc/df)·(df/dV).
+        let di_dacc = acc.cosh() * I_REF;
+        (
+            acc.sinh() * I_REF,
+            std::array::from_fn(|k| di_dacc * dacc[k] * slope[k]),
+        )
+    }
+
+    /// The forward-direction bias equivalent to a negative-`v_ds` one:
+    /// terminals swap, gate voltages are re-referenced to the new source
+    /// and PGS and PGD exchange roles.
+    fn fold(bias: Bias) -> Bias {
+        Bias {
+            v_cg: bias.v_cg - bias.v_ds,
+            v_pgs: bias.v_pgd - bias.v_ds,
+            v_pgd: bias.v_pgs - bias.v_ds,
+            v_ds: -bias.v_ds,
+        }
     }
 
     /// Interpolated drain current at an arbitrary bias (source-referenced).
@@ -238,64 +327,42 @@ impl TigTable {
         if bias.v_ds >= 0.0 {
             self.current_fwd(bias)
         } else {
-            let swapped = Bias {
-                v_cg: bias.v_cg - bias.v_ds,
-                v_pgs: bias.v_pgd - bias.v_ds,
-                v_pgd: bias.v_pgs - bias.v_ds,
-                v_ds: -bias.v_ds,
-            };
-            -self.current_fwd(swapped)
+            -self.current_fwd(Self::fold(bias))
         }
     }
 
-    /// Numerical conductances for the Newton stamp:
-    /// `(dI/dV_cg, dI/dV_pgs, dI/dV_pgd, dI/dV_ds)`.
+    /// Interpolated drain current and its exact partials
+    /// `[dI/dV_cg, dI/dV_pgs, dI/dV_pgd, dI/dV_ds]`, the conductances of
+    /// the Newton stamp.
+    ///
+    /// The value equals [`TigTable::current`] bit for bit. The partials
+    /// are those of the piecewise-multilinear interpolant `current`
+    /// evaluates: on a grid line, the slope of the cell `current` uses;
+    /// strictly outside an axis range, where the interpolant is flat,
+    /// exactly `0.0`. Negative `v_ds` goes through the same fold as
+    /// `current`, so with `g'` the partials at the folded bias the result
+    /// is `[−g'_cg, −g'_pgd, −g'_pgs, g'_cg + g'_pgs + g'_pgd + g'_ds]`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sinw_device::model::{Bias, TigFet};
+    /// use sinw_device::table::TigTable;
+    ///
+    /// let table = TigTable::build_coarse(&TigFet::ideal());
+    /// let bias = Bias::uniform_gates(0.9, 0.9);
+    /// let (i, [g_cg, _, _, g_ds]) = table.current_and_gradients(bias);
+    /// assert_eq!(i, table.current(bias));
+    /// assert!(g_cg > 0.0 && g_ds > 0.0);
+    /// ```
     #[must_use]
-    pub fn gradients(&self, bias: Bias) -> (f64, f64, f64, f64) {
-        let h = 5e-4;
-        let d = |plus: Bias, minus: Bias| (self.current(plus) - self.current(minus)) / (2.0 * h);
-        (
-            d(
-                Bias {
-                    v_cg: bias.v_cg + h,
-                    ..bias
-                },
-                Bias {
-                    v_cg: bias.v_cg - h,
-                    ..bias
-                },
-            ),
-            d(
-                Bias {
-                    v_pgs: bias.v_pgs + h,
-                    ..bias
-                },
-                Bias {
-                    v_pgs: bias.v_pgs - h,
-                    ..bias
-                },
-            ),
-            d(
-                Bias {
-                    v_pgd: bias.v_pgd + h,
-                    ..bias
-                },
-                Bias {
-                    v_pgd: bias.v_pgd - h,
-                    ..bias
-                },
-            ),
-            d(
-                Bias {
-                    v_ds: bias.v_ds + h,
-                    ..bias
-                },
-                Bias {
-                    v_ds: bias.v_ds - h,
-                    ..bias
-                },
-            ),
-        )
+    pub fn current_and_gradients(&self, bias: Bias) -> (f64, [f64; 4]) {
+        if bias.v_ds >= 0.0 {
+            self.current_and_gradients_fwd(bias)
+        } else {
+            let (i, [g_cg, g_pgs, g_pgd, g_ds]) = self.current_and_gradients_fwd(Self::fold(bias));
+            (-i, [-g_cg, -g_pgd, -g_pgs, g_cg + g_pgs + g_pgd + g_ds])
+        }
     }
 
     /// Number of stored samples.
@@ -355,13 +422,17 @@ mod tests {
     #[test]
     fn axis_locate_clamps_and_interpolates() {
         let a = Axis::new(0.0, 1.0, 11);
-        assert_eq!(a.locate(-5.0), (0, 0.0));
-        let (i, f) = a.locate(0.55);
+        assert_eq!(a.locate(-5.0), (0, 0.0, 0.0));
+        let (i, f, slope) = a.locate(0.55);
         assert_eq!(i, 5);
         assert!((f - 0.5).abs() < 1e-9);
-        let (i, f) = a.locate(99.0);
+        assert!((slope - 10.0).abs() < 1e-9);
+        let (i, f, slope) = a.locate(99.0);
         assert_eq!(i, 9);
         assert!((f - 1.0).abs() < 1e-12);
+        assert_eq!(slope, 0.0);
+        // On the end points the slope is the one of the cell returned.
+        assert!(a.locate(0.0).2 > 0.0 && a.locate(1.0).2 > 0.0);
     }
 
     #[test]
@@ -420,7 +491,7 @@ mod tests {
     #[test]
     fn gradients_have_expected_signs() {
         let t = shared_table();
-        let (g_cg, _, _, g_ds) = t.gradients(Bias::uniform_gates(0.9, 0.9));
+        let (_, [g_cg, _, _, g_ds]) = t.current_and_gradients(Bias::uniform_gates(0.9, 0.9));
         assert!(g_cg > 0.0, "dI/dVcg = {g_cg}");
         assert!(g_ds > 0.0, "dI/dVds = {g_ds}");
     }

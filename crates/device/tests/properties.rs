@@ -18,6 +18,48 @@ fn shared_table() -> &'static TigTable {
     TABLE.get_or_init(|| TigTable::build_coarse(&TigFet::ideal()))
 }
 
+/// Whether every coordinate the coarse table interpolates on is at least
+/// 1 mV from one of its grid lines (gate pitch 0.3 V from −1.2 V, drain
+/// pitch 0.2 V from 0 V), in the forward frame and in the source/drain
+/// fold alike.
+fn off_coarse_grid(bias: Bias) -> bool {
+    let far = |v: f64, start: f64, pitch: f64| {
+        let t = (v - start) / pitch;
+        (t - t.round()).abs() * pitch >= 1e-3
+    };
+    let gate = |v: f64| far(v, -1.2, 0.3);
+    [bias.v_cg, bias.v_pgs, bias.v_pgd]
+        .into_iter()
+        .all(|v| gate(v) && gate(v - bias.v_ds))
+        && far(bias.v_ds.abs(), 0.0, 0.2)
+}
+
+/// The value half of `current_and_gradients` is `current`, bit for bit,
+/// on every combination of on-grid, rail, out-of-range, off-grid and
+/// zero-`v_ds` coordinates, for both drain signs.
+#[test]
+fn current_and_gradients_value_is_current_on_special_biases() {
+    let t = shared_table();
+    let gates = [-2.0, -1.2, -0.9, -0.3, 0.0, 0.45, 1.17, 1.2, 2.0];
+    let drains = [-2.0, -1.2, -0.4, -0.13, -0.0, 0.0, 0.13, 0.4, 1.2, 2.0];
+    for &v_cg in &gates {
+        for &v_pgs in &gates {
+            for &v_pgd in &gates {
+                for &v_ds in &drains {
+                    let bias = Bias {
+                        v_cg,
+                        v_pgs,
+                        v_pgd,
+                        v_ds,
+                    };
+                    let (i, _) = t.current_and_gradients(bias);
+                    assert_eq!(i.to_bits(), t.current(bias).to_bits(), "{bias:?}");
+                }
+            }
+        }
+    }
+}
+
 /// The Landauer integral without any early stop: every in-window energy,
 /// both WKB actions summed over every sample. `landauer_current` must
 /// reproduce it bit for bit.
@@ -166,6 +208,78 @@ proptest! {
             i * v_ds >= -1e-18,
             "active region detected: I = {i} at V_DS = {v_ds}"
         );
+    }
+
+    /// The value half of `current_and_gradients` is `current`, bit for
+    /// bit, anywhere in and beyond the table's range, for both drain signs.
+    #[test]
+    fn current_and_gradients_value_is_current(
+        v_cg in -1.5f64..1.5,
+        v_pgs in -1.5f64..1.5,
+        v_pgd in -1.5f64..1.5,
+        v_ds in -1.5f64..1.5,
+    ) {
+        let t = shared_table();
+        let bias = Bias { v_cg, v_pgs, v_pgd, v_ds };
+        let (i, _) = t.current_and_gradients(bias);
+        prop_assert_eq!(i.to_bits(), t.current(bias).to_bits(), "{:?}", bias);
+    }
+
+    /// Away from grid lines each exact partial agrees with a tight central
+    /// difference of `current`, for both drain signs (so through the
+    /// source/drain fold too). The absolute slack covers the difference's
+    /// rounding, about `ε·|I|/h`.
+    #[test]
+    fn gradients_match_central_difference(
+        v_cg in -1.5f64..1.5,
+        v_pgs in -1.5f64..1.5,
+        v_pgd in -1.5f64..1.5,
+        v_ds in -1.5f64..1.5,
+    ) {
+        let t = shared_table();
+        let bias = Bias { v_cg, v_pgs, v_pgd, v_ds };
+        if off_coarse_grid(bias) {
+            let (i, g) = t.current_and_gradients(bias);
+            let h = 1e-7;
+            let nudge = |k: usize, dv: f64| {
+                let mut b = bias;
+                *[&mut b.v_cg, &mut b.v_pgs, &mut b.v_pgd, &mut b.v_ds][k] += dv;
+                b
+            };
+            for (k, g_k) in g.into_iter().enumerate() {
+                let fd = (t.current(nudge(k, h)) - t.current(nudge(k, -h))) / (2.0 * h);
+                prop_assert!(
+                    (g_k - fd).abs() <= 1e-5 * g_k.abs() + 1e-7 * i.abs() + 1e-20,
+                    "partial {} at {:?}: exact {} vs central difference {}",
+                    k, bias, g_k, fd
+                );
+            }
+        }
+    }
+
+    /// Strictly outside an axis range the interpolant is flat, so the
+    /// partial along that axis is exactly zero. For negative `v_ds` a gate
+    /// coordinate is read in the folded frame, `v_gate − v_ds`.
+    #[test]
+    fn gradients_vanish_outside_the_axis_range(
+        v_cg in -1.1f64..1.1,
+        v_pgs in -1.1f64..1.1,
+        v_pgd in -1.1f64..1.1,
+        v_ds in -1.5f64..1.5,
+        beyond in 0.01f64..0.8,
+        below in 0usize..2,
+        axis in 0usize..4,
+    ) {
+        let mut bias = Bias { v_cg, v_pgs, v_pgd, v_ds };
+        let outside = if below == 1 { -1.2 - beyond } else { 1.2 + beyond };
+        match axis {
+            0 => bias.v_cg = outside + v_ds.min(0.0),
+            1 => bias.v_pgs = outside + v_ds.min(0.0),
+            2 => bias.v_pgd = outside + v_ds.min(0.0),
+            _ => bias.v_ds = 1.2 + beyond,
+        }
+        let (_, g) = shared_table().current_and_gradients(bias);
+        prop_assert!(g[axis] == 0.0, "partial {} at {:?} is {}", axis, bias, g[axis]);
     }
 
     /// Source/drain swap consistency of the table: evaluating the mirror
