@@ -44,4 +44,6 @@ pub mod measure;
 pub mod solver;
 
 pub use circuit::{AnalogCircuit, Element, FetId, NodeId, SourceId, Waveform, GROUND};
-pub use solver::{dc, dc_at, transient, DcSolution, SolveError, SolverOpts, Transient};
+pub use solver::{
+    dc, dc_at, dc_from, transient, transient_from, DcSolution, SolveError, SolverOpts, Transient,
+};

@@ -1,6 +1,15 @@
 //! MNA solver: Newton–Raphson DC operating point with source stepping, and
 //! Backward-Euler transient analysis.
 //!
+//! Each analysis has a cold entry point and a warm one:
+//! - [`dc`] / [`dc_at`] start Newton from 0 V at gmin 1e-9 and step gmin
+//!   down to the requested value; [`dc_from`] runs Newton at the requested
+//!   gmin straight from a neighbouring circuit's operating point (a fault
+//!   injected into a just-solved healthy cell) and falls back to [`dc`]
+//!   when that fails.
+//! - [`transient`] solves its own initial condition; [`transient_from`]
+//!   takes one the caller has already solved.
+//!
 //! The unknown vector is `[v_1 … v_{N−1}, i_1 … i_M]` — node voltages
 //! (ground excluded) followed by the branch currents of the voltage
 //! sources. TIG-FETs are linearised each Newton iteration from the lookup
@@ -419,6 +428,49 @@ pub fn dc(ckt: &AnalogCircuit, opts: &SolverOpts) -> Result<DcSolution, SolveErr
     dc_at(ckt, 0.0, opts)
 }
 
+/// DC operating point with all waveforms at `t = 0`, warm-started from
+/// `guess`: Newton runs at `opts.gmin` straight from it, with no gmin
+/// ladder. When `guess` has a different unknown count, or Newton fails
+/// from it, the answer is the cold [`dc`]'s, bit for bit.
+///
+/// `guess` is typically the operating point of a circuit one edit away,
+/// such as the healthy cell a polarity fault is injected into.
+///
+/// # Errors
+///
+/// Returns [`SolveError`] when the cold fallback fails.
+pub fn dc_from(
+    ckt: &AnalogCircuit,
+    guess: &DcSolution,
+    opts: &SolverOpts,
+) -> Result<DcSolution, SolveError> {
+    match warm_newton(ckt, guess, opts) {
+        Some(x) => Ok(unpack(ckt, &x)),
+        None => dc(ckt, opts),
+    }
+}
+
+/// [`dc_from`]'s warm attempt: the converged unknowns, or `None` when the
+/// shapes differ or Newton fails from `guess`.
+fn warm_newton(ckt: &AnalogCircuit, guess: &DcSolution, opts: &SolverOpts) -> Option<Vec<f64>> {
+    if !fits(ckt, guess) {
+        return None;
+    }
+    let mut x = pack(guess);
+    newton(ckt, &mut x, 0.0, &Mode::Dc { scale: 1.0 }, opts).ok()?;
+    Some(x)
+}
+
+/// Whether `sol` has `ckt`'s node count and unknown count.
+fn fits(ckt: &AnalogCircuit, sol: &DcSolution) -> bool {
+    sol.v.len() == ckt.node_count() && sol.v.len() - 1 + sol.i_src.len() == ckt.unknowns()
+}
+
+/// The unknown vector of a solution (ground dropped).
+fn pack(sol: &DcSolution) -> Vec<f64> {
+    [&sol.v[1..], &sol.i_src[..]].concat()
+}
+
 fn unpack(ckt: &AnalogCircuit, x: &[f64]) -> DcSolution {
     let n_nodes = ckt.node_count();
     let mut v = vec![0.0f64; n_nodes];
@@ -427,7 +479,7 @@ fn unpack(ckt: &AnalogCircuit, x: &[f64]) -> DcSolution {
     DcSolution { v, i_src }
 }
 
-/// Backward-Euler transient from a DC initial condition.
+/// Backward-Euler transient from the DC operating point at `t = 0`.
 ///
 /// # Errors
 ///
@@ -440,9 +492,32 @@ pub fn transient(
     opts: &SolverOpts,
 ) -> Result<Transient, SolveError> {
     assert!(dt > 0.0 && t_stop > dt, "bad time parameters");
+    transient_from(ckt, dc_at(ckt, 0.0, opts)?, t_stop, dt, opts)
+}
 
-    let ic = dc_at(ckt, 0.0, opts)?;
-    let mut x = [&ic.v[1..], &ic.i_src[..]].concat();
+/// Backward-Euler transient from an already solved initial condition `ic`,
+/// normally `ckt`'s own DC operating point at `t = 0`. Given [`dc`]'s
+/// answer for `ckt`, the record equals [`transient`]'s bit for bit,
+/// without solving the DC again.
+///
+/// # Errors
+///
+/// Returns [`SolveError`] if any time step fails to converge.
+///
+/// # Panics
+///
+/// Panics on bad time parameters, or if `ic` does not have `ckt`'s node
+/// and unknown counts.
+pub fn transient_from(
+    ckt: &AnalogCircuit,
+    ic: DcSolution,
+    t_stop: f64,
+    dt: f64,
+    opts: &SolverOpts,
+) -> Result<Transient, SolveError> {
+    assert!(dt > 0.0 && t_stop > dt, "bad time parameters");
+    assert!(fits(ckt, &ic), "initial condition shape");
+    let mut x = pack(&ic);
 
     let mut out = Transient {
         time: vec![0.0],
@@ -476,7 +551,7 @@ pub fn transient(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cells::AnalogCell;
+    use crate::cells::{AnalogCell, VDD};
     use crate::circuit::{AnalogCircuit, Waveform, GROUND};
     use sinw_device::{TigFet, TigTable};
     use sinw_switch::cells::CellKind;
@@ -680,6 +755,121 @@ mod tests {
             }
             assert_eq!(checked, 4, "{kind:?}: too few admissible points");
         }
+    }
+
+    fn dc_waves(kind: CellKind, bits: u32) -> Vec<Waveform> {
+        (0..kind.input_count())
+            .map(|k| Waveform::Dc(if (bits >> k) & 1 == 1 { VDD } else { 0.0 }))
+            .collect()
+    }
+
+    #[test]
+    fn transient_from_own_dc_equals_transient() {
+        let pulse = Waveform::Pulse {
+            v0: 0.0,
+            v1: VDD,
+            delay: 0.5e-9,
+            rise: 20e-12,
+            width: 4e-9,
+            fall: 20e-12,
+        };
+        let ckt = AnalogCell::build(CellKind::Inv, shared_table(), &[pulse]).circuit;
+        let opts = SolverOpts::default();
+        let cold = transient(&ckt, 1.5e-9, 10e-12, &opts).expect("transient");
+        let ic = dc(&ckt, &opts).expect("dc");
+        let warm = transient_from(&ckt, ic, 1.5e-9, 10e-12, &opts).expect("transient_from");
+        let bits = |tr: &Transient| -> Vec<u64> {
+            tr.time
+                .iter()
+                .chain(tr.node_v.iter().flatten())
+                .chain(tr.i_src.iter().flatten())
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&cold), bits(&warm));
+    }
+
+    #[test]
+    fn dc_from_own_solution_stays_within_v_tol() {
+        let opts = SolverOpts::default();
+        for (kind, bits) in [
+            (CellKind::Inv, 0),
+            (CellKind::Xor2, 0b01),
+            (CellKind::Maj3, 0b011),
+        ] {
+            let ckt = AnalogCell::build(kind, shared_table(), &dc_waves(kind, bits)).circuit;
+            let sol = dc(&ckt, &opts).expect("dc");
+            let again = dc_from(&ckt, &sol, &opts).expect("dc_from");
+            for (a, b) in sol.v.iter().zip(&again.v) {
+                assert!((a - b).abs() <= opts.v_tol, "{kind:?}: {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn dc_from_a_mismatched_guess_is_the_cold_solve() {
+        let opts = SolverOpts::default();
+        let inv = AnalogCell::build(CellKind::Inv, shared_table(), &dc_waves(CellKind::Inv, 1));
+        let xor2 = AnalogCell::build(CellKind::Xor2, shared_table(), &dc_waves(CellKind::Xor2, 1));
+        let guess = dc(&inv.circuit, &opts).expect("inv dc");
+        let cold = dc(&xor2.circuit, &opts).expect("xor2 dc");
+        let warm = dc_from(&xor2.circuit, &guess, &opts).expect("xor2 dc_from");
+        let bits = |s: &DcSolution| -> Vec<u64> {
+            s.v.iter().chain(&s.i_src).map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(&cold), bits(&warm));
+    }
+
+    /// Every polarity fault of every cell (both gates of one transistor
+    /// bridged to a rail), warm-started from the healthy operating point
+    /// of its vector: where the warm Newton converges, [`dc_from`] returns
+    /// that answer, and its KCL residual at the requested gmin is within
+    /// the solver's acceptance bound — a solution at gmin 1e-12, not a
+    /// coarser ladder level's.
+    #[test]
+    fn warm_started_fault_solves_meet_the_acceptance_residual() {
+        let opts = SolverOpts::default();
+        let (mut warm, mut total) = (0, 0);
+        for kind in CellKind::ALL {
+            for bits in 0..(1u32 << kind.input_count()) {
+                let healthy = AnalogCell::build(kind, shared_table(), &dc_waves(kind, bits));
+                let guess = dc(&healthy.circuit, &opts).expect("healthy dc");
+                for &fet in &healthy.fets {
+                    for rail in [healthy.vdd_node(), GROUND] {
+                        let mut ckt = healthy.circuit.clone();
+                        ckt.rewire_gate(fet, 1, rail);
+                        ckt.rewire_gate(fet, 2, rail);
+                        total += 1;
+                        let Some(x) = warm_newton(&ckt, &guess, &opts) else {
+                            continue;
+                        };
+                        warm += 1;
+                        let mut res = vec![0.0; ckt.unknowns()];
+                        assemble(
+                            &ckt,
+                            &x,
+                            0.0,
+                            &Mode::Dc { scale: 1.0 },
+                            &opts,
+                            None,
+                            &mut res,
+                        );
+                        assert!(
+                            max_abs(&res) <= 1e-10,
+                            "{kind:?} {bits:b} {fet:?}: residual {:.3e} A",
+                            max_abs(&res)
+                        );
+                        let sol = dc_from(&ckt, &guess, &opts).expect("dc_from");
+                        assert_eq!(sol.v, unpack(&ckt, &x).v);
+                    }
+                }
+            }
+        }
+        assert_eq!(total, 232);
+        assert!(
+            3 * warm >= 2 * total,
+            "only {warm} of {total} warm starts converged"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use sinw_analog::cells::{AnalogCell, VDD};
 use sinw_analog::circuit::Waveform;
 use sinw_analog::measure::leakage;
-use sinw_analog::solver::{dc, SolverOpts};
+use sinw_analog::solver::{dc, dc_from, SolverOpts};
 use sinw_device::table::TigTable;
 use sinw_switch::cells::CellKind;
 use sinw_switch::fault::TransistorFault;
@@ -160,6 +160,12 @@ fn dc_waves(vector: &[bool]) -> Vec<Waveform> {
 /// Build the polarity-fault dictionary of a cell by exhaustive analog
 /// fault injection — the experiment behind Table III.
 ///
+/// Each vector's healthy cell is built and solved once. Every faulty case
+/// is a clone of it with the fault injected, solved by
+/// [`dc_from`] from the healthy operating point: a polarity fault moves
+/// only two gate wires, so Newton usually converges at the target gmin in
+/// a few iterations, and falls back to the cold solve otherwise.
+///
 /// # Panics
 ///
 /// Panics if the analog solver fails on any configuration (the cell
@@ -175,15 +181,15 @@ pub fn build_dictionary(kind: CellKind, table: &Arc<TigTable>) -> CellDictionary
     for bits in 0..(1u32 << n_inputs) {
         let vector: Vec<bool> = (0..n_inputs).map(|k| (bits >> k) & 1 == 1).collect();
         let healthy = AnalogCell::build(kind, table.clone(), &dc_waves(&vector));
-        let sol = dc(&healthy.circuit, &opts).expect("healthy cell DC");
-        let v_out_healthy = sol.voltage(healthy.out);
-        let iddq_healthy = leakage(&healthy, &sol).max(1e-13);
+        let healthy_sol = dc(&healthy.circuit, &opts).expect("healthy cell DC");
+        let v_out_healthy = healthy_sol.voltage(healthy.out);
+        let iddq_healthy = leakage(&healthy, &healthy_sol).max(1e-13);
 
         for t in 0..n_transistors {
             for fault in [TransistorFault::StuckAtNType, TransistorFault::StuckAtPType] {
-                let mut sick = AnalogCell::build(kind, table.clone(), &dc_waves(&vector));
+                let mut sick = healthy.clone();
                 inject_polarity_fault(&mut sick, t, fault);
-                let sol = dc(&sick.circuit, &opts).expect("faulty cell DC");
+                let sol = dc_from(&sick.circuit, &healthy_sol, &opts).expect("faulty cell DC");
                 entries.push(DictionaryEntry {
                     transistor: t,
                     fault,
@@ -275,6 +281,42 @@ mod tests {
                 t + 1
             );
         }
+    }
+
+    /// The warm-started dictionary of every cell classifies each entry as
+    /// a cold reference does, which rebuilds the faulty cell and calls
+    /// `dc` on it.
+    #[test]
+    fn warm_dictionaries_classify_like_cold_solves() {
+        let table = Arc::new(TigTable::build_coarse(&TigFet::ideal()));
+        let opts = SolverOpts::default();
+        let mut checked = 0;
+        for kind in CellKind::ALL {
+            for e in &build_dictionary(kind, &table).entries {
+                let mut sick = AnalogCell::build(kind, table.clone(), &dc_waves(&e.vector));
+                inject_polarity_fault(&mut sick, e.transistor, e.fault);
+                let sol = dc(&sick.circuit, &opts).expect("faulty cell DC");
+                let cold = DictionaryEntry {
+                    v_out_faulty: sol.voltage(sick.out),
+                    iddq_faulty: leakage(&sick, &sol).max(1e-13),
+                    ..e.clone()
+                };
+                assert_eq!(
+                    (e.leakage_detect(), e.output_detect()),
+                    (cold.leakage_detect(), cold.output_detect()),
+                    "{kind:?} t{} {} at {:?}: warm {:.4} V {:.3e} A, cold {:.4} V {:.3e} A",
+                    e.transistor + 1,
+                    e.fault,
+                    e.vector,
+                    e.v_out_faulty,
+                    e.iddq_faulty,
+                    cold.v_out_faulty,
+                    cold.iddq_faulty
+                );
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 232);
     }
 
     #[test]
