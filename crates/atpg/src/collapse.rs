@@ -112,7 +112,7 @@ pub fn collapse(circuit: &Circuit, faults: &[StuckAtFault]) -> CollapsedFaults {
     let mut rep_index: Vec<Option<usize>> = vec![None; faults.len()];
     let mut representatives = Vec::new();
     let mut class_of = vec![0usize; faults.len()];
-    for i in 0..faults.len() {
+    for (i, class) in class_of.iter_mut().enumerate() {
         let root = uf.find(i);
         let idx = match rep_index[root] {
             Some(idx) => idx,
@@ -122,7 +122,7 @@ pub fn collapse(circuit: &Circuit, faults: &[StuckAtFault]) -> CollapsedFaults {
                 representatives.len() - 1
             }
         };
-        class_of[i] = idx;
+        *class = idx;
     }
     CollapsedFaults {
         representatives,

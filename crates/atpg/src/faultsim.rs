@@ -1678,12 +1678,12 @@ mod tests {
         let patterns = random_patterns(c.primary_inputs().len(), 100, 42);
         let sig = capture_signatures(&c, &faults, &patterns);
         let report = simulate_faults(&c, &faults, &patterns, false);
-        for fi in 0..faults.len() {
+        for (fi, fault) in faults.iter().enumerate() {
             assert_eq!(
                 sig.is_detected(fi),
                 report.detected.contains(&fi),
                 "{}",
-                faults[fi].describe(&c)
+                fault.describe(&c)
             );
         }
         // First-failing patterns reproduce the first-detection profile.

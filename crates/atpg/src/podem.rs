@@ -5,9 +5,15 @@
 //! from the D-frontier, and backtrace through cell-specific rules. Used by
 //! `sinw-core` both directly (classical stuck-at tests) and as the
 //! justification/propagation engine of the cell-aware flow.
+//!
+//! Implication is event-driven over one buffer: a search keeps one
+//! [`TwinSim`] for its whole run, and each decision, flip or
+//! unassignment re-evaluates only the fanout cone of the input it
+//! edits. The search allocates its scratch (twins, the PI-position table,
+//! the X-path reach buffer) once per call.
 
 use crate::fault_list::{FaultSite, StuckAtFault};
-use crate::twin::{detected_at_po, simulate, Twin};
+use crate::twin::{detected_at_po, Twin, TwinSim};
 use sinw_switch::cells::CellKind;
 use sinw_switch::gate::{Circuit, SignalId};
 use sinw_switch::value::Logic;
@@ -97,23 +103,21 @@ fn search(
     config: &PodemConfig,
 ) -> PodemResult {
     let pis = circuit.primary_inputs();
-    let mut assignment: Vec<Option<bool>> = vec![None; pis.len()];
+    // Index of each PI signal in `primary_inputs`, for `backtrace`.
+    let mut pi_position = vec![None; circuit.signal_count()];
+    for (k, pi) in pis.iter().enumerate() {
+        pi_position[pi.0] = Some(k);
+    }
+    let mut reach = vec![false; circuit.signal_count()];
+    // Holds the PI assignment (each PI's good value) and its implications;
+    // with no fault the faulty half mirrors the good half.
+    let mut sim = TwinSim::new(circuit, fault);
     // Decision stack: (pi index, value, alternate_tried).
     let mut stack: Vec<(usize, bool, bool)> = Vec::new();
     let mut backtracks = 0usize;
-    // A harmless placeholder for constraint-only searches: twin simulation
-    // with an unactivatable fault value never diverges.
-    let sim_fault = fault.unwrap_or(StuckAtFault::sa0(FaultSite::Signal(SignalId(0))));
 
     loop {
-        let twins = if fault.is_some() {
-            simulate(circuit, sim_fault, &assignment)
-        } else {
-            // Fault-free: good == faulty by construction when the fault is
-            // never activated; simulate with an inert twin by reusing the
-            // machinery and ignoring the faulty half.
-            simulate_fault_free(circuit, &assignment)
-        };
+        let twins = sim.settle();
 
         let constraint_conflict = constraints.iter().any(|(s, v)| {
             let g = twins[s.0].good;
@@ -124,17 +128,17 @@ fn search(
             .all(|(s, v)| twins[s.0].good == Logic::from_bool(*v));
 
         let success = if fault.is_some() {
-            constraints_met && detected_at_po(circuit, &twins)
+            constraints_met && detected_at_po(circuit, twins)
         } else {
             constraints_met
         };
         if success {
-            return PodemResult::Test(assignment);
+            return PodemResult::Test(pis.iter().map(|pi| twins[pi.0].good.to_bool()).collect());
         }
 
         let feasible = !constraint_conflict
             && match fault {
-                Some(f) => test_possible(circuit, f, &twins),
+                Some(f) => test_possible(circuit, f, twins, &mut reach),
                 None => true,
             };
         let objective = if feasible {
@@ -143,14 +147,14 @@ fn search(
                 .iter()
                 .find(|(s, _)| twins[s.0].good == Logic::X)
                 .map(|(s, v)| (*s, Logic::from_bool(*v)))
-                .or_else(|| fault.and_then(|f| pick_objective(circuit, f, &twins)))
+                .or_else(|| fault.and_then(|f| pick_objective(circuit, f, twins)))
         } else {
             None
         };
 
         if let Some((sig, val)) = objective {
-            if let Some((pi_idx, pi_val)) = backtrace(circuit, &twins, sig, val) {
-                assignment[pi_idx] = Some(pi_val);
+            if let Some((pi_idx, pi_val)) = backtrace(circuit, &pi_position, twins, sig, val) {
+                sim.assign(pi_idx, Some(pi_val));
                 stack.push((pi_idx, pi_val, false));
                 continue;
             }
@@ -162,43 +166,20 @@ fn search(
             match stack.pop() {
                 None => return PodemResult::Untestable,
                 Some((pi_idx, _, true)) => {
-                    assignment[pi_idx] = None;
+                    sim.assign(pi_idx, None);
                 }
                 Some((pi_idx, val, false)) => {
                     backtracks += 1;
                     if backtracks > config.backtrack_limit {
                         return PodemResult::Aborted;
                     }
-                    assignment[pi_idx] = Some(!val);
+                    sim.assign(pi_idx, Some(!val));
                     stack.push((pi_idx, !val, true));
                     break;
                 }
             }
         }
     }
-}
-
-/// Fault-free twin simulation (good == faulty everywhere).
-fn simulate_fault_free(circuit: &Circuit, pi_assignment: &[Option<bool>]) -> Vec<Twin> {
-    let logic: Vec<Logic> = {
-        let mut v = vec![Logic::X; circuit.signal_count()];
-        for (k, pi) in circuit.primary_inputs().iter().enumerate() {
-            v[pi.0] = match pi_assignment[k] {
-                Some(b) => Logic::from_bool(b),
-                None => Logic::X,
-            };
-        }
-        let mut values = v;
-        for gate in circuit.gates() {
-            let ins: Vec<Logic> = gate.inputs.iter().map(|s| values[s.0]).collect();
-            values[gate.output.0] = sinw_switch::gate::eval_cell(gate.kind, &ins);
-        }
-        values
-    };
-    logic
-        .into_iter()
-        .map(|v| Twin { good: v, faulty: v })
-        .collect()
 }
 
 /// Value of the fault site in the good machine.
@@ -215,7 +196,12 @@ fn site_good_value(circuit: &Circuit, fault: StuckAtFault, twins: &[Twin]) -> Lo
 /// Is detection still possible? The fault must be activatable (site not
 /// already at the stuck value in the good machine) and, once activated,
 /// there must be an X-path from a fault effect to a primary output.
-fn test_possible(circuit: &Circuit, fault: StuckAtFault, twins: &[Twin]) -> bool {
+fn test_possible(
+    circuit: &Circuit,
+    fault: StuckAtFault,
+    twins: &[Twin],
+    reach: &mut [bool],
+) -> bool {
     let site_val = site_good_value(circuit, fault, twins);
     let stuck = Logic::from_bool(fault.value);
     if site_val == stuck {
@@ -225,7 +211,7 @@ fn test_possible(circuit: &Circuit, fault: StuckAtFault, twins: &[Twin]) -> bool
         return true; // not yet activated, still free
     }
     // Activated: a fault effect exists somewhere; check an X-path to a PO.
-    let mut reach = vec![false; circuit.signal_count()];
+    reach.fill(false);
     // Seed: all signals carrying a fault effect.
     let mut any = false;
     for (i, t) in twins.iter().enumerate() {
@@ -340,16 +326,18 @@ fn side_input_value(
                 .map(|s| twins[s.0].good)
                 .find(|v| v.is_known());
             match other_known {
-                Some(v) => v.not(),
+                Some(v) => !v,
                 None => Logic::Zero,
             }
         }
     }
 }
 
-/// Backtrace an objective to an unassigned primary input.
+/// Backtrace an objective to an unassigned primary input; `pi_position`
+/// maps each PI signal to its index in `primary_inputs`.
 fn backtrace(
     circuit: &Circuit,
+    pi_position: &[Option<usize>],
     twins: &[Twin],
     mut sig: SignalId,
     mut val: Logic,
@@ -358,11 +346,7 @@ fn backtrace(
         match circuit.driver(sig) {
             None => {
                 // Reached a PI.
-                let idx = circuit
-                    .primary_inputs()
-                    .iter()
-                    .position(|p| *p == sig)
-                    .expect("undriven signal must be a PI");
+                let idx = pi_position[sig.0].expect("undriven signal must be a PI");
                 if twins[sig.0].good != Logic::X {
                     return None; // already assigned — cannot help
                 }
@@ -373,7 +357,7 @@ fn backtrace(
                 // Pick an X input and the value to request on it.
                 let x_input = gate.inputs.iter().find(|s| twins[s.0].good == Logic::X)?;
                 let next_val = match gate.kind {
-                    CellKind::Inv => val.not(),
+                    CellKind::Inv => !val,
                     CellKind::Nand2 => {
                         if val == Logic::One {
                             Logic::Zero // any 0 input forces a 1 output

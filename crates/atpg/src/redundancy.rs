@@ -224,7 +224,7 @@ impl<'a> RedundancyProver<'a> {
                             assign(&mut val, o, !forced, &mut changed)?;
                         }
                         match out_v {
-                            Some(q) if q == !forced => {
+                            Some(q) if q != forced => {
                                 // Only the all-non-controlling row gives it.
                                 assign(&mut val, gate.inputs[0], !ctrl, &mut changed)?;
                                 assign(&mut val, gate.inputs[1], !ctrl, &mut changed)?;

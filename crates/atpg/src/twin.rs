@@ -5,9 +5,20 @@
 //! carries a `(good, faulty)` pair of three-valued logics; `D` is the pair
 //! `(1, 0)` and `D̄` is `(0, 1)`. This keeps the cell evaluation code shared
 //! with `sinw-switch`.
+//!
+//! Implication is event-driven over one buffer: a [`TwinSim`] keeps a
+//! `Twin` per signal and, when primary inputs change, re-evaluates only
+//! the gates in their fanout cones. Gate ids are topological, so the
+//! queued gates settle in gate-index order and each is evaluated at most
+//! once per settle, on inputs that are already final. A PODEM search
+//! keeps one simulator for its whole run and edits one input per
+//! decision, flip or unassignment.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::fault_list::{FaultSite, StuckAtFault};
-use sinw_switch::gate::{eval_cell, Circuit};
+use sinw_switch::gate::{eval_cell, Circuit, GateId, SignalId};
 use sinw_switch::value::Logic;
 
 /// A good/faulty value pair.
@@ -45,6 +56,123 @@ impl Twin {
     }
 }
 
+/// Incremental twin simulation of one circuit under one fault (or none).
+///
+/// [`assign`](TwinSim::assign) edits a primary input and queues its
+/// fanout; [`settle`](TwinSim::settle) propagates every queued change and
+/// returns the twins. With fault `None` the faulty half mirrors the good
+/// half everywhere. After any sequence of edits, the settled twins equal
+/// those of a fresh simulator given only the final assignment.
+#[derive(Debug)]
+pub struct TwinSim<'c> {
+    circuit: &'c Circuit,
+    fault: Option<StuckAtFault>,
+    twins: Vec<Twin>,
+    /// Per gate: already waiting in `queue`.
+    queued: Vec<bool>,
+    /// Gates to re-evaluate, lowest (topologically first) id on top.
+    queue: BinaryHeap<Reverse<usize>>,
+}
+
+impl<'c> TwinSim<'c> {
+    /// A simulator with every primary input unassigned (X), settled by
+    /// evaluating every gate once.
+    #[must_use]
+    pub fn new(circuit: &'c Circuit, fault: Option<StuckAtFault>) -> Self {
+        let mut sim = TwinSim {
+            circuit,
+            fault,
+            twins: vec![Twin::X; circuit.signal_count()],
+            queued: vec![false; circuit.gates().len()],
+            queue: BinaryHeap::new(),
+        };
+        for pi in circuit.primary_inputs() {
+            sim.twins[pi.0] = sim.input_twin(*pi, Logic::X);
+        }
+        for gi in 0..circuit.gates().len() {
+            let out = circuit.gates()[gi].output;
+            sim.twins[out.0] = sim.eval_gate(gi);
+        }
+        sim
+    }
+
+    /// Set primary input `k` (in [`Circuit::primary_inputs`] order) to
+    /// `value` (`None` = unassigned → X). The change propagates at the
+    /// next [`settle`](TwinSim::settle).
+    pub fn assign(&mut self, k: usize, value: Option<bool>) {
+        let pi = self.circuit.primary_inputs()[k];
+        let t = self.input_twin(pi, value.map_or(Logic::X, Logic::from_bool));
+        if self.twins[pi.0] != t {
+            self.twins[pi.0] = t;
+            self.queue_fanout(pi);
+        }
+    }
+
+    /// Propagate every pending input change through its fanout cone and
+    /// return the twins, one per signal.
+    pub fn settle(&mut self) -> &[Twin] {
+        while let Some(Reverse(gi)) = self.queue.pop() {
+            self.queued[gi] = false;
+            let out = self.circuit.gates()[gi].output;
+            let t = self.eval_gate(gi);
+            if self.twins[out.0] != t {
+                self.twins[out.0] = t;
+                self.queue_fanout(out);
+            }
+        }
+        &self.twins
+    }
+
+    fn queue_fanout(&mut self, sig: SignalId) {
+        for (g, _) in self.circuit.fanout(sig) {
+            if !self.queued[g.0] {
+                self.queued[g.0] = true;
+                self.queue.push(Reverse(g.0));
+            }
+        }
+    }
+
+    /// The stuck value when the fault sits at `site`.
+    fn stuck_at(&self, site: FaultSite) -> Option<Logic> {
+        self.fault
+            .filter(|f| f.site == site)
+            .map(|f| Logic::from_bool(f.value))
+    }
+
+    fn input_twin(&self, pi: SignalId, v: Logic) -> Twin {
+        Twin {
+            good: v,
+            faulty: self.stuck_at(FaultSite::Signal(pi)).unwrap_or(v),
+        }
+    }
+
+    /// Evaluate gate `gi` on the current twins of its inputs.
+    fn eval_gate(&self, gi: usize) -> Twin {
+        let gate = &self.circuit.gates()[gi];
+        let n = gate.inputs.len();
+        let mut good = [Logic::X; 3];
+        let mut faulty = [Logic::X; 3];
+        for (pin, s) in gate.inputs.iter().enumerate() {
+            good[pin] = self.twins[s.0].good;
+            faulty[pin] = self
+                .stuck_at(FaultSite::GatePin(GateId(gi), pin))
+                .unwrap_or(self.twins[s.0].faulty);
+        }
+        let good_out = eval_cell(gate.kind, &good[..n]);
+        let faulty_out = if faulty == good {
+            good_out
+        } else {
+            eval_cell(gate.kind, &faulty[..n])
+        };
+        Twin {
+            good: good_out,
+            faulty: self
+                .stuck_at(FaultSite::Signal(gate.output))
+                .unwrap_or(faulty_out),
+        }
+    }
+}
+
 /// Forward twin simulation of `circuit` under `fault`, given the PI
 /// assignment (`None` = unassigned → X).
 ///
@@ -56,41 +184,11 @@ pub fn simulate(
     pi_assignment: &[Option<bool>],
 ) -> Vec<Twin> {
     assert_eq!(pi_assignment.len(), circuit.primary_inputs().len());
-    let n = circuit.signal_count();
-    let mut twins = vec![Twin::X; n];
-    let stuck = Logic::from_bool(fault.value);
-
-    for (k, pi) in circuit.primary_inputs().iter().enumerate() {
-        let v = match pi_assignment[k] {
-            Some(b) => Logic::from_bool(b),
-            None => Logic::X,
-        };
-        let mut t = Twin { good: v, faulty: v };
-        if fault.site == FaultSite::Signal(*pi) {
-            t.faulty = stuck;
-        }
-        twins[pi.0] = t;
+    let mut sim = TwinSim::new(circuit, Some(fault));
+    for (k, v) in pi_assignment.iter().enumerate() {
+        sim.assign(k, *v);
     }
-
-    for (gi, gate) in circuit.gates().iter().enumerate() {
-        let mut good_ins = Vec::with_capacity(gate.inputs.len());
-        let mut faulty_ins = Vec::with_capacity(gate.inputs.len());
-        for (pin, s) in gate.inputs.iter().enumerate() {
-            good_ins.push(twins[s.0].good);
-            let mut f = twins[s.0].faulty;
-            if fault.site == FaultSite::GatePin(sinw_switch::gate::GateId(gi), pin) {
-                f = stuck;
-            }
-            faulty_ins.push(f);
-        }
-        let good = eval_cell(gate.kind, &good_ins);
-        let mut faulty = eval_cell(gate.kind, &faulty_ins);
-        if fault.site == FaultSite::Signal(gate.output) {
-            faulty = stuck;
-        }
-        twins[gate.output.0] = Twin { good, faulty };
-    }
-    twins
+    sim.settle().to_vec()
 }
 
 /// Whether the fault effect reaches any primary output.

@@ -14,9 +14,11 @@ use sinw_atpg::faultsim::{
 };
 use sinw_atpg::podem::{fill_cube, generate_test, PodemConfig, PodemResult};
 use sinw_atpg::tpg::{AtpgConfig, AtpgEngine, FaultStatus};
+use sinw_atpg::twin::TwinSim;
 use sinw_switch::cells::CellKind;
 use sinw_switch::gate::{Circuit, SignalId};
 use sinw_switch::generate::{array_multiplier, carry_select_adder};
+use sinw_switch::value::Logic;
 
 /// A random DAG of library cells over `n_pi` primary inputs.
 fn random_circuit(n_pi: usize, n_gates: usize, seed: &[u8]) -> Circuit {
@@ -53,6 +55,56 @@ fn random_circuit(n_pi: usize, n_gates: usize, seed: &[u8]) -> Circuit {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The incremental twin simulator behind PODEM's implication: after
+    /// any sequence of primary-input assign / flip / unassign edits, with
+    /// a random fault or none, every settle gives the twins a fresh
+    /// simulator computes from the final assignment alone, and the good
+    /// half is `Circuit::eval` on that assignment. Settles fall at random
+    /// points, so several edits often propagate together, as after a
+    /// PODEM backtrack.
+    #[test]
+    fn incremental_twin_sim_matches_a_fresh_one(
+        seed in proptest::collection::vec(any::<u8>(), 24),
+        n_gates in 2usize..16,
+        fault_pick in any::<u16>(),
+        edits in proptest::collection::vec(any::<u8>(), 1..40),
+    ) {
+        let n_pi = 5usize;
+        let c = random_circuit(n_pi, n_gates, &seed);
+        let universe = enumerate_stuck_at(&c);
+        let fault = universe.get(usize::from(fault_pick) % (universe.len() + 1)).copied();
+        let mut sim = TwinSim::new(&c, fault);
+        let mut assignment: Vec<Option<bool>> = vec![None; n_pi];
+        for (i, e) in edits.iter().enumerate() {
+            let k = usize::from(*e) % n_pi;
+            let v = match (e >> 3) % 3 {
+                0 => Some(e & 0x80 != 0),
+                1 => Some(!assignment[k].unwrap_or(false)),
+                _ => None,
+            };
+            assignment[k] = v;
+            sim.assign(k, v);
+            if e & 0x40 == 0 && i + 1 < edits.len() {
+                continue;
+            }
+            let mut fresh = TwinSim::new(&c, fault);
+            for (k, v) in assignment.iter().enumerate() {
+                fresh.assign(k, *v);
+            }
+            let twins = sim.settle();
+            prop_assert_eq!(twins, fresh.settle());
+            let logic: Vec<Logic> = assignment
+                .iter()
+                .map(|v| v.map_or(Logic::X, Logic::from_bool))
+                .collect();
+            let good: Vec<Logic> = twins.iter().map(|t| t.good).collect();
+            prop_assert_eq!(good, c.eval(&logic));
+            if fault.is_none() {
+                prop_assert!(twins.iter().all(|t| t.faulty == t.good));
+            }
+        }
+    }
 
     /// PODEM and the PPSFP kernel are independent implementations and must
     /// agree: every `PodemResult::Test` cube — under *any* don't-care fill

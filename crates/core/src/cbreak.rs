@@ -251,7 +251,7 @@ pub fn dual_rail_test(kind: CellKind, t_index: usize) -> Option<DualRailTest> {
         let init =
             (0..(1u32 << n)).map(|vb| (0..n).map(|k| (vb >> k) & 1 == 1).collect::<Vec<bool>>());
         for init_vec in init {
-            if Logic::from_bool(kind.function(&init_vec)) == driven.not() {
+            if Logic::from_bool(kind.function(&init_vec)) == !driven {
                 let eval_rails: Vec<(NetId, Logic)> = rails
                     .iter()
                     .enumerate()
@@ -262,7 +262,7 @@ pub fn dual_rail_test(kind: CellKind, t_index: usize) -> Option<DualRailTest> {
                     init: init_vec,
                     eval_rails,
                     expected_intact: driven,
-                    expected_broken: driven.not(),
+                    expected_broken: !driven,
                 });
             }
         }

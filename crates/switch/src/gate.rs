@@ -496,27 +496,39 @@ pub struct FlatCircuit {
 
 /// Evaluate a library cell on three-valued inputs: if every completion of
 /// the X inputs agrees, the result is that value, otherwise X.
+///
+/// The completions are enumerated in place over a `[bool; 3]` scratch
+/// (every cell has at most three inputs), so a call allocates nothing;
+/// PODEM's implication calls this once per re-evaluated gate.
+///
+/// # Panics
+///
+/// Panics if `inputs` holds more than three values.
 #[must_use]
 pub fn eval_cell(kind: CellKind, inputs: &[Logic]) -> Logic {
     let n = inputs.len();
-    let x_positions: Vec<usize> = (0..n).filter(|i| inputs[*i] == Logic::X).collect();
-    if x_positions.len() == n && n > 0 {
+    let mut bools = [false; 3];
+    let mut x_positions = [0usize; 3];
+    let mut x_count = 0;
+    for (i, v) in inputs.iter().enumerate() {
+        match v {
+            Logic::One => bools[i] = true,
+            Logic::Zero => {}
+            Logic::X => {
+                x_positions[x_count] = i;
+                x_count += 1;
+            }
+        }
+    }
+    if x_count == n && n > 0 {
         return Logic::X;
     }
     let mut result: Option<bool> = None;
-    for fill in 0..(1u32 << x_positions.len()) {
-        let mut bools = vec![false; n];
-        for i in 0..n {
-            bools[i] = match inputs[i] {
-                Logic::One => true,
-                Logic::Zero => false,
-                Logic::X => {
-                    let k = x_positions.iter().position(|p| *p == i).expect("tracked");
-                    (fill >> k) & 1 == 1
-                }
-            };
+    for fill in 0..(1u32 << x_count) {
+        for (k, p) in x_positions[..x_count].iter().enumerate() {
+            bools[*p] = (fill >> k) & 1 == 1;
         }
-        let v = kind.function(&bools);
+        let v = kind.function(&bools[..n]);
         match result {
             None => result = Some(v),
             Some(prev) if prev != v => return Logic::X,
@@ -542,6 +554,42 @@ mod tests {
         // MAJ with two equal knowns is decided.
         assert_eq!(eval_cell(CellKind::Maj3, &[One, One, X]), One);
         assert_eq!(eval_cell(CellKind::Maj3, &[One, Zero, X]), X);
+    }
+
+    #[test]
+    fn eval_cell_matches_the_completion_definition_exhaustively() {
+        // Every cell, every one of the 3^arity three-valued inputs: the
+        // result is the common value of `function` over all boolean
+        // completions of the X inputs, or X when two completions differ.
+        const LEVELS: [Logic; 3] = [Logic::Zero, Logic::One, Logic::X];
+        let mut cases = 0;
+        for kind in CellKind::ALL {
+            let n = kind.input_count();
+            for code in 0..3usize.pow(n as u32) {
+                let inputs: Vec<Logic> = (0..n)
+                    .map(|i| LEVELS[code / 3usize.pow(i as u32) % 3])
+                    .collect();
+                let mut seen = [false; 2];
+                for bits in 0..1u32 << n {
+                    let completion: Vec<bool> = (0..n).map(|i| (bits >> i) & 1 == 1).collect();
+                    let agrees = inputs
+                        .iter()
+                        .zip(&completion)
+                        .all(|(v, b)| *v == Logic::X || *v == Logic::from_bool(*b));
+                    if agrees {
+                        seen[usize::from(kind.function(&completion))] = true;
+                    }
+                }
+                let expect = match seen {
+                    [true, false] => Logic::Zero,
+                    [false, true] => Logic::One,
+                    _ => Logic::X,
+                };
+                assert_eq!(eval_cell(kind, &inputs), expect, "{kind} on {inputs:?}");
+                cases += 1;
+            }
+        }
+        assert_eq!(cases, 84);
     }
 
     #[test]

@@ -162,9 +162,9 @@ pub fn array_multiplier(width: usize) -> Circuit {
     }
     for j in 1..width {
         let mut carry: Option<SignalId> = None;
-        for i in 0..width {
+        for (i, &a_i) in a.iter().enumerate() {
             let pos = i + j;
-            let p = and2(&mut c, &format!("pp{i}_{j}"), a[i], b[j]);
+            let p = and2(&mut c, &format!("pp{i}_{j}"), a_i, b[j]);
             let mut ops: Vec<SignalId> = vec![p];
             if let Some(prev) = acc[pos] {
                 ops.push(prev);

@@ -90,9 +90,10 @@ impl ScanCircuit {
     }
 
     /// For each scan cell, the index of its scan-out value in the
-    /// rewritten core's PO vector. Not necessarily `functional_po_count
-    /// + i`: [`Circuit::mark_output`] deduplicates, so a `D` net that
-    /// already was a functional PO keeps its original position.
+    /// rewritten core's PO vector. Not necessarily
+    /// `functional_po_count + i`: [`Circuit::mark_output`] deduplicates,
+    /// so a `D` net that already was a functional PO keeps its original
+    /// position.
     #[must_use]
     pub fn scan_out_positions(&self) -> &[usize] {
         &self.scan_out_pos

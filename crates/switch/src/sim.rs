@@ -264,9 +264,9 @@ impl<'a> SwitchSim<'a> {
         }
         // Stuck-at net faults override everything at supply strength (a
         // hard short to a rail).
-        for i in 0..n {
+        for (i, slot) in fixed.iter_mut().enumerate() {
             if let Some(v) = self.net_stuck(i) {
-                fixed[i] = Some((Strength::Supply, v));
+                *slot = Some((Strength::Supply, v));
             }
         }
         fixed
@@ -345,8 +345,8 @@ impl<'a> SwitchSim<'a> {
         let mut strengths = vec![Strength::Charged; n];
         let mut converged = false;
         for _ in 0..(8 + 2 * n) {
-            for ti in 0..conduction.len() {
-                conduction[ti] = self.conduction(ti, &values);
+            for (ti, c) in conduction.iter_mut().enumerate() {
+                *c = self.conduction(ti, &values);
             }
             let definite = self.flood(&conduction, &fixed, false);
             let optimistic = self.flood(&conduction, &fixed, true);
@@ -370,8 +370,8 @@ impl<'a> SwitchSim<'a> {
             values = next;
         }
 
-        for ti in 0..conduction.len() {
-            conduction[ti] = self.conduction(ti, &values);
+        for (ti, c) in conduction.iter_mut().enumerate() {
+            *c = self.conduction(ti, &values);
         }
         let rail_short = self.rail_short(&conduction, false);
         let possible_rail_short = self.rail_short(&conduction, true);

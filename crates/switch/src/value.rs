@@ -21,17 +21,20 @@ pub enum Logic {
     X,
 }
 
-impl Logic {
+impl std::ops::Not for Logic {
+    type Output = Logic;
+
     /// Logical complement; `X` stays `X`.
-    #[must_use]
-    pub fn not(self) -> Logic {
+    fn not(self) -> Logic {
         match self {
             Logic::Zero => Logic::One,
             Logic::One => Logic::Zero,
             Logic::X => Logic::X,
         }
     }
+}
 
+impl Logic {
     /// Merge two values seen at the same strength: equal values survive,
     /// different ones conflict to `X`.
     #[must_use]
@@ -158,9 +161,9 @@ mod tests {
 
     #[test]
     fn not_is_involutive_on_known_values() {
-        assert_eq!(Logic::Zero.not().not(), Logic::Zero);
-        assert_eq!(Logic::One.not().not(), Logic::One);
-        assert_eq!(Logic::X.not(), Logic::X);
+        assert_eq!(!!Logic::Zero, Logic::Zero);
+        assert_eq!(!!Logic::One, Logic::One);
+        assert_eq!(!Logic::X, Logic::X);
     }
 
     #[test]
