@@ -68,7 +68,7 @@
 //!
 //! The pre-existing whole-circuit pass is retained as
 //! [`simulate_faults_full_pass`] — it is the property-test oracle and the
-//! baseline of the ≥ 5× event-driven gate in the `perf_gates` bench.
+//! baseline of the ≥ 5× event-driven gate in the `perf_gates` test.
 //!
 //! Fault partitioning (rather than pattern partitioning) keeps workers
 //! embarrassingly parallel: a stuck-at fault's detection is independent of
@@ -560,7 +560,7 @@ pub fn detect_mask_in<const L: usize>(
 /// against precomputed good-machine words and OR the PO differences.
 ///
 /// Kept as the oracle the event-driven kernel is property-tested against,
-/// and as the baseline of the `perf_gates` event-kernel gate (via
+/// and as the baseline of the `perf_gates` test's event-kernel gate (via
 /// [`simulate_faults_full_pass`]).
 fn full_pass_detect_mask<const L: usize>(
     circuit: &Circuit,
@@ -1032,9 +1032,9 @@ pub fn simulate_faults_checked<E: From<PackError> + Send>(
 /// block, with no event scheduling.
 ///
 /// This is the baseline of the ≥ 5× event-kernel gate in
-/// `cargo bench --bench perf_gates` and the oracle the property suites
-/// pit the event-driven engines against; it reports bit-identically to
-/// [`simulate_faults`].
+/// `cargo test --release --test perf_gates -- --ignored` and the oracle
+/// the property suites pit the event-driven engines against; it reports
+/// bit-identically to [`simulate_faults`].
 #[must_use]
 pub fn simulate_faults_full_pass(
     circuit: &Circuit,

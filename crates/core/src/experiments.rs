@@ -1,9 +1,9 @@
 //! Experiment drivers: one entry point per table and figure of the paper.
 //!
 //! Every driver returns a structured result that renders to a paper-style
-//! text table via [`std::fmt::Display`]; the Criterion benches, the
-//! examples and EXPERIMENTS.md all consume these, so the numbers reported
-//! everywhere come from a single implementation.
+//! text table via [`std::fmt::Display`]; the examples, the tests and
+//! EXPERIMENTS.md all consume these, so the numbers reported everywhere
+//! come from a single implementation.
 
 use crate::cbreak::{self, Verdict};
 use crate::dictionary::{build_dictionary, CellDictionary};
@@ -201,45 +201,6 @@ impl Experiments {
             t_index,
             points,
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Sections V–VI — stuck-at fault coverage on benchmark circuits
-    // ------------------------------------------------------------------
-
-    /// End-to-end fault-coverage run over the benchmark suite:
-    /// parse / generate → map onto the CP cell library → collapse the
-    /// stuck-at universe → thread-parallel PPSFP → coverage report.
-    /// Delegates to [`fault_coverage`] with this context's fidelity.
-    #[must_use]
-    pub fn fault_coverage(&self) -> FaultCoverageResult {
-        fault_coverage(self.fast)
-    }
-
-    /// Full ATPG campaign (random phase → PODEM → compaction) over the
-    /// benchmark suite. Delegates to [`atpg_campaign`] with this
-    /// context's fidelity.
-    #[must_use]
-    pub fn atpg_campaign(&self) -> AtpgCampaignResult {
-        atpg_campaign(self.fast)
-    }
-
-    /// Fault dictionary + diagnosis over the benchmark suite (signature
-    /// capture on the campaign's compacted pattern sets). Delegates to
-    /// [`diagnosis`] with this context's fidelity.
-    #[must_use]
-    pub fn diagnosis(&self) -> DiagnosisResult {
-        diagnosis(self.fast)
-    }
-
-    /// Sequential-circuit run: scan insertion, stuck-at ATPG on the
-    /// per-frame scan view through the unchanged campaign engine, and
-    /// launch-on-capture transition-delay ATPG on the 2-frame time-frame
-    /// expansion. Delegates to [`sequential`] with this context's
-    /// fidelity.
-    #[must_use]
-    pub fn sequential(&self) -> SequentialResult {
-        sequential(self.fast)
     }
 
     // ------------------------------------------------------------------
@@ -1244,15 +1205,15 @@ pub struct SequentialRow {
     pub tr_ms: f64,
 }
 
-/// Result of [`sequential`]: per-machine rows plus the knobs the run
+/// Result of [`sequential`]: per-machine rows plus the arguments the run
 /// used.
 #[derive(Debug, Clone)]
 pub struct SequentialResult {
     /// Per-machine rows.
     pub rows: Vec<SequentialRow>,
-    /// Unroll depth of the `unrolled_cells` column (`SINW_SEQ_FRAMES`).
+    /// Unroll depth of the `unrolled_cells` column.
     pub frames: usize,
-    /// Whether the run scanned every flip-flop (`SINW_SCAN`).
+    /// Whether the run scanned every flip-flop (otherwise every other one).
     pub full_scan: bool,
 }
 
@@ -1303,31 +1264,24 @@ impl fmt::Display for SequentialResult {
     }
 }
 
-/// The sequential benchmark set: `s27` plus the registered generator
-/// variants, as `(name, machine)` pairs.
-#[must_use]
-pub fn sequential_benchmark_suite(fast: bool) -> Vec<(String, sinw_switch::seq::SeqCircuit)> {
-    sinw_switch::generate::sequential_suite(fast)
-}
-
 /// The sequential experiment: for every machine in
-/// [`sequential_benchmark_suite`], insert a scan chain
-/// (`SINW_SCAN=partial` scans every other flip-flop; anything else —
-/// the default — scans all of them), run the **unchanged**
+/// [`sequential_suite`](sinw_switch::generate::sequential_suite), insert
+/// a scan chain (over every flip-flop when `full_scan`, else over every
+/// other one), run the **unchanged**
 /// [`AtpgEngine`](sinw_atpg::AtpgEngine) stuck-at campaign on the
 /// per-frame scan view through the service layer's compile path, unroll
-/// `SINW_SEQ_FRAMES` time frames (default 2) for the size column, and
-/// run the launch-on-capture [`TransitionAtpg`](sinw_atpg::TransitionAtpg)
+/// `frames` time frames for the size column, and run the
+/// launch-on-capture [`TransitionAtpg`](sinw_atpg::TransitionAtpg)
 /// campaign for two-pattern transition tests.
 ///
 /// # Panics
 ///
-/// Panics if the default and threaded transition engines disagree on the
-/// produced pair set (a determinism-contract violation, not measurement
-/// noise), or if a transition pair set fails its own verification
-/// replay.
+/// Panics if `frames == 0`, if the default and threaded transition
+/// engines disagree on the produced pair set (a determinism-contract
+/// violation, not measurement noise), or if a transition pair set fails
+/// its own verification replay.
 #[must_use]
-pub fn sequential(fast: bool) -> SequentialResult {
+pub fn sequential(fast: bool, frames: usize, full_scan: bool) -> SequentialResult {
     use sinw_atpg::tpg::{AtpgConfig, AtpgEngine};
     use sinw_atpg::transition::{
         enumerate_transition, simulate_transition, simulate_transition_threaded_lanes,
@@ -1337,14 +1291,7 @@ pub fn sequential(fast: bool) -> SequentialResult {
     use sinw_server::registry::compile_circuit;
     use sinw_switch::scan::{insert_scan, ScanPlan};
 
-    let frames = std::env::var("SINW_SEQ_FRAMES")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|k| *k >= 1)
-        .unwrap_or(2);
-    let full_scan = std::env::var("SINW_SCAN").map_or(true, |v| v.trim() != "partial");
-
-    let rows = sequential_benchmark_suite(fast)
+    let rows = sinw_switch::generate::sequential_suite(fast)
         .into_iter()
         .map(|(name, seq)| {
             let plan = if full_scan {

@@ -22,7 +22,7 @@
 //! * [`cell_aware`] — lifting cell-level tests to circuit level with the
 //!   constrained-PODEM engine of `sinw-atpg`;
 //! * [`experiments`] — one driver per table/figure of the paper,
-//!   consumed by the benches, the examples and EXPERIMENTS.md, plus the
+//!   consumed by the examples, the tests and EXPERIMENTS.md, plus the
 //!   [`experiments::fault_coverage`] end-to-end run over the benchmark
 //!   suite (embedded `.bench` fixtures and parametric generators).
 //!

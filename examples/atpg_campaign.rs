@@ -7,7 +7,6 @@
 //! ```text
 //! cargo run --release --example atpg_campaign          # full widths
 //! cargo run --release --example atpg_campaign -- --fast
-//! SINW_ATPG_FAST=1 cargo run --release --example atpg_campaign   # CI smoke
 //! ```
 
 use sinw::atpg::tpg::{AtpgConfig, AtpgEngine};
@@ -15,8 +14,7 @@ use sinw::server::registry::CircuitRegistry;
 use sinw::switch::iscas::CSA16_BENCH;
 
 fn main() {
-    let fast = std::env::args().any(|a| a == "--fast")
-        || std::env::var("SINW_ATPG_FAST").is_ok_and(|v| v != "0");
+    let fast = std::env::args().any(|a| a == "--fast");
     let result = sinw::core::experiments::atpg_campaign(fast);
     print!("{result}");
 

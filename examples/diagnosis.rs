@@ -7,7 +7,6 @@
 //! ```text
 //! cargo run --release --example diagnosis            # full widths
 //! cargo run --release --example diagnosis -- --fast
-//! SINW_DIAG_FAST=1 cargo run --release --example diagnosis   # CI smoke
 //! ```
 
 use sinw::atpg::diagnose::{full_pass_observations, FaultDictionary};
@@ -16,8 +15,7 @@ use sinw::server::registry::CircuitRegistry;
 use sinw::switch::iscas::CSA16_BENCH;
 
 fn main() {
-    let fast = std::env::args().any(|a| a == "--fast")
-        || std::env::var("SINW_DIAG_FAST").is_ok_and(|v| v != "0");
+    let fast = std::env::args().any(|a| a == "--fast");
     let result = sinw::core::experiments::diagnosis(fast);
     print!("{result}");
 

@@ -7,9 +7,11 @@
 //! ```text
 //! cargo run --release --example sequential            # full widths
 //! cargo run --release --example sequential -- --fast
-//! SINW_SEQ_FAST=1 cargo run --release --example sequential   # CI smoke
-//! SINW_SEQ_FRAMES=4 SINW_SCAN=partial cargo run --release --example sequential
+//! cargo run --release --example sequential -- --fast --frames 4 --partial-scan
 //! ```
+//!
+//! `--frames N` sets the unroll depth of the size column (default 2);
+//! `--partial-scan` scans every other flip-flop instead of all of them.
 
 use sinw::atpg::transition::{enumerate_transition, TransitionAtpg, TransitionAtpgConfig};
 use sinw::atpg::unroll::{unroll, UnrollConfig};
@@ -17,9 +19,16 @@ use sinw::switch::iscas::parse_bench_seq;
 use sinw::switch::iscas::S27_BENCH;
 
 fn main() {
-    let fast = std::env::args().any(|a| a == "--fast")
-        || std::env::var("SINW_SEQ_FAST").is_ok_and(|v| v != "0");
-    let result = sinw::core::experiments::sequential(fast);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let fast = args.iter().any(|a| a == "--fast");
+    let full_scan = !args.iter().any(|a| a == "--partial-scan");
+    let frames = args.iter().position(|a| a == "--frames").map_or(2, |i| {
+        args.get(i + 1)
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|k| *k >= 1)
+            .expect("--frames takes a positive integer")
+    });
+    let result = sinw::core::experiments::sequential(fast, frames, full_scan);
     print!("{result}");
 
     // A worked LOC pair on s27: unroll two frames, run the transition

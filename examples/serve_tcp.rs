@@ -13,13 +13,17 @@
 //! ```text
 //! cargo run --release --example serve_tcp             # csa16 + mul8
 //! cargo run --release --example serve_tcp -- --fast   # csa16 only
-//! SINW_SERVE_TCP_FAST=1 cargo run --release --example serve_tcp  # CI smoke
 //! ```
+//!
+//! Under an injected chunk delay
+//! (`SINW_FAILPOINTS="jobs.faultsim.chunk=delay:3"`) the example also
+//! insists that each job streams at least two distinct progress values.
 
 use std::sync::Arc;
 
 use sinw::atpg::faultsim::seeded_patterns;
 use sinw::atpg::simulate_faults;
+use sinw::server::failpoint;
 use sinw::server::net::{NetClient, NetConfig, NetServer};
 use sinw::server::registry::{compile_circuit, CompiledCircuit};
 use sinw::server::snapshot::Snapshot;
@@ -28,12 +32,7 @@ use sinw::switch::generate::array_multiplier;
 use sinw::switch::iscas::{parse_bench, to_bench, CSA16_BENCH};
 
 fn main() {
-    let fast = std::env::args().any(|a| a == "--fast")
-        || std::env::var("SINW_SERVE_TCP_FAST").is_ok_and(|v| v != "0");
-    // CI arms a chunk delay (SINW_FAILPOINTS) and sets this to insist
-    // the stream shows the job actually advancing; without the delay a
-    // small job can legitimately finish inside one poll tick.
-    let assert_stream = std::env::var("SINW_SERVE_TCP_ASSERT_STREAM").is_ok_and(|v| v != "0");
+    let fast = std::env::args().any(|a| a == "--fast");
 
     let store_dir = std::env::temp_dir().join(format!("sinw_serve_tcp_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
@@ -100,6 +99,7 @@ fn main() {
             true,
         ));
 
+        let delayed_before = failpoint::fired("jobs.faultsim.chunk");
         let job = client
             .submit(WireJob::FaultSim {
                 key,
@@ -122,7 +122,10 @@ fn main() {
             outcome, reference,
             "wire result must match the serial engine"
         );
-        if assert_stream {
+        // Without an injected chunk delay a small job can legitimately
+        // finish inside one poll tick; with at least two delayed chunks
+        // the stream must show the job advancing.
+        if failpoint::fired("jobs.faultsim.chunk") >= delayed_before + 2 {
             assert!(
                 seen.len() >= 2,
                 "{name}: expected >= 2 distinct streamed progress values, saw {seen:?}"

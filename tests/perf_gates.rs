@@ -8,8 +8,10 @@
 //! * a warm registry hit is **≥ 10×** a cold compile of
 //!   `array_multiplier(32)`, shares the warm `Arc` and compiles nothing.
 //!
-//! No knobs and no artifacts: `cargo bench --bench perf_gates` prints
-//! both ratios and panics if either gate fails. Per-layer timings are
+//! Wall-clock gates mean nothing in a debug build, so the test is ignored
+//! by default and refuses to run without optimisations:
+//! `cargo test --release --test perf_gates -- --ignored` prints both
+//! ratios and fails if either gate does. Per-layer timings are
 //! `perfbench` rows.
 
 use sinw_atpg::collapse::collapse;
@@ -43,7 +45,12 @@ fn ratio(slow: Duration, fast: Duration) -> f64 {
     slow.as_secs_f64() / fast.as_secs_f64().max(1e-12)
 }
 
-fn main() {
+#[test]
+#[ignore = "timing gates: run in release with --ignored"]
+fn event_kernel_and_registry_hit_meet_their_timing_gates() {
+    if cfg!(debug_assertions) {
+        panic!("the timing gates measure release builds: run with `cargo test --release`");
+    }
     let circuit = array_multiplier(32);
 
     let faults = enumerate_stuck_at(&circuit);
