@@ -1478,14 +1478,6 @@ pub fn capture_signatures_threaded_lanes(
 mod tests {
     use super::*;
     use crate::fault_list::enumerate_stuck_at;
-    use rand::prelude::*;
-
-    fn random_patterns(n_pi: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..count)
-            .map(|_| (0..n_pi).map(|_| rng.gen_bool(0.5)).collect())
-            .collect()
-    }
 
     #[test]
     fn exhaustive_patterns_reach_full_c17_coverage() {
@@ -1507,7 +1499,7 @@ mod tests {
             (Circuit::parity_tree(7), 64),
         ] {
             let faults = enumerate_stuck_at(&c);
-            let patterns = random_patterns(c.primary_inputs().len(), n_patterns, 17);
+            let patterns = seeded_patterns(c.primary_inputs().len(), n_patterns, 17);
             for drop_detected in [false, true] {
                 let full = simulate_faults_full_pass(&c, &faults, &patterns, drop_detected);
                 let event = simulate_faults(&c, &faults, &patterns, drop_detected);
@@ -1556,7 +1548,7 @@ mod tests {
     fn threaded_engine_handles_edge_worker_counts() {
         let c = Circuit::c17();
         let faults = enumerate_stuck_at(&c);
-        let patterns = random_patterns(5, 16, 9);
+        let patterns = seeded_patterns(5, 16, 9);
         let reference = simulate_faults(&c, &faults, &patterns, true);
         // More workers than faults, exactly one worker, and auto-detect.
         let lanes = configured_lanes();
@@ -1576,7 +1568,7 @@ mod tests {
         assert_eq!(stealing(usize::MAX, 0), (1, 1));
         let c = Circuit::c17();
         let faults = enumerate_stuck_at(&c);
-        let patterns = random_patterns(5, 16, 9);
+        let patterns = seeded_patterns(5, 16, 9);
         let (r, stats) =
             simulate_faults_threaded_stats(&c, &faults, &patterns, true, usize::MAX, 1);
         assert_eq!(r, simulate_faults(&c, &faults, &patterns, true));
@@ -1587,7 +1579,7 @@ mod tests {
     fn fault_dropping_does_not_change_coverage() {
         let c = Circuit::parity_tree(6);
         let faults = enumerate_stuck_at(&c);
-        let patterns = random_patterns(c.primary_inputs().len(), 64, 7);
+        let patterns = seeded_patterns(c.primary_inputs().len(), 64, 7);
         let with_drop = simulate_faults(&c, &faults, &patterns, true);
         let without = simulate_faults(&c, &faults, &patterns, false);
         assert_eq!(with_drop.detected.len(), without.detected.len());
@@ -1598,7 +1590,7 @@ mod tests {
     fn compaction_preserves_coverage() {
         let c = Circuit::c17();
         let faults = enumerate_stuck_at(&c);
-        let patterns = random_patterns(5, 40, 3);
+        let patterns = seeded_patterns(5, 40, 3);
         let full = simulate_faults(&c, &faults, &patterns, true);
         let compacted = compact_reverse(&c, &faults, &patterns);
         let after = simulate_faults(&c, &faults, &compacted, true);
@@ -1647,7 +1639,7 @@ mod tests {
         for c in [Circuit::c17(), Circuit::full_adder()] {
             let faults = enumerate_stuck_at(&c);
             let n_pi = c.primary_inputs().len();
-            let patterns = random_patterns(n_pi, 70, 5);
+            let patterns = seeded_patterns(n_pi, 70, 5);
             let sig = capture_signatures(&c, &faults, &patterns);
             assert_eq!(
                 sig,
@@ -1675,7 +1667,7 @@ mod tests {
     fn signature_detection_agrees_with_the_detect_mask_engines() {
         let c = Circuit::ripple_adder(3);
         let faults = enumerate_stuck_at(&c);
-        let patterns = random_patterns(c.primary_inputs().len(), 100, 42);
+        let patterns = seeded_patterns(c.primary_inputs().len(), 100, 42);
         let sig = capture_signatures(&c, &faults, &patterns);
         let report = simulate_faults(&c, &faults, &patterns, false);
         for (fi, fault) in faults.iter().enumerate() {
@@ -1709,7 +1701,7 @@ mod tests {
         assert!(!sig.is_detected(0));
         assert_eq!(sig.first_failing_pattern(0), None);
         // Empty fault list.
-        let patterns = random_patterns(5, 8, 1);
+        let patterns = seeded_patterns(5, 8, 1);
         let lanes = configured_lanes();
         let empty = capture_signatures_threaded_lanes(&c, &[], &patterns, 4, lanes);
         assert_eq!(empty.fault_count(), 0);
@@ -1761,7 +1753,7 @@ mod tests {
     fn all_engines_agree_across_lane_widths() {
         let c = Circuit::ripple_adder(3);
         let faults = enumerate_stuck_at(&c);
-        let patterns = random_patterns(c.primary_inputs().len(), 200, 11);
+        let patterns = seeded_patterns(c.primary_inputs().len(), 200, 11);
         let reference = simulate_faults_lanes(&c, &faults, &patterns, true, 1);
         let ref_sig = capture_signatures_lanes(&c, &faults, &patterns, 1);
         for lanes in SUPPORTED_LANES {
@@ -1791,7 +1783,7 @@ mod tests {
     fn work_stealing_matches_static_partitioning() {
         let c = Circuit::parity_tree(9);
         let faults = enumerate_stuck_at(&c);
-        let patterns = random_patterns(c.primary_inputs().len(), 96, 23);
+        let patterns = seeded_patterns(c.primary_inputs().len(), 96, 23);
         for drop_detected in [false, true] {
             let serial = simulate_faults_lanes(&c, &faults, &patterns, drop_detected, 1);
             let (steal, stats) =

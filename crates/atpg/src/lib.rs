@@ -91,11 +91,10 @@ pub use podem::{
 };
 pub use redundancy::RedundancyProver;
 pub use sof::{cell_sof_tests, generate_sof_test, CircuitTwoPattern, SofResult, TwoPattern};
-pub use steal::WorkQueue;
 pub use tpg::{merge_cubes, AtpgConfig, AtpgEngine, AtpgReport, FaultStatus};
 pub use transition::{
-    capture_transition_signatures, capture_transition_signatures_lanes, enumerate_transition,
-    simulate_transition, simulate_transition_threaded_lanes, transition_oracle, TransitionAtpg,
-    TransitionAtpgConfig, TransitionAtpgReport, TransitionFault, TransitionKind,
+    enumerate_transition, simulate_transition, simulate_transition_threaded_lanes,
+    transition_oracle, TransitionAtpg, TransitionAtpgConfig, TransitionAtpgReport, TransitionFault,
+    TransitionKind,
 };
 pub use unroll::{unroll, UnrollConfig, UnrolledCircuit};

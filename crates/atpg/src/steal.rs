@@ -6,7 +6,7 @@
 //! one private state (a fault-sim scratch, say) across the chunks it
 //! claims; the first `Err` a chunk returns stops further claims.
 //!
-//! Chunks are dealt by a [`WorkQueue`]: chunked claiming plus
+//! Chunks are dealt by a crate-private `WorkQueue`: chunked claiming plus
 //! steal-half-on-exhaustion, so skewed fault universes (the csa16
 //! all-pass class is the canonical example — its faults bail out of the
 //! event kernel immediately, while deep-cone faults cost thousands of
@@ -46,10 +46,9 @@ const fn unpack(v: u64) -> (u32, u32) {
 
 /// A chunked work-stealing queue over `n_items` items — the dealer
 /// under [`fan_out`], whose effect the engines report as [`StealStats`].
-pub struct WorkQueue {
+pub(crate) struct WorkQueue {
     chunk_size: usize,
     n_items: usize,
-    n_chunks: usize,
     /// One packed `[head, tail)` span per worker.
     spans: Vec<AtomicU64>,
     /// Successful steals (for the benches and the determinism test).
@@ -82,15 +81,15 @@ impl WorkQueue {
         WorkQueue {
             chunk_size,
             n_items,
-            n_chunks,
             spans,
             steals: AtomicUsize::new(0),
         }
     }
 
     /// Total number of chunks dealt out.
-    pub fn chunk_count(&self) -> usize {
-        self.n_chunks
+    #[cfg(test)]
+    fn chunk_count(&self) -> usize {
+        self.n_items.div_ceil(self.chunk_size)
     }
 
     /// Successful steals so far.
@@ -176,7 +175,7 @@ pub struct StealStats {
 
 /// Run `body` over `n_items` items cut into chunks of `chunk_size`, on at
 /// most `min(workers, chunk count)` workers claiming chunks from a
-/// [`WorkQueue`], and return the per-chunk results in chunk order.
+/// `WorkQueue`, and return the per-chunk results in chunk order.
 ///
 /// Worker `w` builds its private state once with `init(w)` and passes it
 /// to `body` for every chunk it claims, together with the chunk's item

@@ -36,8 +36,8 @@
 
 use crate::fault_list::{enumerate_stuck_at, FaultSite, StuckAtFault};
 use crate::faultsim::{
-    capture, configured_lanes, detect, dispatch_lanes, good_sim, report_from, stealing, FaultModel,
-    FaultSimReport, GoodBlock, PatternBlock, SignatureMatrix, ONE_WORKER,
+    configured_lanes, detect, dispatch_lanes, good_sim, report_from, stealing, FaultModel,
+    FaultSimReport, GoodBlock, PatternBlock, ONE_WORKER,
 };
 use crate::graph::SimGraph;
 use crate::lanes::PatternWords;
@@ -77,15 +77,6 @@ impl TransitionFault {
         TransitionFault {
             site,
             kind: TransitionKind::SlowToRise,
-        }
-    }
-
-    /// Slow-to-fall at a site.
-    #[must_use]
-    pub fn slow_to_fall(site: FaultSite) -> Self {
-        TransitionFault {
-            site,
-            kind: TransitionKind::SlowToFall,
         }
     }
 
@@ -350,51 +341,6 @@ pub fn transition_oracle(
         })
         .collect();
     report_from(firsts, pairs.len())
-}
-
-// ----------------------------------------------------------------------
-// Signature capture (dictionary hook)
-// ----------------------------------------------------------------------
-
-/// Full per-fault × per-pair × per-PO transition response signature —
-/// the raw material of a transition-fault dictionary
-/// ([`crate::diagnose::FaultDictionary::from_signatures`] consumes it
-/// directly). Bit `pair * outputs + output` of row `f` is set when the
-/// pair both initialises fault `f`'s site and exposes its residual
-/// stuck-at fault at that output. Runs at [`configured_lanes`].
-#[must_use]
-pub fn capture_transition_signatures(
-    circuit: &Circuit,
-    faults: &[TransitionFault],
-    pairs: &[CircuitTwoPattern],
-) -> SignatureMatrix {
-    capture_transition_signatures_lanes(circuit, faults, pairs, configured_lanes())
-}
-
-/// [`capture_transition_signatures`] at an explicit lane width.
-///
-/// # Panics
-///
-/// Panics if `lanes` is not one of [`SUPPORTED_LANES`](crate::SUPPORTED_LANES).
-#[must_use]
-pub fn capture_transition_signatures_lanes(
-    circuit: &Circuit,
-    faults: &[TransitionFault],
-    pairs: &[CircuitTwoPattern],
-    lanes: usize,
-) -> SignatureMatrix {
-    dispatch_lanes!(lanes, L => pair_capture::<L>(circuit, faults, pairs))
-}
-
-fn pair_capture<const L: usize>(
-    circuit: &Circuit,
-    faults: &[TransitionFault],
-    pairs: &[CircuitTwoPattern],
-) -> SignatureMatrix {
-    let graph = &SimGraph::build(circuit);
-    let model = Transition { circuit, graph };
-    let run = capture::<_, _, L>(&model, faults, pairs, ONE_WORKER, &|| Ok(()), &|| {});
-    run.unwrap_or_else(|e: Infallible| match e {}).0
 }
 
 // ----------------------------------------------------------------------
@@ -773,32 +719,6 @@ mod tests {
             simulate_transition_threaded_lanes(&c, &faults, &[], true, 2, configured_lanes()),
             r
         );
-    }
-
-    #[test]
-    fn signatures_agree_with_the_detect_engines() {
-        let c = comb();
-        let faults = enumerate_transition(&c);
-        let pairs = seeded_pairs(&c, 70, 0xCAFE);
-        let report = simulate_transition(&c, &faults, &pairs, false);
-        for lanes in SUPPORTED_LANES {
-            let sig = capture_transition_signatures_lanes(&c, &faults, &pairs, lanes);
-            for fi in 0..faults.len() {
-                assert_eq!(
-                    sig.is_detected(fi),
-                    report.detected.contains(&fi),
-                    "fault {fi} at lanes {lanes}"
-                );
-                let first = report
-                    .detected
-                    .contains(&fi)
-                    .then(|| {
-                        simulate_transition(&c, &faults[fi..=fi], &pairs, true).first_detections
-                    })
-                    .map(|fd| fd.iter().position(|n| *n > 0).unwrap());
-                assert_eq!(sig.first_failing_pattern(fi), first);
-            }
-        }
     }
 
     /// q' = XOR(q, a), out = NAND(q, a): the accumulator toy machine.

@@ -195,12 +195,6 @@ impl UnrolledCircuit {
         &self.observed_frames
     }
 
-    /// State₀ pseudo-PIs, one per flip-flop.
-    #[must_use]
-    pub fn state0_inputs(&self) -> &[SignalId] {
-        &self.state0
-    }
-
     /// Frame `frame`'s copy of core signal `sig`.
     #[must_use]
     pub fn signal_at(&self, frame: usize, sig: SignalId) -> SignalId {

@@ -144,7 +144,7 @@ pub fn bridge_injection_verdict(
 ) -> Verdict {
     let opts = SolverOpts::default();
     // Pick the strongest detecting entry for either polarity fault.
-    let entry = [TransistorFault::StuckAtNType, TransistorFault::StuckAtPType]
+    let entry = TransistorFault::POLARITY
         .into_iter()
         .flat_map(|f| dict.detecting(t_index, f))
         .max_by(|a, b| {

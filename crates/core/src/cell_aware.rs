@@ -152,7 +152,7 @@ pub fn generate_campaign(
         let dict = dict_of(g.kind);
         for t in 0..n_t {
             if let Some(d) = &dict {
-                for fault in [TransistorFault::StuckAtNType, TransistorFault::StuckAtPType] {
+                for fault in TransistorFault::POLARITY {
                     let lifted = lift_polarity_test(circuit, gate, d, t, fault, config);
                     out.push((
                         CellAwareTarget {

@@ -127,7 +127,7 @@ impl CellDictionary {
             .max()
             .map_or(0, |m| m + 1);
         for t in 0..n {
-            for fault in [TransistorFault::StuckAtNType, TransistorFault::StuckAtPType] {
+            for fault in TransistorFault::POLARITY {
                 if self.detecting(t, fault).is_empty() {
                     return false;
                 }
@@ -186,7 +186,7 @@ pub fn build_dictionary(kind: CellKind, table: &Arc<TigTable>) -> CellDictionary
         let iddq_healthy = leakage(&healthy, &healthy_sol).max(1e-13);
 
         for t in 0..n_transistors {
-            for fault in [TransistorFault::StuckAtNType, TransistorFault::StuckAtPType] {
+            for fault in TransistorFault::POLARITY {
                 let mut sick = healthy.clone();
                 inject_polarity_fault(&mut sick, t, fault);
                 let sol = dc_from(&sick.circuit, &healthy_sol, &opts).expect("faulty cell DC");

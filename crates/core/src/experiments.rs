@@ -380,7 +380,7 @@ impl fmt::Display for Fig3Result {
             writeln!(
                 f,
                 "  {:4}  {:>10.3}   {:>8.0}    {}",
-                r.site.to_string(),
+                r.site,
                 r.sat_ratio,
                 r.delta_vth_mv,
                 if r.negative_id_at_low_vds {
@@ -428,7 +428,7 @@ impl fmt::Display for Fig4Result {
                 GateTerminal::Cg => "1.763e18",
                 GateTerminal::Pgd => "1.316e18",
             };
-            writeln!(f, "  GOS on {site:3}   {n:.3e}   (paper: {paper})")?;
+            writeln!(f, "  GOS on {site}   {n:.3e}   (paper: {paper})")?;
         }
         Ok(())
     }
@@ -470,24 +470,6 @@ impl Fig5Result {
             .flat_map(|p| [p.leak_pgs_open, p.leak_pgd_open])
             .filter(|v| v.is_finite() && *v > 0.0)
             .collect();
-        let max = finite.iter().copied().fold(0.0f64, f64::max);
-        let min = finite.iter().copied().fold(f64::INFINITY, f64::min);
-        max / min
-    }
-
-    /// Max/min delay ratio over the sweep (where the output still
-    /// switches).
-    #[must_use]
-    pub fn delay_swing(&self) -> f64 {
-        let finite: Vec<f64> = self
-            .points
-            .iter()
-            .flat_map(|p| [p.delay_pgs_open, p.delay_pgd_open])
-            .filter(|v| v.is_finite() && *v > 0.0)
-            .collect();
-        if finite.is_empty() {
-            return f64::NAN;
-        }
         let max = finite.iter().copied().fold(0.0f64, f64::max);
         let min = finite.iter().copied().fold(f64::INFINITY, f64::min);
         max / min
@@ -555,10 +537,7 @@ impl fmt::Display for Table1Result {
             writeln!(
                 f,
                 "  {:6}  {:>7}  {:>9}  {:>16}",
-                r.kind.to_string(),
-                r.total_defects,
-                r.classical,
-                r.needs_new
+                r.kind, r.total_defects, r.classical, r.needs_new
             )?;
         }
         Ok(())
@@ -579,7 +558,7 @@ impl fmt::Display for Sec5bResult {
             writeln!(
                 f,
                 "  {:6}  swing {:>10.3e}x  dictionary {}",
-                kind.to_string(),
+                kind,
                 swing,
                 if *complete { "complete" } else { "INCOMPLETE" }
             )?;
@@ -1396,7 +1375,7 @@ pub fn render_table3(dict: &CellDictionary) -> String {
         s,
         "  fault              t    vector  leakage  output   (paper: t1<-00 t2<-11 t3<-01 t4<-10)"
     );
-    for fault in [TransistorFault::StuckAtNType, TransistorFault::StuckAtPType] {
+    for fault in TransistorFault::POLARITY {
         for t in 0..4 {
             let detecting = dict.detecting(t, fault);
             if let Some(e) = detecting.first() {
@@ -1408,14 +1387,14 @@ pub fn render_table3(dict: &CellDictionary) -> String {
                 let _ = writeln!(
                     s,
                     "  {:18} t{}   {:>4}    {:>7}  {:>6}",
-                    fault.to_string(),
+                    fault,
                     t + 1,
                     v,
                     if e.leakage_detect() { "yes" } else { "no" },
                     if e.output_detect() { "yes" } else { "no" }
                 );
             } else {
-                let _ = writeln!(s, "  {:18} t{}   (none)", fault.to_string(), t + 1);
+                let _ = writeln!(s, "  {fault:18} t{}   (none)", t + 1);
             }
         }
     }

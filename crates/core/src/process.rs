@@ -93,13 +93,13 @@ pub enum DefectClass {
 
 impl std::fmt::Display for DefectClass {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DefectClass::NanowireBreak => write!(f, "nanowire break"),
-            DefectClass::GateOxideShort => write!(f, "gate oxide short"),
-            DefectClass::TerminalBridge => write!(f, "bridge between terminals"),
-            DefectClass::InterconnectBridge => write!(f, "bridge among interconnects"),
-            DefectClass::FloatingGate => write!(f, "floating gate"),
-        }
+        f.pad(match self {
+            DefectClass::NanowireBreak => "nanowire break",
+            DefectClass::GateOxideShort => "gate oxide short",
+            DefectClass::TerminalBridge => "bridge between terminals",
+            DefectClass::InterconnectBridge => "bridge among interconnects",
+            DefectClass::FloatingGate => "floating gate",
+        })
     }
 }
 

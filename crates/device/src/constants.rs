@@ -29,9 +29,6 @@ pub const EPS_SI: f64 = 11.7;
 /// Relative permittivity of the HfO₂ gate dielectric.
 pub const EPS_HFO2: f64 = 22.0;
 
-/// Silicon band gap at 300 K in electron-volts.
-pub const E_GAP: f64 = 1.12;
-
 /// Transport band gap of the nanowire in electron-volts.
 ///
 /// Quantum confinement in the 7.5 nm-radius wire widens the gap above the
@@ -42,9 +39,6 @@ pub const E_GAP_NW: f64 = 1.25;
 
 /// Effective conduction-band density of states of silicon at 300 K, in cm⁻³.
 pub const NC_CM3: f64 = 2.8e19;
-
-/// Effective valence-band density of states of silicon at 300 K, in cm⁻³.
-pub const NV_CM3: f64 = 1.04e19;
 
 /// Effective density of states used by the channel-density probe, in cm⁻³.
 ///

@@ -36,11 +36,11 @@ impl GateTerminal {
 
 impl std::fmt::Display for GateTerminal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GateTerminal::Pgs => write!(f, "PGS"),
-            GateTerminal::Cg => write!(f, "CG"),
-            GateTerminal::Pgd => write!(f, "PGD"),
-        }
+        f.pad(match self {
+            GateTerminal::Pgs => "PGS",
+            GateTerminal::Cg => "CG",
+            GateTerminal::Pgd => "PGD",
+        })
     }
 }
 
@@ -173,12 +173,6 @@ impl DeviceGeometry {
             GateTerminal::Cg => self.l_pg + self.l_spacer + self.l_cg / 2.0,
             GateTerminal::Pgd => self.total_length() - self.l_pg / 2.0,
         }
-    }
-
-    /// Cross-sectional area of the nanowire, in m².
-    #[must_use]
-    pub fn cross_section(&self) -> f64 {
-        std::f64::consts::PI * self.r_nw * self.r_nw
     }
 }
 

@@ -314,33 +314,6 @@ impl TigFet {
             .collect()
     }
 
-    /// Output-characteristic sweep: returns `(V_DS, I_D)` pairs at fixed
-    /// gate biases.
-    #[must_use]
-    pub fn sweep_vds(
-        &self,
-        v_cg: f64,
-        v_pgs: f64,
-        v_pgd: f64,
-        v_start: f64,
-        v_stop: f64,
-        points: usize,
-    ) -> Vec<(f64, f64)> {
-        assert!(points >= 2, "a sweep needs at least two points");
-        (0..points)
-            .map(|i| {
-                let v_ds = v_start + (v_stop - v_start) * (i as f64) / ((points - 1) as f64);
-                let bias = Bias {
-                    v_cg,
-                    v_pgs,
-                    v_pgd,
-                    v_ds,
-                };
-                (v_ds, self.drain_current(bias))
-            })
-            .collect()
-    }
-
     /// Constant-current threshold voltage: the `V_CG` at which `I_D` crosses
     /// `i_crit` with both polarity gates at `v_pg` and the drain at `v_ds`.
     ///

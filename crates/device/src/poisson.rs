@@ -129,19 +129,6 @@ impl BandProfile {
     pub fn x_of(&self, i: usize) -> f64 {
         i as f64 * self.dx
     }
-
-    /// Valence-band edge at sample `i`, in eV (`E_v = E_c − E_g`).
-    #[must_use]
-    pub fn e_v(&self, i: usize, e_gap: f64) -> f64 {
-        self.e_c[i] - e_gap
-    }
-
-    /// The highest conduction-band energy along the profile — the thermionic
-    /// barrier electrons must overcome.
-    #[must_use]
-    pub fn max_e_c(&self) -> f64 {
-        self.e_c.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
 }
 
 /// Solve the screened-Poisson equation.

@@ -301,7 +301,7 @@ pub fn scoped(point: &str, config: FailConfig) -> Guard {
 /// # Errors
 ///
 /// Returns a human-readable description of the first malformed clause.
-pub fn parse_spec(spec: &str) -> Result<Vec<(String, FailConfig)>, String> {
+fn parse_spec(spec: &str) -> Result<Vec<(String, FailConfig)>, String> {
     let mut out = Vec::new();
     for clause in spec.split(';') {
         let clause = clause.trim();
@@ -379,7 +379,7 @@ pub fn parse_spec(spec: &str) -> Result<Vec<(String, FailConfig)>, String> {
 ///
 /// Returns the parse error of the first malformed clause; no point is
 /// armed in that case.
-pub fn configure_from_spec(spec: &str) -> Result<usize, String> {
+fn configure_from_spec(spec: &str) -> Result<usize, String> {
     let arms = parse_spec(spec)?;
     let n = arms.len();
     for (name, config) in arms {

@@ -104,14 +104,14 @@ impl CellKind {
 
 impl std::fmt::Display for CellKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CellKind::Inv => write!(f, "INV"),
-            CellKind::Nand2 => write!(f, "NAND2"),
-            CellKind::Nor2 => write!(f, "NOR2"),
-            CellKind::Xor2 => write!(f, "XOR2"),
-            CellKind::Xor3 => write!(f, "XOR3"),
-            CellKind::Maj3 => write!(f, "MAJ3"),
-        }
+        f.pad(match self {
+            CellKind::Inv => "INV",
+            CellKind::Nand2 => "NAND2",
+            CellKind::Nor2 => "NOR2",
+            CellKind::Xor2 => "XOR2",
+            CellKind::Xor3 => "XOR3",
+            CellKind::Maj3 => "MAJ3",
+        })
     }
 }
 
@@ -358,6 +358,13 @@ fn build_maj3() -> Cell {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn display_honours_width_and_alignment() {
+        assert_eq!(format!("{:6}|", CellKind::Inv), "INV   |");
+        assert_eq!(format!("{:>6}|", CellKind::Nand2), " NAND2|");
+        assert_eq!(format!("{}|", CellKind::Maj3), "MAJ3|");
+    }
 
     #[test]
     fn all_cells_implement_their_function() {

@@ -29,24 +29,25 @@ pub enum TransistorFault {
 }
 
 impl TransistorFault {
-    /// The five transistor fault kinds, for exhaustive enumeration.
-    pub const ALL_SIMPLE: [TransistorFault; 4] = [
-        TransistorFault::ChannelBreak,
-        TransistorFault::StuckOn,
-        TransistorFault::StuckAtNType,
-        TransistorFault::StuckAtPType,
-    ];
+    /// The two polarity faults (stuck-at-n, then stuck-at-p), in the
+    /// order every dictionary and cell-aware enumeration visits them.
+    pub const POLARITY: [TransistorFault; 2] =
+        [TransistorFault::StuckAtNType, TransistorFault::StuckAtPType];
 }
 
 impl std::fmt::Display for TransistorFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TransistorFault::ChannelBreak => write!(f, "channel-break"),
-            TransistorFault::StuckOn => write!(f, "stuck-on"),
-            TransistorFault::StuckAtNType => write!(f, "stuck-at-n-type"),
-            TransistorFault::StuckAtPType => write!(f, "stuck-at-p-type"),
-            TransistorFault::GateOpen(g) => write!(f, "gate-open({g})"),
-        }
+        let gate_open;
+        f.pad(match self {
+            TransistorFault::ChannelBreak => "channel-break",
+            TransistorFault::StuckOn => "stuck-on",
+            TransistorFault::StuckAtNType => "stuck-at-n-type",
+            TransistorFault::StuckAtPType => "stuck-at-p-type",
+            TransistorFault::GateOpen(g) => {
+                gate_open = format!("gate-open({g})");
+                &gate_open
+            }
+        })
     }
 }
 

@@ -84,13 +84,6 @@ pub fn embedded_benchmarks() -> Vec<(&'static str, &'static str)> {
     vec![("c17", C17_BENCH), ("csa16", CSA16_BENCH)]
 }
 
-/// All embedded *sequential* (ISCAS-89 subset) `.bench` fixtures as
-/// `(name, text)` pairs; parse them with [`parse_bench_seq`].
-#[must_use]
-pub fn embedded_sequential_benchmarks() -> Vec<(&'static str, &'static str)> {
-    vec![("s27", S27_BENCH)]
-}
-
 /// A `.bench` gate type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BenchGate {

@@ -276,17 +276,6 @@ impl Netlist {
     pub fn transistor_count(&self) -> usize {
         self.transistors.len()
     }
-
-    /// Ids of all nets of a given kind.
-    #[must_use]
-    pub fn nets_of_kind(&self, kind: NetKind) -> Vec<NetId> {
-        self.nets
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.kind == kind)
-            .map(|(i, _)| NetId(i))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -109,18 +109,6 @@ impl SeqCircuit {
         })
     }
 
-    /// A purely combinational circuit lifted into the sequential model
-    /// (zero flip-flops).
-    #[must_use]
-    pub fn combinational_only(comb: Circuit) -> Self {
-        let functional_inputs = comb.primary_inputs().to_vec();
-        SeqCircuit {
-            comb,
-            dffs: Vec::new(),
-            functional_inputs,
-        }
-    }
-
     /// The combinational core (state `Q`s appear as primary inputs).
     #[must_use]
     pub fn core(&self) -> &Circuit {

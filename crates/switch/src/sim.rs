@@ -99,11 +99,6 @@ impl<'a> SwitchSim<'a> {
         sim
     }
 
-    /// Replace the fault set (clears nothing else; charge is kept).
-    pub fn set_faults(&mut self, faults: FaultSet) {
-        self.faults = faults;
-    }
-
     /// Forget all retained charge (power-up state).
     pub fn reset_charge(&mut self) {
         self.state.fill(Logic::X);

@@ -101,11 +101,6 @@ pub enum Strength {
     Supply,
 }
 
-impl Strength {
-    /// All strengths, strongest first (the flood order of the simulator).
-    pub const DESCENDING: [Strength; 3] = [Strength::Supply, Strength::Driven, Strength::Charged];
-}
-
 /// A (logic, strength) pair — the full state of a net.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signal {

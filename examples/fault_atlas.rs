@@ -35,7 +35,7 @@ fn main() {
             println!(
                 "  {:24} {:18} -> {}",
                 site,
-                c.defect.class.to_string(),
+                c.defect.class,
                 if models.is_empty() {
                     "benign (no behavioural change)".to_string()
                 } else {

@@ -37,8 +37,10 @@ fn main() {
     let store_dir = std::env::temp_dir().join(format!("sinw_serve_tcp_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
 
-    let mut config = NetConfig::default();
-    config.store_dir = Some(store_dir.clone());
+    let config = NetConfig {
+        store_dir: Some(store_dir.clone()),
+        ..NetConfig::default()
+    };
     let server = NetServer::bind("127.0.0.1:0", config).expect("bind loopback");
     let addr = server.local_addr();
     println!("serving on {addr} (store: {})", store_dir.display());
