@@ -35,9 +35,9 @@
 //! Every engine is generic over a lane count `L`: a block packs
 //! `64 * L` patterns into [`PatternWords<L>`] words (`[u64; L]` with
 //! loop-based bitwise ops that autovectorise to 256/512-bit SIMD). The
-//! public entry points run at [`configured_lanes`] (the `SINW_LANES`
-//! environment variable, default 1); the `*_lanes` variants take the
-//! width explicitly. Detection reports and signature matrices are
+//! default entry points and the job path run at L = 1
+//! ([`configured_lanes`]); the `*_lanes` variants take the width
+//! explicitly. Detection reports and signature matrices are
 //! bit-identical at every supported width — the lane-differential
 //! property suite pins L ∈ {2, 4, 8} against the L = 1 kernel and the
 //! full-pass oracle.
@@ -881,22 +881,15 @@ pub(crate) fn report_from(firsts: Vec<Option<usize>>, n_patterns: usize) -> Faul
     }
 }
 
-/// The lane widths the engines can dispatch to (`SINW_LANES` values).
+/// The lane widths the `*_lanes` forms can dispatch to.
 pub const SUPPORTED_LANES: [usize; 4] = [1, 2, 4, 8];
 
-/// The engine-default lane width: the `SINW_LANES` environment variable
-/// when set to a supported width ({1, 2, 4, 8}), otherwise 1 (the
-/// historical 64-wide kernel). Unparsable or unsupported values fall back
-/// to 1 rather than aborting a run.
+/// The lane width of the default entry points and the job path: always
+/// 1, the 64-wide kernel. Every width reports bit-identically, so a
+/// caller that wants wider blocks passes one to a `*_lanes` form.
 #[must_use]
 pub fn configured_lanes() -> usize {
-    match std::env::var("SINW_LANES") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(l) if SUPPORTED_LANES.contains(&l) => l,
-            _ => 1,
-        },
-        Err(_) => 1,
-    }
+    1
 }
 
 /// Monomorphise an expression over the supported lane widths:
@@ -1000,8 +993,9 @@ pub const JOB_CHUNK: usize = 32;
 /// `finished` runs after it. This is the entry point of the `sinw-server`
 /// job engine, whose cancellation, deadline and progress live in the two
 /// closures. Pattern widths are checked and the patterns packed and
-/// good-simulated once, before the fan-out. Runs at [`configured_lanes`]
-/// and reports bit-identically to [`simulate_faults`].
+/// good-simulated once, before the fan-out. Runs at L = 1
+/// ([`configured_lanes`]) and reports bit-identically to
+/// [`simulate_faults`].
 ///
 /// # Errors
 ///
@@ -1021,9 +1015,15 @@ pub fn simulate_faults_checked<E: From<PackError> + Send>(
 ) -> Result<FaultSimReport, E> {
     check_arity(circuit, patterns)?;
     let model = StuckAt::new(circuit, graph);
-    let run = dispatch_lanes!(configured_lanes(), L => detect::<_, _, L>(
-        &model, faults, patterns, drop_detected, (threads, JOB_CHUNK), &admit, &finished
-    ));
+    let run = detect::<_, _, 1>(
+        &model,
+        faults,
+        patterns,
+        drop_detected,
+        (threads, JOB_CHUNK),
+        &admit,
+        &finished,
+    );
     Ok(run?.0)
 }
 
@@ -1385,8 +1385,8 @@ pub fn capture_signatures_with_graph_lanes(
 /// [`capture_signatures`] against a caller-supplied [`SimGraph`] — the
 /// signature-capture twin of [`simulate_faults_checked`], with the same
 /// [`JOB_CHUNK`] fan-out, per-chunk `admit` and `finished`, and
-/// prepare-once contract. Runs at [`configured_lanes`]; the matrix is
-/// bit-identical to [`capture_signatures`].
+/// prepare-once contract. Runs at L = 1 ([`configured_lanes`]); the
+/// matrix is bit-identical to [`capture_signatures`].
 ///
 /// # Errors
 ///
@@ -1404,15 +1404,20 @@ pub fn capture_signatures_checked<E: From<PackError> + Send>(
 ) -> Result<SignatureMatrix, E> {
     check_arity(circuit, patterns)?;
     let model = StuckAt::new(circuit, graph);
-    let run = dispatch_lanes!(configured_lanes(), L => capture::<_, _, L>(
-        &model, faults, patterns, (threads, JOB_CHUNK), &admit, &finished
-    ));
+    let run = capture::<_, _, 1>(
+        &model,
+        faults,
+        patterns,
+        (threads, JOB_CHUNK),
+        &admit,
+        &finished,
+    );
     Ok(run?.0)
 }
 
 /// Signature capture on the bit-parallel engine: the full per-fault ×
 /// per-pattern × per-PO response matrix of `faults` against `patterns`,
-/// at the lane width [`configured_lanes`] selects.
+/// at the default lane width, [`configured_lanes`].
 ///
 /// Unlike the detect-mask engines there is deliberately **no fault
 /// dropping** and no saturation short-circuit — diagnosis needs every

@@ -11,9 +11,9 @@
 //! bit for bit.
 //!
 //! The supported widths are `{1, 2, 4, 8}` (see
-//! [`crate::faultsim::SUPPORTED_LANES`]); the engines dispatch on the
-//! `SINW_LANES` environment variable via
-//! [`crate::faultsim::configured_lanes`].
+//! [`crate::faultsim::SUPPORTED_LANES`]). The default entry points run
+//! at `L = 1` ([`crate::faultsim::configured_lanes`]); the `*_lanes`
+//! forms dispatch on an explicit width.
 
 /// `L` machine words of packed pattern bits: bit `k` of lane `k / 64` is
 /// pattern `64 * (k / 64) + (k % 64)` — i.e. pattern indices are

@@ -28,7 +28,7 @@
 //! `capture state = NS(launch)`.
 //!
 //! Pair simulation has one default entry point, [`simulate_transition`]
-//! (the [`configured_lanes`] width, one worker), and one explicit
+//! (L = 1, one worker), and one explicit
 //! `(threads, lanes)` form, [`simulate_transition_threaded_lanes`].
 //! Both report bit-identically (same contract as the stuck-at engines),
 //! and [`transition_oracle`] is an independent scalar full-pass
@@ -36,8 +36,8 @@
 
 use crate::fault_list::{enumerate_stuck_at, FaultSite, StuckAtFault};
 use crate::faultsim::{
-    configured_lanes, detect, dispatch_lanes, good_sim, report_from, stealing, FaultModel,
-    FaultSimReport, GoodBlock, PatternBlock, ONE_WORKER,
+    detect, dispatch_lanes, good_sim, report_from, stealing, FaultModel, FaultSimReport, GoodBlock,
+    PatternBlock, ONE_WORKER,
 };
 use crate::graph::SimGraph;
 use crate::lanes::PatternWords;
@@ -232,7 +232,7 @@ fn pair_sim<const L: usize>(
 // ----------------------------------------------------------------------
 
 /// Two-pattern transition-fault simulation on the event-driven kernel at
-/// the [`configured_lanes`] width, with optional fault dropping.
+/// L = 1, with optional fault dropping.
 /// `pairs[k]` detects `faults[f]` when the launch vector initialises the
 /// site and the capture vector detects the residual stuck-at fault.
 #[must_use]
@@ -242,9 +242,7 @@ pub fn simulate_transition(
     pairs: &[CircuitTwoPattern],
     drop_detected: bool,
 ) -> FaultSimReport {
-    dispatch_lanes!(configured_lanes(), L => pair_sim::<L>(
-        circuit, faults, pairs, drop_detected, ONE_WORKER
-    ))
+    pair_sim::<1>(circuit, faults, pairs, drop_detected, ONE_WORKER)
 }
 
 /// Thread-parallel transition simulation at an explicit lane width, over
@@ -621,7 +619,7 @@ impl TransitionAtpg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faultsim::{seeded_patterns, SUPPORTED_LANES};
+    use crate::faultsim::{configured_lanes, seeded_patterns, SUPPORTED_LANES};
     use sinw_switch::cells::CellKind;
     use sinw_switch::generate::pipelined_array_multiplier;
     use sinw_switch::seq::Dff;

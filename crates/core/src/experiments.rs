@@ -722,7 +722,7 @@ impl fmt::Display for FaultCoverageResult {
 
 /// Deterministic per-benchmark pattern source: exhaustive for narrow
 /// circuits, otherwise [`sinw_atpg::faultsim::seeded_patterns`] keyed by
-/// an FNV-1a hash of the benchmark name.
+/// the FNV-1a [`sinw_server::checksum`] of the benchmark name.
 fn benchmark_patterns(
     circuit: &sinw_switch::gate::Circuit,
     name: &str,
@@ -737,10 +737,7 @@ fn benchmark_patterns(
     }
     let cap = if fast { 256 } else { 1024 };
     let count = (16 * n_pi).min(cap);
-    let seed = 0x5EED_0B1A_u64
-        ^ name.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-        });
+    let seed = 0x5EED_0B1A_u64 ^ sinw_server::checksum(name.as_bytes());
     (
         sinw_atpg::faultsim::seeded_patterns(n_pi, count, seed),
         false,
@@ -921,10 +918,7 @@ pub fn atpg_campaign(fast: bool) -> AtpgCampaignResult {
         .map(|(name, source, circuit)| {
             let compiled = compile_circuit(&name, circuit);
             let circuit = compiled.circuit();
-            let seed = 0x07E5_75E7_u64
-                ^ name.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-                });
+            let seed = 0x07E5_75E7_u64 ^ sinw_server::checksum(name.as_bytes());
             let config = AtpgConfig {
                 seed,
                 max_random_blocks: if fast { 16 } else { 64 },
@@ -1079,10 +1073,7 @@ pub fn diagnosis(fast: bool) -> DiagnosisResult {
             let compiled = compile_circuit(&name, circuit);
             let circuit = compiled.circuit();
             let faults = compiled.faults();
-            let seed = 0xD1A6_05E5_u64
-                ^ name.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-                });
+            let seed = 0xD1A6_05E5_u64 ^ sinw_server::checksum(name.as_bytes());
             let config = AtpgConfig {
                 seed,
                 max_random_blocks: if fast { 16 } else { 64 },
@@ -1279,10 +1270,7 @@ pub fn sequential(fast: bool, frames: usize, full_scan: bool) -> SequentialResul
                 ScanPlan::Partial((0..seq.state_width()).step_by(2).collect())
             };
             let scan = insert_scan(&seq, &plan);
-            let seed = 0x5E9_D8A3_u64
-                ^ name.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-                });
+            let seed = 0x5E9_D8A3_u64 ^ sinw_server::checksum(name.as_bytes());
             let compiled = compile_circuit(&format!("{name}-scan"), scan.circuit().clone());
             let unrolled = unroll(&seq, &UnrollConfig::full_observability(frames));
 

@@ -65,13 +65,13 @@ impl ProcessStep {
 
 impl std::fmt::Display for ProcessStep {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProcessStep::NanowirePatterning => write!(f, "HSQ-based nanowire patterning"),
-            ProcessStep::BoschEtch => write!(f, "Bosch process"),
-            ProcessStep::Oxidation => write!(f, "oxidation process"),
-            ProcessStep::PolysiliconDeposition => write!(f, "polysilicon deposition"),
-            ProcessStep::Metallization => write!(f, "metal layer deposition"),
-        }
+        f.pad(match self {
+            ProcessStep::NanowirePatterning => "HSQ-based nanowire patterning",
+            ProcessStep::BoschEtch => "Bosch process",
+            ProcessStep::Oxidation => "oxidation process",
+            ProcessStep::PolysiliconDeposition => "polysilicon deposition",
+            ProcessStep::Metallization => "metal layer deposition",
+        })
     }
 }
 
@@ -247,6 +247,22 @@ mod tests {
             ProcessStep::Metallization.defect_classes().len(),
             2,
             "metal brings bridges and floats"
+        );
+    }
+
+    #[test]
+    fn step_display_honours_width_and_alignment() {
+        assert_eq!(
+            format!("{:>20}|", ProcessStep::BoschEtch),
+            "       Bosch process|"
+        );
+        assert_eq!(
+            format!("{:<18}|", ProcessStep::Oxidation),
+            "oxidation process |"
+        );
+        assert_eq!(
+            format!("{}|", ProcessStep::Metallization),
+            "metal layer deposition|"
         );
     }
 

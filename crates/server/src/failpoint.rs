@@ -32,18 +32,9 @@
 //!
 //! ## Configuration
 //!
-//! Tests arm points programmatically ([`configure`] / the RAII
-//! [`scoped`] guard); operators arm them through the `SINW_FAILPOINTS`
-//! environment variable, parsed once on first hit:
-//!
-//! ```text
-//! SINW_FAILPOINTS="jobs.faultsim.chunk=panic@nth:3;store.write.rename=ioerr@prob:0.1:seed:42;snapshot.decode=delay:5"
-//! ```
-//!
-//! Grammar: `point=action[@trigger]` joined by `;`. Actions are `panic`,
-//! `ioerr`, and `delay:<ms>`; triggers are `always` (the default),
-//! `nth:<k>`, `every:<k>`, and `prob:<p>:<seed>` with `p` a probability
-//! in `[0, 1]`.
+//! Points are armed in code only: [`configure`] (or the RAII [`scoped`]
+//! guard) arms one, [`remove`] and [`clear`] disarm, and [`fired`] reads
+//! a point's fire count. Nothing is read from the environment.
 //!
 //! ## Fail-point catalog
 //!
@@ -68,8 +59,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, Once, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
+
+use crate::lock_clean;
 
 /// What an armed fail point injects when its trigger fires.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,18 +216,13 @@ impl PointState {
 /// [`hit`] returns after one relaxed load.
 static ARMED: AtomicUsize = AtomicUsize::new(0);
 
-static ENV_INIT: Once = Once::new();
-
 fn table() -> MutexGuard<'static, HashMap<&'static str, PointState>> {
     static TABLE: OnceLock<Mutex<HashMap<&'static str, PointState>>> = OnceLock::new();
     // A panic injected *while the table lock is held* never happens (the
     // lock is released before the action runs), but a panicking test
     // thread can still poison the lock between hits; recover rather than
     // cascade.
-    TABLE
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
+    lock_clean(TABLE.get_or_init(|| Mutex::new(HashMap::new())))
 }
 
 /// Leak a point name into a `'static` key. Point names form a small
@@ -295,116 +283,10 @@ pub fn scoped(point: &str, config: FailConfig) -> Guard {
     Guard { point }
 }
 
-/// Parse a `SINW_FAILPOINTS`-style specification. Returns the parsed
-/// arms or a description of the first syntax error.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first malformed clause.
-fn parse_spec(spec: &str) -> Result<Vec<(String, FailConfig)>, String> {
-    let mut out = Vec::new();
-    for clause in spec.split(';') {
-        let clause = clause.trim();
-        if clause.is_empty() {
-            continue;
-        }
-        let (name, rest) = clause
-            .split_once('=')
-            .ok_or_else(|| format!("clause '{clause}' has no '=': expected point=action"))?;
-        let (action_str, trigger_str) = match rest.split_once('@') {
-            Some((a, t)) => (a, Some(t)),
-            None => (rest, None),
-        };
-        let action = match action_str
-            .split_once(':')
-            .map_or((action_str, None), |(a, arg)| (a, Some(arg)))
-        {
-            ("panic", None) => FailAction::Panic,
-            ("ioerr", None) => FailAction::IoError,
-            ("delay", Some(ms)) => {
-                let ms: u64 = ms.parse().map_err(|_| {
-                    format!("delay '{ms}' in '{clause}' is not a millisecond count")
-                })?;
-                FailAction::Delay(Duration::from_millis(ms))
-            }
-            _ => {
-                return Err(format!(
-                    "action '{action_str}' in '{clause}' is not panic | ioerr | delay:<ms>"
-                ))
-            }
-        };
-        let trigger = match trigger_str {
-            None => Trigger::Always,
-            Some(t) => {
-                let mut parts = t.split(':');
-                match (parts.next(), parts.next(), parts.next(), parts.next()) {
-                    (Some("always"), None, ..) => Trigger::Always,
-                    (Some("nth"), Some(n), None, _) => Trigger::Nth(
-                        n.parse()
-                            .map_err(|_| format!("nth '{n}' in '{clause}' is not a count"))?,
-                    ),
-                    (Some("every"), Some(n), None, _) => Trigger::Every(
-                        n.parse()
-                            .map_err(|_| format!("every '{n}' in '{clause}' is not a count"))?,
-                    ),
-                    (Some("prob"), Some(p), Some(seed), None) => {
-                        let p: f64 = p
-                            .parse()
-                            .map_err(|_| format!("prob '{p}' in '{clause}' is not a number"))?;
-                        if !(0.0..=1.0).contains(&p) {
-                            return Err(format!("prob {p} in '{clause}' is outside [0, 1]"));
-                        }
-                        let seed: u64 = seed.parse().map_err(|_| {
-                            format!("seed '{seed}' in '{clause}' is not an integer")
-                        })?;
-                        FailConfig::probability(FailAction::Panic, p, seed).trigger
-                    }
-                    _ => {
-                        return Err(format!(
-                            "trigger '{t}' in '{clause}' is not always | nth:<k> | every:<k> | \
-                             prob:<p>:<seed>"
-                        ))
-                    }
-                }
-            }
-        };
-        out.push((name.to_string(), FailConfig { action, trigger }));
-    }
-    Ok(out)
-}
-
-/// Arm every point named in `spec` (the `SINW_FAILPOINTS` grammar).
-///
-/// # Errors
-///
-/// Returns the parse error of the first malformed clause; no point is
-/// armed in that case.
-fn configure_from_spec(spec: &str) -> Result<usize, String> {
-    let arms = parse_spec(spec)?;
-    let n = arms.len();
-    for (name, config) in arms {
-        configure(&name, config);
-    }
-    Ok(n)
-}
-
-/// One-time `SINW_FAILPOINTS` environment initialisation, run on the
-/// first hit. A malformed specification panics loudly — silently
-/// ignoring an operator's chaos schedule would fake robustness.
-fn env_init() {
-    ENV_INIT.call_once(|| {
-        if let Ok(spec) = std::env::var("SINW_FAILPOINTS") {
-            if let Err(e) = configure_from_spec(&spec) {
-                panic!("SINW_FAILPOINTS is malformed: {e}");
-            }
-        }
-    });
-}
-
 /// Evaluate a hit on `point`.
 ///
-/// The production fast path — no `SINW_FAILPOINTS`, nothing armed — is
-/// one relaxed atomic load and a branch. When the point is armed and its
+/// The production fast path — nothing armed — is one relaxed atomic
+/// load and a branch. When the point is armed and its
 /// trigger fires, a [`FailAction::Panic`] unwinds here, a
 /// [`FailAction::Delay`] sleeps here and then returns `Ok(())`, and a
 /// [`FailAction::IoError`] returns the typed [`InjectedError`] for the
@@ -419,7 +301,6 @@ fn env_init() {
 /// Panics (by design) when an armed `Panic` injection fires.
 #[inline]
 pub fn hit(point: &'static str) -> Result<(), InjectedError> {
-    env_init();
     if ARMED.load(Ordering::Relaxed) == 0 {
         return Ok(());
     }
@@ -455,7 +336,7 @@ mod tests {
     /// use their own point names).
     fn serial() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+        lock_clean(&LOCK)
     }
 
     #[test]
@@ -517,46 +398,5 @@ mod tests {
         let err = result.expect_err("must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("unit.panic"), "panic message names the point");
-    }
-
-    #[test]
-    fn spec_grammar_round_trips() {
-        let _s = serial();
-        let arms = parse_spec("a=panic; b=ioerr@nth:3 ;c=delay:25@every:4;d=ioerr@prob:0.25:99")
-            .expect("valid spec");
-        assert_eq!(arms.len(), 4);
-        assert_eq!(
-            arms[0],
-            (String::from("a"), FailConfig::always(FailAction::Panic))
-        );
-        assert_eq!(arms[1].1, FailConfig::nth(FailAction::IoError, 3));
-        assert_eq!(
-            arms[2].1,
-            FailConfig {
-                action: FailAction::Delay(Duration::from_millis(25)),
-                trigger: Trigger::Every(4),
-            }
-        );
-        assert_eq!(
-            arms[3].1.trigger,
-            Trigger::Probability {
-                p_millis: 250,
-                seed: 99
-            }
-        );
-    }
-
-    #[test]
-    fn spec_errors_are_descriptive() {
-        let _s = serial();
-        assert!(parse_spec("nonsense").unwrap_err().contains("no '='"));
-        assert!(parse_spec("a=frob").unwrap_err().contains("frob"));
-        assert!(parse_spec("a=delay:xs").unwrap_err().contains("delay"));
-        assert!(parse_spec("a=panic@prob:1.5:3")
-            .unwrap_err()
-            .contains("outside"));
-        assert!(parse_spec("a=panic@sometimes")
-            .unwrap_err()
-            .contains("sometimes"));
     }
 }

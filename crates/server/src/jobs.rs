@@ -53,7 +53,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -63,17 +63,12 @@ use sinw_atpg::faultsim::{
 };
 use sinw_atpg::tpg::{AtpgConfig, AtpgEngine, AtpgReport};
 
-use crate::failpoint;
 use crate::registry::{panic_reason, CompiledCircuit};
+use crate::{failpoint, lock_clean};
 
 /// Ceiling on a single retry backoff sleep, whatever the exponential
 /// schedule asks for.
 const MAX_BACKOFF: Duration = Duration::from_secs(1);
-
-/// Poison-tolerant lock: a panicking job must never wedge the engine.
-fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// A unit of work for the engine. Compiled artifacts travel as
 /// [`Arc`]s, so a thousand queued jobs against the same circuit share

@@ -35,9 +35,8 @@
 //! * [`failpoint`] — a **deterministic fault-injection harness**: named
 //!   fail points threaded through compile, snapshot-I/O, and job-chunk
 //!   paths inject panics, I/O errors, and delays under seeded,
-//!   per-point triggers (configured in code or via the
-//!   `SINW_FAILPOINTS` environment variable), with a single relaxed
-//!   atomic load as the entire disabled-path cost.
+//!   per-point triggers (armed in code), with a single relaxed atomic
+//!   load as the entire disabled-path cost.
 //! * [`jobs`] hardening — job bodies run under `catch_unwind` (a panic
 //!   becomes a typed [`JobOutcome::Failed`], never a dead worker),
 //!   workers that do die are respawned, and a per-job [`JobPolicy`]
@@ -114,6 +113,12 @@ pub mod session;
 pub mod snapshot;
 pub mod store;
 pub mod wire;
+
+/// Poison-tolerant lock: a panic on another thread (an injected one
+/// included) must not cascade into every later caller of the lock.
+pub(crate) fn lock_clean<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 pub use codec::{checksum, CodecError};
 pub use jobs::{JobEngine, JobHandle, JobOutcome, JobPolicy, JobProgress, JobSpec};

@@ -43,13 +43,12 @@
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sinw_atpg::tpg::AtpgConfig;
 
 use crate::codec::CodecError;
-use crate::failpoint;
 use crate::jobs::{JobEngine, JobPolicy, JobProgress, JobSpec};
 use crate::registry::{CircuitRegistry, CompiledCircuit, RegistryError};
 use crate::session::{SessionError, SessionLimits, SessionManager};
@@ -58,6 +57,7 @@ use crate::store::SnapshotStore;
 use crate::wire::{
     self, ErrorCode, FrameEvent, Request, Response, WireJob, WireOutcome, WireStats,
 };
+use crate::{failpoint, lock_clean};
 
 /// Registry byte capacity ([`CircuitRegistry::with_capacity_bytes`]).
 const REGISTRY_CAPACITY: usize = 256 * 1024 * 1024;
@@ -203,14 +203,7 @@ impl NetServer {
             let _ = t.join();
         }
         loop {
-            let handles = {
-                let mut table = self
-                    .shared
-                    .handlers
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                std::mem::take(&mut *table)
-            };
+            let handles = { std::mem::take(&mut *lock_clean(&self.shared.handlers)) };
             if handles.is_empty() {
                 break;
             }
@@ -249,11 +242,7 @@ fn accept_loop(shared: &Arc<ServerShared>, listener: &TcpListener) {
                     .name(String::from("sinw-net-conn"))
                     .spawn(move || handle_connection(&conn_shared, stream))
                     .expect("spawn connection handler");
-                shared
-                    .handlers
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(handle);
+                lock_clean(&shared.handlers).push(handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));

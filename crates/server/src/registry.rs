@@ -47,8 +47,8 @@
 //! locks recover from poisoning).
 
 use crate::codec::fnv1a;
-use crate::failpoint;
 use crate::snapshot::Snapshot;
+use crate::{failpoint, lock_clean};
 use sinw_atpg::collapse::{collapse, CollapsedFaults};
 use sinw_atpg::fault_list::{enumerate_stuck_at, StuckAtFault};
 use sinw_atpg::graph::SimGraph;
@@ -56,7 +56,7 @@ use sinw_switch::gate::{Circuit, SignalId};
 use sinw_switch::iscas::{parse_bench, BenchParseError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// Key domain for `.bench` source text.
 const DOMAIN_BENCH: u8 = 0xB5;
@@ -354,12 +354,6 @@ impl std::fmt::Debug for CircuitRegistry {
             .field("stats", &stats)
             .finish()
     }
-}
-
-/// Poison-tolerant lock: a panic elsewhere (including an injected one)
-/// must not cascade into every later registration.
-fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Render a `catch_unwind` payload as a message.

@@ -20,10 +20,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::jobs::JobHandle;
+use crate::lock_clean;
 
 /// Per-session quotas, shared by every session of one server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,7 +155,7 @@ impl SessionManager {
     }
 
     fn table(&self) -> MutexGuard<'_, HashMap<u64, SessionState>> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+        lock_clean(&self.inner)
     }
 
     /// Open a new session and return its id.

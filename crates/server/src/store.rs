@@ -42,18 +42,12 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 
 use crate::codec::{io_error, CodecError};
-use crate::failpoint;
 use crate::registry::{canonical_key, CircuitRegistry, CompiledCircuit};
 use crate::snapshot::Snapshot;
-
-/// Poison-tolerant lock (a store is often shared with threads running
-/// under fault injection).
-fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::{failpoint, lock_clean};
 
 /// One file set aside by the recovery scan.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -15,15 +15,17 @@
 //! cargo run --release --example serve_tcp -- --fast   # csa16 only
 //! ```
 //!
-//! Under an injected chunk delay
-//! (`SINW_FAILPOINTS="jobs.faultsim.chunk=delay:3"`) the example also
-//! insists that each job streams at least two distinct progress values.
+//! The example arms two fail points for the whole run: a 3 ms delay on
+//! every fault-sim chunk, so that each job streams at least two distinct
+//! progress values (asserted), and a 2 ms delay on every second snapshot
+//! encode, so the fidelity checks also hold under a slowed store.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use sinw::atpg::faultsim::seeded_patterns;
 use sinw::atpg::simulate_faults;
-use sinw::server::failpoint;
+use sinw::server::failpoint::{self, FailAction, FailConfig, Trigger};
 use sinw::server::net::{NetClient, NetConfig, NetServer};
 use sinw::server::registry::{compile_circuit, CompiledCircuit};
 use sinw::server::snapshot::Snapshot;
@@ -33,6 +35,20 @@ use sinw::switch::iscas::{parse_bench, to_bench, CSA16_BENCH};
 
 fn main() {
     let fast = std::env::args().any(|a| a == "--fast");
+
+    // Slowed chunks make the client observe each job advancing over the
+    // wire; the guards keep both points armed until `main` returns.
+    let _chunk_delay = failpoint::scoped(
+        "jobs.faultsim.chunk",
+        FailConfig::always(FailAction::Delay(Duration::from_millis(3))),
+    );
+    let _encode_delay = failpoint::scoped(
+        "snapshot.encode",
+        FailConfig {
+            action: FailAction::Delay(Duration::from_millis(2)),
+            trigger: Trigger::Every(2),
+        },
+    );
 
     let store_dir = std::env::temp_dir().join(format!("sinw_serve_tcp_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
@@ -101,7 +117,6 @@ fn main() {
             true,
         ));
 
-        let delayed_before = failpoint::fired("jobs.faultsim.chunk");
         let job = client
             .submit(WireJob::FaultSim {
                 key,
@@ -124,15 +139,10 @@ fn main() {
             outcome, reference,
             "wire result must match the serial engine"
         );
-        // Without an injected chunk delay a small job can legitimately
-        // finish inside one poll tick; with at least two delayed chunks
-        // the stream must show the job advancing.
-        if failpoint::fired("jobs.faultsim.chunk") >= delayed_before + 2 {
-            assert!(
-                seen.len() >= 2,
-                "{name}: expected >= 2 distinct streamed progress values, saw {seen:?}"
-            );
-        }
+        assert!(
+            seen.len() >= 2,
+            "{name}: expected >= 2 distinct streamed progress values, saw {seen:?}"
+        );
         match &outcome {
             WireOutcome::FaultSim {
                 detected,
