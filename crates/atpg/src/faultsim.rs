@@ -1,5 +1,6 @@
 //! Stuck-at fault simulation: wide-word bit-parallel and thread-parallel
-//! PPSFP on an event-driven, fanout-cone-restricted inner kernel.
+//! PPSFP on a fanout-free-region kernel with one event-driven pass per
+//! fanout stem.
 //!
 //! Each mode has one default entry point (the [`configured_lanes`]
 //! width, one worker) and one explicit `(threads, lanes)` form, and
@@ -24,8 +25,8 @@
 //! the same driver: the pattern set is packed and good-simulated
 //! **once** per run, then the fault list fans out in chunks whose
 //! results merge in chunk order. Under the driver sits a small
-//! statically dispatched fault-model trait that hands the event kernel
-//! its stuck-at fault, block mask and good words per (fault, block), so
+//! statically dispatched fault-model trait that hands the kernel its
+//! stuck-at fault, model mask and good block per (fault, block), so
 //! **one** first-detection loop and **one** signature-row loop serve
 //! the stuck-at engines here and the transition engines of
 //! [`crate::transition`] alike.
@@ -42,33 +43,39 @@
 //! property suite pins L ∈ {2, 4, 8} against the L = 1 kernel and the
 //! full-pass oracle.
 //!
-//! # The event-driven kernel
+//! # The fanout-free-region kernel
 //!
-//! A stuck-at fault can only disturb its transitive fanout cone, and in
-//! ISCAS-style circuits that cone is usually a small fraction of the
-//! netlist. The faulty pass therefore does **not** re-evaluate the whole
-//! circuit per fault × block. Instead it runs over a shared
-//! [`SimGraph`] precompute (levelized topological
-//! order + CSR fanout + PO-reachability masks, built once per
-//! `simulate_faults*` call):
+//! A *stem* is a primary output or a signal whose pin fanout is not 1;
+//! every other signal feeds exactly one gate pin, so a flip inside a
+//! fanout-free region has one path to its stem, and the side inputs on
+//! that path lie outside the fault's cone. The shared [`SimGraph`]
+//! (levelization, CSR fanout, PO-reachability masks and each signal's
+//! stem) lets the kernel split detection in three:
 //!
-//! 1. seed a level-ordered worklist at the fault site — bailing out
-//!    immediately when the stuck word equals the good word (no pattern
-//!    disturbed) or the site cannot reach any primary output;
-//! 2. evaluate only gates reached by an event, reading un-disturbed inputs
-//!    straight from the shared good-machine words; a gate whose output
-//!    word comes out unchanged kills its event;
-//! 3. OR primary-output differences into the detection mask as events
-//!    reach them, and short-circuit the whole pass the moment the mask
-//!    saturates the block's valid-pattern bits.
+//! 1. **local observability**, per fault and block: the patterns in
+//!    which the fault's flip reaches its stem, the AND of `∂gate/∂pin`
+//!    along that path over the good words (all ones for
+//!    `INV`/`XOR2`/`XOR3`, the other input for `NAND2`, its negation for
+//!    `NOR2`, the XOR of the other two for `MAJ3`); the walk stops early
+//!    once the term is zero;
+//! 2. **`obs(stem)`**, at most once per (worker, block, stem) and cached
+//!    across chunks: one event-driven pass flips the stem in every
+//!    pattern, evaluates only the gates an event reaches (reading the
+//!    rest from the good words), and ORs PO differences until they
+//!    saturate the block's valid patterns;
+//! 3. **per fault**, `(good[site] ^ stuck) & local & model_mask &
+//!    obs(stem)`, where a `GatePin` fault's path starts with its own
+//!    pin's sensitivity.
 //!
-//! Per-fault state lives in a [`FaultSimScratch`]: faulty words are
-//! validated by an epoch stamp instead of being cleared or re-cloned, so a
-//! pass is allocation-free and costs O(disturbed region), not O(circuit).
+//! Signature capture runs the same stem pass without saturation, caches
+//! each stem's per-PO differences and ANDs them with the fault's term.
+//! Pass state lives in a [`FaultSimScratch`], validated by epoch stamps
+//! instead of being cleared, so a pass is allocation-free and costs
+//! O(disturbed region), not O(circuit).
 //!
-//! The pre-existing whole-circuit pass is retained as
-//! [`simulate_faults_full_pass`] — it is the property-test oracle and the
-//! baseline of the ≥ 5× event-driven gate in the `perf_gates` test.
+//! The whole-circuit pass is retained as [`simulate_faults_full_pass`] —
+//! it is the property-test oracle and the baseline of the ≥ 5×
+//! event-kernel gate in the `perf_gates` test.
 //!
 //! Fault partitioning (rather than pattern partitioning) keeps workers
 //! embarrassingly parallel: a stuck-at fault's detection is independent of
@@ -319,11 +326,11 @@ fn faulty_sim_into<const L: usize>(
 /// Reusable per-worker buffers for fault-simulation passes.
 ///
 /// Holds the faulty-word scratch, the epoch-validated dirty marks, the
-/// per-level worklist buckets of the event-driven kernel, and the
-/// good/faulty vectors used by [`detect_mask_in`]. Buffers grow lazily to
-/// the largest circuit seen and are never shrunk or cleared: a pass
-/// invalidates previous state by bumping an epoch stamp, so reuse is
-/// allocation-free.
+/// per-level worklist buckets of the event-driven stem pass, the
+/// per-(block, stem) cache of stem-pass results, and the good/faulty
+/// vectors used by [`detect_mask_in`]. Buffers grow lazily to the largest
+/// circuit seen and are never shrunk or cleared: a pass invalidates
+/// previous state by bumping an epoch stamp, so reuse is allocation-free.
 ///
 /// One scratch serves one thread; every engine creates one per worker.
 /// The lane count `L` must match the blocks it is used with (default 1).
@@ -341,6 +348,15 @@ pub struct FaultSimScratch<const L: usize = 1> {
     buckets: Vec<Vec<u32>>,
     /// Current pass number; bumping it invalidates all stamps at once.
     epoch: u32,
+    /// Per (block, stem) slot: whether its stem pass ran since the last
+    /// reset.
+    stem_done: Vec<bool>,
+    /// Per slot: the stem's observability, for detection.
+    stem_obs: Vec<PatternWords<L>>,
+    /// Per slot: its range of `po_diffs`, for signature capture.
+    stem_span: Vec<(u32, u32)>,
+    /// `(output index, difference)` of every captured stem pass.
+    po_diffs: Vec<(u32, PatternWords<L>)>,
 }
 
 impl<const L: usize> FaultSimScratch<L> {
@@ -350,13 +366,14 @@ impl<const L: usize> FaultSimScratch<L> {
         Self::default()
     }
 
-    /// A scratch sized for every buffer the event kernel touches over
-    /// `graph`.
-    pub(crate) fn for_graph(graph: &SimGraph) -> Self {
+    /// A scratch sized for every buffer the stem pass touches over
+    /// `graph`, with a stem cache for `blocks` blocks.
+    pub(crate) fn for_graph(graph: &SimGraph, blocks: usize) -> Self {
         let mut scratch = Self::new();
         scratch.ensure_signals(graph.signal_count());
         scratch.queued.resize(graph.gate_count(), 0);
         scratch.buckets.resize_with(graph.level_count(), Vec::new);
+        scratch.reset_stems(graph, blocks);
         scratch
     }
 
@@ -367,6 +384,52 @@ impl<const L: usize> FaultSimScratch<L> {
             self.faulty.resize(n, PatternWords::ZERO);
             self.stamp.resize(n, 0);
         }
+    }
+
+    /// Forget every cached stem pass and size the cache for `blocks`
+    /// fresh blocks over `graph`'s stems.
+    pub(crate) fn reset_stems(&mut self, graph: &SimGraph, blocks: usize) {
+        self.stem_done.clear();
+        self.stem_done.resize(blocks * graph.stem_count(), false);
+        self.po_diffs.clear();
+    }
+
+    /// The cache slot of `stem` over block `bi`, running its stem pass
+    /// first unless one ran since the last reset. Without `outputs` the
+    /// pass saturates and leaves `obs(stem)` in `stem_obs[slot]`; with
+    /// them it runs to completion and leaves the outputs' nonzero
+    /// differences in the `po_diffs` range `stem_span[slot]`.
+    #[inline]
+    fn stem_slot(
+        &mut self,
+        graph: &SimGraph,
+        outputs: Option<&[SignalId]>,
+        bi: usize,
+        stem: usize,
+        gb: &GoodBlock<L>,
+    ) -> usize {
+        let slot = bi * graph.stem_count() + stem;
+        if std::mem::replace(&mut self.stem_done[slot], true) {
+            return slot;
+        }
+        let sig = graph.stem_signal(stem);
+        let (mask, slots) = (gb.block.mask(), self.stem_done.len());
+        let Some(outputs) = outputs else {
+            self.stem_obs.resize(slots, PatternWords::ZERO);
+            self.stem_obs[slot] = stem_pass::<L, true>(graph, sig, mask, &gb.good, self);
+            return slot;
+        };
+        self.stem_span.resize(slots, (0, 0));
+        stem_pass::<L, false>(graph, sig, mask, &gb.good, self);
+        let start = self.po_diffs.len() as u32;
+        for (o, &SignalId(s)) in outputs.iter().enumerate() {
+            let diff = (self.faulty[s] ^ gb.good[s]) & mask;
+            if self.stamp[s] == self.epoch && diff.any() {
+                self.po_diffs.push((o as u32, diff));
+            }
+        }
+        self.stem_span[slot] = (start, self.po_diffs.len() as u32);
+        slot
     }
 
     /// Start a new pass: bump the epoch, handling the (once per 2³²
@@ -397,60 +460,42 @@ impl<const L: usize> FaultSimScratch<L> {
     }
 }
 
-/// The one event-driven kernel, behind [`FaultModel::detect_mask`] and
-/// the signature-row loop of [`capture`]. Work is proportional to the
-/// disturbed part of the fault's fanout cone; `scratch` must have been
-/// sized for `graph` (see `for_graph`). It returns the detection mask and
-/// leaves the faulty word of every disturbed signal stamped in
-/// `scratch`. With `SATURATE` it stops the moment the mask covers
-/// `block_mask`; without it, it never stops early, so signature capture
-/// can read complete per-PO responses — a saturated *detection* mask
-/// does not mean every *output* difference has been seen.
-fn event_pass<const L: usize, const SATURATE: bool>(
+/// The one event-driven kernel: flip `stem` in every pattern and
+/// propagate the flip through its cone, in work proportional to the
+/// disturbed part. `scratch` must be sized for `graph` (`for_graph`). It
+/// returns the detection mask and leaves every disturbed signal's faulty
+/// word stamped in `scratch`. With `SATURATE` it stops once the mask
+/// covers `block_mask`; without it, signature capture reads complete
+/// per-PO responses. Kept out of line (and the per-fault path inline), so
+/// a crate instantiating the drivers, like the job path, builds the same
+/// hot loop as this one.
+#[inline(never)]
+fn stem_pass<const L: usize, const SATURATE: bool>(
     graph: &SimGraph,
-    fault: StuckAtFault,
+    stem: SignalId,
     block_mask: PatternWords<L>,
     good: &[PatternWords<L>],
     scratch: &mut FaultSimScratch<L>,
 ) -> PatternWords<L> {
-    let stuck = PatternWords::<L>::stuck(fault.value);
     let epoch = scratch.begin_pass();
+    if graph.po_reach(stem) == 0 {
+        return PatternWords::ZERO; // no primary output can see the stem
+    }
+    scratch.faulty[stem.0] = !good[stem.0];
+    scratch.stamp[stem.0] = epoch;
     let mut detect = PatternWords::<L>::ZERO;
-    let (mut lo, mut hi) = (usize::MAX, 0usize);
-
-    // Seed the worklist at the fault site. Two cheap proofs of
-    // undetectability short-circuit the whole pass: the stuck word equals
-    // the good word (no pattern in the block excites the fault), or no
-    // primary output is reachable from the site.
-    match fault.site {
-        FaultSite::Signal(s) => {
-            if graph.po_reach(s) == 0 || good[s.0] == stuck {
-                return PatternWords::ZERO;
-            }
-            scratch.faulty[s.0] = stuck;
-            scratch.stamp[s.0] = epoch;
-            if graph.po_bit(s) != 0 {
-                detect |= (good[s.0] ^ stuck) & block_mask;
-                if SATURATE && detect == block_mask {
-                    return detect;
-                }
-            }
-            for &g in graph.consumers(s) {
-                scratch.enqueue(graph, g, epoch, &mut lo, &mut hi);
-            }
-        }
-        FaultSite::GatePin(g, pin) => {
-            let out = graph.gate_output(g);
-            let in_sig = graph.gate_inputs(g)[pin] as usize;
-            if graph.po_reach(out) == 0 || good[in_sig] == stuck {
-                return PatternWords::ZERO;
-            }
-            scratch.enqueue(graph, g.0 as u32, epoch, &mut lo, &mut hi);
+    if graph.po_bit(stem) != 0 {
+        detect = block_mask;
+        if SATURATE {
+            return detect;
         }
     }
+    let (mut lo, mut hi) = (usize::MAX, 0usize);
+    for &g in graph.consumers(stem) {
+        scratch.enqueue(graph, g, epoch, &mut lo, &mut hi);
+    }
     if lo == usize::MAX {
-        // Fanout-free fault site (e.g. a stem that is itself a PO).
-        return detect;
+        return detect; // a PO with no fanout
     }
 
     // Drain levels in ascending order. Events only ever flow to strictly
@@ -471,20 +516,10 @@ fn event_pass<const L: usize, const SATURATE: bool>(
                     good[s]
                 };
             }
-            if let FaultSite::GatePin(fg, fpin) = fault.site {
-                if fg == gate {
-                    ins[fpin] = stuck;
-                }
-            }
             let out = eval_word(graph.kind(gate), &ins[..gate_ins.len()]);
             let osig = graph.gate_output(gate);
             let o = osig.0;
-            let cur = if scratch.stamp[o] == epoch {
-                scratch.faulty[o]
-            } else {
-                good[o]
-            };
-            if out == cur {
+            if out == good[o] {
                 continue; // the event dies here
             }
             scratch.faulty[o] = out;
@@ -492,8 +527,8 @@ fn event_pass<const L: usize, const SATURATE: bool>(
             if graph.po_bit(osig) != 0 {
                 detect |= (out ^ good[o]) & block_mask;
                 if SATURATE && detect == block_mask {
-                    // Saturated: every valid pattern already detects the
-                    // fault, so the rest of the cone cannot change the
+                    // Saturated: every valid pattern already sees the
+                    // flip, so the rest of the cone cannot change the
                     // answer. Clear the pending buckets and stop.
                     bucket.clear();
                     scratch.buckets[lvl] = bucket;
@@ -515,6 +550,23 @@ fn event_pass<const L: usize, const SATURATE: bool>(
         lvl += 1;
     }
     detect
+}
+
+/// `∂gate/∂pin` over the good words `good`: the patterns in which
+/// flipping input `pin` alone flips the gate's output.
+fn pin_sensitivity<const L: usize>(
+    kind: CellKind,
+    pin: usize,
+    ins: &[u32],
+    good: &[PatternWords<L>],
+) -> PatternWords<L> {
+    let other = |k: usize| good[ins[k] as usize];
+    match kind {
+        CellKind::Inv | CellKind::Xor2 | CellKind::Xor3 => PatternWords::stuck(true),
+        CellKind::Nand2 => other(1 - pin),
+        CellKind::Nor2 => !other(1 - pin),
+        CellKind::Maj3 => other((pin + 1) % 3) ^ other((pin + 2) % 3),
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -614,15 +666,51 @@ impl<const L: usize> GoodBlock<L> {
         let good = good_sim(circuit, &block);
         GoodBlock { block, good }
     }
+
+    /// The stem `fault` drains into and its mask short of the stem's
+    /// observability: the patterns of `model_mask` that excite the fault
+    /// and carry its flip along its one path to the stem (local
+    /// observability: the AND of the pin sensitivities on that path).
+    #[inline]
+    fn to_stem(
+        &self,
+        graph: &SimGraph,
+        fault: StuckAtFault,
+        model_mask: PatternWords<L>,
+    ) -> (usize, PatternWords<L>) {
+        // The faulty line, and the signal whose flip it causes: a
+        // `GatePin` fault flips its gate's output where the pin is
+        // sensitised.
+        let (line, mut flipped, mut mask) = match fault.site {
+            FaultSite::Signal(s) => (s.0, s, model_mask),
+            FaultSite::GatePin(g, pin) => {
+                let ins = graph.gate_inputs(g);
+                let sens = pin_sensitivity(graph.kind(g), pin, ins, &self.good);
+                (ins[pin] as usize, graph.gate_output(g), model_mask & sens)
+            }
+        };
+        mask &= self.good[line] ^ PatternWords::stuck(fault.value);
+        let stem = graph.stem_of(flipped);
+        while mask.any() && graph.stem_signal(stem) != flipped {
+            // A non-stem feeds exactly one pin of one gate.
+            let g = GateId(graph.consumers(flipped)[0] as usize);
+            let ins = graph.gate_inputs(g);
+            let pin = ins.iter().position(|&s| s as usize == flipped.0);
+            let pin = pin.expect("a consumer reads its input");
+            mask &= pin_sensitivity(graph.kind(g), pin, ins, &self.good);
+            flipped = graph.gate_output(g);
+        }
+        (stem, mask)
+    }
 }
 
-/// How a fault model drives the event kernel over a circuit and its
+/// How a fault model drives the stem kernel over a circuit and its
 /// shared [`SimGraph`]. It packs a slice of its patterns into one block,
 /// good machine included, and per (fault, block) it yields the stuck-at
-/// fault to inject, the effective block mask (the patterns that may
-/// detect the fault) and the good-machine words the faulty pass runs
-/// against: the block's valid-pattern mask for stuck-at faults, the
-/// launch-initialisation mask for transition faults.
+/// fault to inject, its model mask (the patterns that may detect the
+/// fault: the block's valid-pattern mask for stuck-at faults, the
+/// launch-initialisation mask for transition faults) and the good block
+/// the fault is observed against.
 pub(crate) trait FaultModel<const L: usize>: Sync {
     /// One fault of the model.
     type Fault: Copy + Sync;
@@ -641,25 +729,30 @@ pub(crate) trait FaultModel<const L: usize>: Sync {
     /// good machine.
     fn block(&self, patterns: &[Self::Pattern]) -> Self::Block;
 
-    /// The event kernel's inputs for `fault` over `block`.
+    /// The stem kernel's inputs for `fault` over `block`.
     fn kernel_args<'b>(
         &self,
         fault: Self::Fault,
         block: &'b Self::Block,
-    ) -> (StuckAtFault, PatternWords<L>, &'b [PatternWords<L>]);
+    ) -> (StuckAtFault, PatternWords<L>, &'b GoodBlock<L>);
 
-    /// Detection mask of `fault` over `block` on the event kernel.
+    /// Detection mask of `fault` over `block`, the `bi`-th block since
+    /// `scratch`'s stem cache was last reset:
+    /// `excited & local & model_mask & obs(stem)`.
     fn detect_mask(
         &self,
         fault: Self::Fault,
         block: &Self::Block,
+        bi: usize,
         scratch: &mut FaultSimScratch<L>,
     ) -> PatternWords<L> {
-        let (stuck_at, mask, good) = self.kernel_args(fault, block);
-        if mask.is_zero() {
+        let (stuck_at, mask, gb) = self.kernel_args(fault, block);
+        let (stem, pre) = gb.to_stem(self.graph(), stuck_at, mask);
+        if pre.is_zero() {
             return PatternWords::ZERO;
         }
-        event_pass::<L, true>(self.graph(), stuck_at, mask, good, scratch)
+        let slot = scratch.stem_slot(self.graph(), None, bi, stem, gb);
+        pre & scratch.stem_obs[slot]
     }
 }
 
@@ -700,8 +793,8 @@ impl<const L: usize> FaultModel<L> for StuckAt<'_> {
         &self,
         fault: StuckAtFault,
         block: &'b GoodBlock<L>,
-    ) -> (StuckAtFault, PatternWords<L>, &'b [PatternWords<L>]) {
-        (fault, block.block.mask(), &block.good)
+    ) -> (StuckAtFault, PatternWords<L>, &'b GoodBlock<L>) {
+        (fault, block.block.mask(), block)
     }
 }
 
@@ -720,7 +813,7 @@ fn first_detections<F: Copy, B, const L: usize>(
     faults: &[F],
     blocks: &[B],
     drop_detected: bool,
-    mut mask_of: impl FnMut(F, &B) -> PatternWords<L>,
+    mut mask_of: impl FnMut(F, usize, &B) -> PatternWords<L>,
 ) -> Vec<Option<usize>> {
     faults
         .iter()
@@ -730,7 +823,7 @@ fn first_detections<F: Copy, B, const L: usize>(
                 if first.is_some() && drop_detected {
                     break;
                 }
-                let mask = mask_of(fault, block);
+                let mask = mask_of(fault, bi, block);
                 if mask.any() && first.is_none() {
                     first = Some(bi * PatternBlock::<L>::CAPACITY + mask.trailing_zeros());
                 }
@@ -778,11 +871,11 @@ pub(crate) fn detect<M: FaultModel<L>, E: Send, const L: usize>(
         faults.len(),
         workers,
         chunk,
-        |_| FaultSimScratch::for_graph(model.graph()),
+        |_| FaultSimScratch::for_graph(model.graph(), blocks.len()),
         |scratch, range| {
             admit()?;
-            let firsts = first_detections(&faults[range], &blocks, drop_detected, |f, b| {
-                model.detect_mask(f, b, scratch)
+            let firsts = first_detections(&faults[range], &blocks, drop_detected, |f, bi, b| {
+                model.detect_mask(f, b, bi, scratch)
             });
             finished();
             Ok(firsts)
@@ -806,33 +899,34 @@ pub(crate) fn capture<M: FaultModel<L>, E: Send, const L: usize>(
         .chunks(PatternBlock::<L>::CAPACITY)
         .map(|p| model.block(p))
         .collect();
+    let graph = model.graph();
     let outputs = model.circuit().primary_outputs();
     let words_per_row = (patterns.len() * outputs.len()).div_ceil(64);
     let (chunks, stats) = fan_out(
         faults.len(),
         workers,
         chunk,
-        |_| FaultSimScratch::for_graph(model.graph()),
+        |_| FaultSimScratch::for_graph(graph, blocks.len()),
         |scratch, range| {
             admit()?;
             // One packed row per fault: bit `pattern * outputs + output`
             // is set where the fault's response differs from the good
-            // machine.
+            // machine, i.e. where its stem's flip reaches that output.
             let mut rows = vec![0u64; range.len() * words_per_row];
             for (fi, &fault) in faults[range].iter().enumerate() {
                 let row = &mut rows[fi * words_per_row..(fi + 1) * words_per_row];
                 for (bi, block) in blocks.iter().enumerate() {
-                    let (stuck_at, mask, good) = model.kernel_args(fault, block);
-                    if mask.is_zero() {
+                    let (stuck_at, mask, gb) = model.kernel_args(fault, block);
+                    let (stem, pre) = gb.to_stem(graph, stuck_at, mask);
+                    if pre.is_zero() {
                         continue;
                     }
-                    event_pass::<L, false>(model.graph(), stuck_at, mask, good, scratch);
-                    for (o, &SignalId(s)) in outputs.iter().enumerate() {
-                        if scratch.stamp[s] != scratch.epoch {
-                            continue; // undisturbed output: no difference
-                        }
-                        for k in ((scratch.faulty[s] ^ good[s]) & mask).set_bits() {
-                            let bit = (bi * PatternBlock::<L>::CAPACITY + k) * outputs.len() + o;
+                    let slot = scratch.stem_slot(graph, Some(outputs), bi, stem, gb);
+                    let (start, end) = scratch.stem_span[slot];
+                    for &(o, diff) in &scratch.po_diffs[start as usize..end as usize] {
+                        for k in (diff & pre).set_bits() {
+                            let p = bi * PatternBlock::<L>::CAPACITY + k;
+                            let bit = p * outputs.len() + o as usize;
                             row[bit / 64] |= 1u64 << (bit % 64);
                         }
                     }
@@ -1047,7 +1141,7 @@ pub fn simulate_faults_full_pass(
         .map(|p| GoodBlock::new(circuit, p))
         .collect();
     let mut scratch = vec![PatternWords::<1>::ZERO; circuit.signal_count()];
-    let firsts = first_detections(faults, &blocks, drop_detected, |fault, b| {
+    let firsts = first_detections(faults, &blocks, drop_detected, |fault, _, b| {
         full_pass_detect_mask(circuit, fault, &b.block, &b.good, &mut scratch)
     });
     report_from(firsts, patterns.len())
@@ -1153,8 +1247,9 @@ pub fn seeded_patterns(n_pi: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
 
 /// Reverse-order test compaction: keep only the patterns that still detect
 /// a new fault when replayed in reverse with fault dropping. Runs on the
-/// event-driven kernel with one shared scratch, so a replay costs
-/// O(disturbed region) per live fault.
+/// fanout-free-region kernel with one shared scratch, so a replayed
+/// pattern costs one good-machine pass, a short path walk per live fault
+/// and at most one stem pass per stem they drain into.
 #[must_use]
 pub fn compact_reverse(
     circuit: &Circuit,
@@ -1162,7 +1257,7 @@ pub fn compact_reverse(
     patterns: &[Vec<bool>],
 ) -> Vec<Vec<bool>> {
     let graph = SimGraph::build(circuit);
-    let mut scratch = FaultSimScratch::for_graph(&graph);
+    let mut scratch = FaultSimScratch::for_graph(&graph, 1);
     compact(
         &StuckAt::new(circuit, &graph),
         faults,
@@ -1191,8 +1286,9 @@ where
             break;
         }
         let block = model.block(std::slice::from_ref(p));
+        scratch.reset_stems(model.graph(), 1);
         let before = live.len();
-        live.retain(|f| model.detect_mask(*f, &block, scratch).is_zero());
+        live.retain(|f| model.detect_mask(*f, &block, 0, scratch).is_zero());
         if live.len() < before {
             kept.push(p.clone());
         }
@@ -1547,6 +1643,135 @@ mod tests {
             .position(|f| f.site == FaultSite::Signal(dead) && !f.value)
             .expect("dead s-a-0 enumerated");
         assert!(event.undetected.contains(&dead_sa0));
+    }
+
+    /// Every fanout-free-region shape the stem kernel distinguishes:
+    /// every cell kind driving every pin of every cell kind through a
+    /// non-stem line, a four-gate fanout-free chain, POs with pin fanout
+    /// one and two, one signal on two pins of one gate (`Xor2(n, n)`,
+    /// `Maj3(m, m, b)`), a dead cone, and PIs that are also POs (one of
+    /// them read by gates too).
+    fn ffr_zoo() -> Circuit {
+        use CellKind::{Inv, Maj3, Nand2, Nor2, Xor2, Xor3};
+        let kinds = [Inv, Nand2, Nor2, Xor2, Xor3, Maj3];
+        let mut c = Circuit::new();
+        let pi: Vec<SignalId> = (0..5).map(|i| c.add_input(format!("i{i}"))).collect();
+        let pick = |n: usize, from: usize| -> Vec<SignalId> {
+            (0..n).map(|j| pi[(from + j) % pi.len()]).collect()
+        };
+        for (d, &driver) in kinds.iter().enumerate() {
+            for (u, &user) in kinds.iter().enumerate() {
+                for pin in 0..user.input_count() {
+                    let tag = format!("{d}_{u}_{pin}");
+                    let ins = pick(driver.input_count(), d + pin);
+                    let line = c.add_gate(driver, format!("d{tag}"), &ins);
+                    let mut ins = pick(user.input_count(), d + u + 1);
+                    ins[pin] = line;
+                    let out = c.add_gate(user, format!("u{tag}"), &ins);
+                    c.mark_output(out);
+                }
+            }
+        }
+        let ch1 = c.add_gate(Nor2, "ch1", &[pi[0], pi[1]]);
+        let ch2 = c.add_gate(Maj3, "ch2", &[ch1, pi[2], pi[3]]);
+        let ch3 = c.add_gate(Nand2, "ch3", &[pi[4], ch2]);
+        let ch4 = c.add_gate(Xor3, "ch4", &[ch3, pi[0], pi[2]]);
+        c.mark_output(ch4);
+        let po1 = c.add_gate(Inv, "po1", &[pi[0]]);
+        c.mark_output(po1);
+        let after1 = c.add_gate(Nand2, "after1", &[po1, pi[1]]);
+        c.mark_output(after1);
+        let po2 = c.add_gate(Nand2, "po2", &[pi[1], pi[3]]);
+        c.mark_output(po2);
+        let after2 = c.add_gate(Inv, "after2", &[po2]);
+        let join = c.add_gate(Nor2, "join", &[po2, after2]);
+        c.mark_output(join);
+        let n = c.add_gate(Nand2, "n", &[pi[0], pi[3]]);
+        let xnn = c.add_gate(Xor2, "xnn", &[n, n]);
+        let seen = c.add_gate(Xor2, "seen", &[xnn, pi[4]]);
+        c.mark_output(seen);
+        let m = c.add_gate(Nor2, "m", &[pi[1], pi[2]]);
+        let mmb = c.add_gate(Maj3, "mmb", &[m, m, pi[4]]);
+        c.mark_output(mmb);
+        let dead = c.add_gate(Inv, "dead", &[mmb]);
+        let _dead2 = c.add_gate(Nand2, "dead2", &[dead, pi[0]]);
+        c.mark_output(pi[3]);
+        let lone = c.add_input("lone");
+        c.mark_output(lone);
+        c
+    }
+
+    #[test]
+    fn stem_kernel_matches_the_full_pass_on_every_region_shape() {
+        let c = ffr_zoo();
+        let graph = SimGraph::build(&c);
+        let dead = (0..c.signal_count()).filter(|&s| graph.po_reach(SignalId(s)) == 0);
+        assert_eq!(dead.count(), 2, "the zoo keeps its dead cone");
+        let faults = enumerate_stuck_at(&c);
+        // 70 patterns span two L = 1 blocks and part of one L = 4 block.
+        let patterns = seeded_patterns(c.primary_inputs().len(), 70, 0x5EED);
+        for drop in [false, true] {
+            let oracle = simulate_faults_full_pass(&c, &faults, &patterns, drop);
+            assert!(!oracle.detected.is_empty() && !oracle.undetected.is_empty());
+            for lanes in [1, 4] {
+                let event = simulate_faults_lanes(&c, &faults, &patterns, drop, lanes);
+                let threaded =
+                    simulate_faults_threaded_lanes(&c, &faults, &patterns, drop, 3, lanes);
+                assert_eq!(event, oracle, "L = {lanes}, drop = {drop}");
+                assert_eq!(threaded, oracle, "threaded, L = {lanes}, drop = {drop}");
+            }
+        }
+        // Every signature bit against one whole-circuit faulty pass per
+        // fault over all 70 patterns.
+        let sig = capture_signatures_lanes(&c, &faults, &patterns, 1);
+        let block: PatternBlock<2> = PatternBlock::pack(&c, &patterns);
+        let good = good_sim(&c, &block);
+        for (fi, &fault) in faults.iter().enumerate() {
+            let faulty = faulty_sim(&c, fault, &block);
+            for (o, po) in c.primary_outputs().iter().enumerate() {
+                let diff = good[po.0] ^ faulty[po.0];
+                for p in 0..patterns.len() {
+                    assert_eq!(
+                        sig.fails(fi, p, o),
+                        diff.get_bit(p),
+                        "{} at pattern {p}, PO {o}",
+                        fault.describe(&c)
+                    );
+                }
+            }
+        }
+        for lanes in [1, 4] {
+            let threaded = capture_signatures_threaded_lanes(&c, &faults, &patterns, 3, lanes);
+            assert_eq!(capture_signatures_lanes(&c, &faults, &patterns, lanes), sig);
+            assert_eq!(threaded, sig, "threaded capture at L = {lanes}");
+        }
+    }
+
+    #[test]
+    fn stem_kernel_matches_the_transition_oracle_on_every_region_shape() {
+        use crate::sof::CircuitTwoPattern;
+        use crate::transition::{
+            enumerate_transition, simulate_transition_threaded_lanes, transition_oracle,
+        };
+        let c = ffr_zoo();
+        let faults = enumerate_transition(&c);
+        let n_pi = c.primary_inputs().len();
+        let pairs: Vec<CircuitTwoPattern> = seeded_patterns(n_pi, 40, 3)
+            .into_iter()
+            .zip(seeded_patterns(n_pi, 40, 4))
+            .map(|(init, eval)| CircuitTwoPattern { init, eval })
+            .collect();
+        let oracle = transition_oracle(&c, &faults, &pairs);
+        assert!(!oracle.detected.is_empty() && !oracle.undetected.is_empty());
+        for lanes in [1, 4] {
+            for drop in [false, true] {
+                assert_eq!(
+                    simulate_transition_threaded_lanes(&c, &faults, &pairs, drop, 3, lanes),
+                    oracle,
+                    "L = {lanes}, drop = {drop}"
+                );
+            }
+        }
     }
 
     #[test]

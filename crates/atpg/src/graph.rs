@@ -20,7 +20,10 @@
 //! * a per-signal **PO-reachability bitmask**: primary output `i` owns bit
 //!   `i % 64`, and a signal's mask ORs the buckets of every PO in its
 //!   transitive fanout. A zero mask proves a fault site (or a live event)
-//!   can never be observed, so the kernel skips it outright.
+//!   can never be observed, so the kernel skips it outright;
+//! * each signal's **stem**: a primary output or a signal whose pin
+//!   fanout is not 1 is its own; any other feeds exactly one gate pin, so
+//!   its flip has one path to its stem, where the kernel propagates it.
 
 use sinw_switch::cells::CellKind;
 use sinw_switch::gate::{Circuit, FanoutCsr, GateId, SignalId};
@@ -51,6 +54,11 @@ pub struct SimGraph {
     /// Per-signal OR of the PO buckets reachable through its fanout cone
     /// (including its own [`SimGraph::po_bit`]).
     po_reach: Vec<u64>,
+    /// Stem index per signal: a stem's own, else its sole consumer
+    /// output's.
+    stem_of: Vec<u32>,
+    /// Stem signal per stem index, ascending.
+    stems: Vec<u32>,
 }
 
 impl SimGraph {
@@ -124,6 +132,24 @@ impl SimGraph {
             }
         }
 
+        // Stems. A signal that is no PO and feeds exactly one pin takes
+        // its consumer output's stem, which a reverse (topological) sweep
+        // resolves first; every other signal is one.
+        let in_ffr = |s: usize| po_bit[s] == 0 && fanout.fanout(SignalId(s)).len() == 1;
+        let stems: Vec<u32> = (0..n_sig as u32).filter(|&s| !in_ffr(s as usize)).collect();
+        let mut stem_of = vec![0u32; n_sig];
+        for (i, &s) in stems.iter().enumerate() {
+            stem_of[s as usize] = i as u32;
+        }
+        for gi in (0..n_gates).rev() {
+            for pin in in_off[gi]..in_off[gi + 1] {
+                let s = ins[pin as usize] as usize;
+                if in_ffr(s) {
+                    stem_of[s] = stem_of[outs[gi] as usize];
+                }
+            }
+        }
+
         SimGraph {
             kinds,
             in_off,
@@ -135,6 +161,8 @@ impl SimGraph {
             consumers,
             po_bit,
             po_reach,
+            stem_of,
+            stems,
         }
     }
 
@@ -200,6 +228,21 @@ impl SimGraph {
     pub fn po_reach(&self, sig: SignalId) -> u64 {
         self.po_reach[sig.0]
     }
+
+    /// Number of stems.
+    pub(crate) fn stem_count(&self) -> usize {
+        self.stems.len()
+    }
+
+    /// Index of the stem a signal's fanout-free region drains into.
+    pub(crate) fn stem_of(&self, sig: SignalId) -> usize {
+        self.stem_of[sig.0] as usize
+    }
+
+    /// The signal of stem `stem`.
+    pub(crate) fn stem_signal(&self, stem: usize) -> SignalId {
+        SignalId(self.stems[stem] as usize)
+    }
 }
 
 #[cfg(test)]
@@ -256,5 +299,31 @@ mod tests {
         let g = SimGraph::build(&c);
         assert_eq!(g.consumers(a), &[0u32]);
         assert_eq!(g.gate_inputs(GateId(0)), &[a.0 as u32, a.0 as u32]);
+        // Two pins of one gate make `a` a stem.
+        assert_eq!(g.stem_signal(g.stem_of(a)), a);
+    }
+
+    #[test]
+    fn stems_are_pos_and_multi_or_zero_fanout_signals() {
+        use sinw_switch::cells::CellKind;
+        let mut c = Circuit::new();
+        let a = c.add_input("a");
+        let b = c.add_input("b");
+        let n = c.add_gate(CellKind::Nand2, "n", &[a, b]);
+        let i = c.add_gate(CellKind::Inv, "i", &[n]);
+        let x = c.add_gate(CellKind::Xor2, "x", &[i, b]);
+        let dead = c.add_gate(CellKind::Inv, "dead", &[x]);
+        let y = c.add_gate(CellKind::Inv, "y", &[x]);
+        c.mark_output(y);
+        let g = SimGraph::build(&c);
+        // b feeds two pins, x two gates, dead nothing, y is the PO.
+        for s in [b, x, dead, y] {
+            assert_eq!(g.stem_signal(g.stem_of(s)), s);
+        }
+        assert_eq!(g.stem_count(), 4);
+        // a -> n -> i is one fanout-free chain into x.
+        for s in [a, n, i] {
+            assert_eq!(g.stem_signal(g.stem_of(s)), x, "signal {}", s.0);
+        }
     }
 }

@@ -9,8 +9,9 @@
 //! * [`faultsim`] — wide-word bit-parallel (64·L patterns per pass at
 //!   lane widths `L ∈ {1,2,4,8}`, see [`lanes`]) and work-stealing
 //!   thread-parallel (PPSFP) stuck-at fault simulation with fault
-//!   dropping and reverse-order compaction, on an event-driven,
-//!   fanout-cone-restricted kernel over the [`graph`] precompute layer.
+//!   dropping and reverse-order compaction, on a fanout-free-region
+//!   kernel (one event-driven pass per fanout stem) over the [`graph`]
+//!   precompute layer.
 //!   Each mode has one default entry point (the [`configured_lanes`]
 //!   width, one worker) and one explicit `(threads, lanes)` form; a
 //!   whole-circuit reference pass is retained as the property-test

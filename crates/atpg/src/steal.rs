@@ -9,8 +9,9 @@
 //! Chunks are dealt by a crate-private `WorkQueue`: chunked claiming plus
 //! steal-half-on-exhaustion, so skewed fault universes (the csa16
 //! all-pass class is the canonical example — its faults bail out of the
-//! event kernel immediately, while deep-cone faults cost thousands of
-//! gate evaluations) do not leave workers idle while others grind:
+//! kernel immediately, while the first fault of a deep-cone stem pays a
+//! stem pass of thousands of gate evaluations) do not leave workers idle
+//! while others grind:
 //!
 //! * chunk boundaries are a pure function of the input, **not** of
 //!   scheduling, which is what keeps merged output bit-identical to the

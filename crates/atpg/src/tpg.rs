@@ -258,7 +258,7 @@ where
             faults,
             statuses: vec![FaultStatus::Undetected; faults.len()],
             rng: SplitMix64::new(seed),
-            scratch: FaultSimScratch::for_graph(model.graph()),
+            scratch: FaultSimScratch::for_graph(model.graph(), 1),
             podem_calls: 0,
         }
     }
@@ -274,12 +274,13 @@ where
     /// detecting pattern of each newly dropped fault.
     fn drop_detected(&mut self, patterns: &[M::Pattern], credit: FaultStatus) -> u64 {
         let block = self.model.block(patterns);
+        self.scratch.reset_stems(self.model.graph(), 1);
         let mut credited = 0u64;
         for (status, fault) in self.statuses.iter_mut().zip(self.faults) {
             if *status != FaultStatus::Undetected {
                 continue;
             }
-            let mask = self.model.detect_mask(*fault, &block, &mut self.scratch);
+            let mask = self.model.detect_mask(*fault, &block, 0, &mut self.scratch);
             if mask.any() {
                 *status = credit;
                 credited |= 1u64 << mask.trailing_zeros();

@@ -10,9 +10,9 @@
 //! `(site value under V1 == init) ∧ stuck-at-detected under V2`,
 //! which maps straight onto the lane-generic PPSFP kernel: the
 //! initialisation mask of a pattern block is handed to
-//! the event-driven detect kernel *as the block mask*, so the returned
-//! word is already the pair-detection mask and uninitialised pairs can
-//! never count as detections.
+//! the fanout-free-region kernel *as the fault's model mask*, so the
+//! returned word is already the pair-detection mask and uninitialised
+//! pairs can never count as detections.
 //!
 //! The [`TransitionAtpg`] engine runs a launch-on-capture (broadside)
 //! campaign over a full-scan view of a [`SeqCircuit`] on the same
@@ -167,8 +167,8 @@ impl<const L: usize> PairBlock<L> {
 /// The transition fault model: the residual stuck-at fault of the
 /// capture vector, with the block's initialisation mask — the pairs
 /// whose launch vector sets the site to the initial value — handed to
-/// the event kernel *as the block mask*, so uninitialised pairs can
-/// never count as detections.
+/// the kernel *as the model mask*, so uninitialised pairs can never
+/// count as detections.
 struct Transition<'c> {
     circuit: &'c Circuit,
     graph: &'c SimGraph,
@@ -195,11 +195,11 @@ impl<const L: usize> FaultModel<L> for Transition<'_> {
         &self,
         fault: TransitionFault,
         blk: &'b PairBlock<L>,
-    ) -> (StuckAtFault, PatternWords<L>, &'b [PatternWords<L>]) {
+    ) -> (StuckAtFault, PatternWords<L>, &'b GoodBlock<L>) {
         let stem = site_signal(self.circuit, fault.site);
         let want = PatternWords::<L>::stuck(fault.init_value());
         let init_ok = !(blk.launch_good[stem.0] ^ want) & blk.capture.block.mask();
-        (fault.as_stuck_at(), init_ok, &blk.capture.good)
+        (fault.as_stuck_at(), init_ok, &blk.capture)
     }
 }
 

@@ -19,6 +19,7 @@ use sinw_switch::cells::CellKind;
 use sinw_switch::gate::{Circuit, SignalId};
 use sinw_switch::generate::{array_multiplier, carry_select_adder};
 use sinw_switch::value::Logic;
+use sinw_switch::{parse_bench, to_bench};
 
 /// A random DAG of library cells over `n_pi` primary inputs.
 fn random_circuit(n_pi: usize, n_gates: usize, seed: &[u8]) -> Circuit {
@@ -303,23 +304,31 @@ proptest! {
 
     /// Same oracle check on the *generated* benchmark structures, whose
     /// deep reconvergent fanout exercises worklist dedup and level
-    /// ordering much harder than the shallow random DAGs.
+    /// ordering much harder than the shallow random DAGs — both as
+    /// generated and in the shape the service simulates: the
+    /// `parse_bench(to_bench(..))` round trip (`MAJ3` becomes an
+    /// AND/OR network of short fanout-free regions) under its collapsed
+    /// universe.
     #[test]
     fn event_driven_matches_full_pass_on_generated_benchmarks(
         which in 0usize..3,
         width in 2usize..5,
         seed in any::<u64>(),
     ) {
-        let c = match which {
+        let generated = match which {
             0 => Circuit::ripple_adder(width),
             1 => carry_select_adder(width + 2, 2),
             _ => array_multiplier(width),
         };
-        let faults = enumerate_stuck_at(&c);
-        let patterns = seeded_patterns(c.primary_inputs().len(), 70, seed);
-        let oracle = simulate_faults_full_pass(&c, &faults, &patterns, true);
-        let event = simulate_faults(&c, &faults, &patterns, true);
-        prop_assert_eq!(&oracle, &event);
+        let mapped = parse_bench(&to_bench(&generated, "generated")).expect("exported text parses");
+        let mapped_faults = collapse(&mapped, &enumerate_stuck_at(&mapped)).representatives;
+        let generated_faults = enumerate_stuck_at(&generated);
+        for (c, faults) in [(&generated, generated_faults), (&mapped, mapped_faults)] {
+            let patterns = seeded_patterns(c.primary_inputs().len(), 70, seed);
+            let oracle = simulate_faults_full_pass(c, &faults, &patterns, true);
+            let event = simulate_faults(c, &faults, &patterns, true);
+            prop_assert_eq!(&oracle, &event);
+        }
     }
 
     /// `detect_mask_in` with one long-lived scratch agrees with the

@@ -57,7 +57,7 @@
 //! | `net.frame.write` | before every response frame write | ioerr (write fails, connection closes), delay |
 //! | `net.progress.poll` | every poll of a streamed `AwaitJob` | delay (stretches the stream cadence); ioerr ignored (poll retried) |
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -225,17 +225,31 @@ fn table() -> MutexGuard<'static, HashMap<&'static str, PointState>> {
     lock_clean(TABLE.get_or_init(|| Mutex::new(HashMap::new())))
 }
 
-/// Leak a point name into a `'static` key. Point names form a small
-/// fixed catalog, so the leak is bounded.
+/// Every point name ever armed, each leaked once.
+fn names() -> MutexGuard<'static, HashSet<&'static str>> {
+    static NAMES: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
+    lock_clean(NAMES.get_or_init(|| Mutex::new(HashSet::new())))
+}
+
+/// A point name as a `'static` key: leaked on its first arm and reused
+/// on every later one, so the leak is bounded by the catalog however
+/// often points are re-armed.
 fn intern(name: &str) -> &'static str {
-    Box::leak(name.to_string().into_boxed_str())
+    let mut names = names();
+    if let Some(&interned) = names.get(name) {
+        return interned;
+    }
+    let interned: &'static str = Box::leak(name.into());
+    names.insert(interned);
+    interned
 }
 
 /// Arm `point` with `config`, replacing any previous arm (and resetting
 /// its counters).
 pub fn configure(point: &str, config: FailConfig) {
+    let point = intern(point);
     let mut t = table();
-    if t.insert(intern(point), PointState::new(config)).is_none() {
+    if t.insert(point, PointState::new(config)).is_none() {
         ARMED.fetch_add(1, Ordering::SeqCst);
     }
 }
@@ -337,6 +351,24 @@ mod tests {
     fn serial() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         lock_clean(&LOCK)
+    }
+
+    #[test]
+    fn re_arming_a_point_interns_its_name_once() {
+        let _s = serial();
+        configure("unit.rearm", FailConfig::always(FailAction::IoError));
+        let interned = names().len();
+        for _ in 0..1000 {
+            configure("unit.rearm", FailConfig::always(FailAction::IoError));
+            drop(scoped(
+                "unit.rearm",
+                FailConfig::nth(FailAction::IoError, 2),
+            ));
+        }
+        let names = names();
+        assert_eq!(names.len(), interned, "re-arms must not intern again");
+        assert_eq!(names.iter().filter(|n| **n == "unit.rearm").count(), 1);
+        assert_eq!(fired("unit.rearm"), 0);
     }
 
     #[test]
