@@ -207,15 +207,25 @@ pub(crate) fn io_error(path: &std::path::Path, e: &std::io::Error) -> CodecError
 // Header
 // ---------------------------------------------------------------------
 
-/// Header + checksummed payload, ready to write.
-pub(crate) fn encode_container(magic: [u8; 4], version: u16, kind: u16, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+/// Header + checksummed payload in one buffer, ready to write: reserve
+/// the header, let `payload` write the payload straight after it, then
+/// patch the length and checksum in place.
+pub(crate) fn encode_container(
+    magic: [u8; 4],
+    version: u16,
+    kind: u16,
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN);
     out.extend_from_slice(&magic);
     put_u16(&mut out, version);
     put_u16(&mut out, kind);
-    put_u64(&mut out, payload.len() as u64);
-    put_u64(&mut out, checksum(payload));
-    out.extend_from_slice(payload);
+    out.resize(HEADER_LEN, 0);
+    payload(&mut out);
+    let len = (out.len() - HEADER_LEN) as u64;
+    let sum = checksum(&out[HEADER_LEN..]);
+    out[8..16].copy_from_slice(&len.to_le_bytes());
+    out[16..24].copy_from_slice(&sum.to_le_bytes());
     out
 }
 

@@ -55,7 +55,7 @@
 //! | `net.accept` | per accepted TCP connection | ioerr (connection dropped before a handler spawns), delay |
 //! | `net.frame.read` | before every frame read in a connection handler | ioerr (best-effort error frame, connection closes), delay |
 //! | `net.frame.write` | before every response frame write | ioerr (write fails, connection closes), delay |
-//! | `net.progress.poll` | every poll of a streamed `AwaitJob` | delay (stretches the stream cadence); ioerr ignored (poll retried) |
+//! | `net.progress.poll` | every progress tick of a streamed `AwaitJob` that ends with the job still running | delay (stretches the stream cadence); ioerr ignored (poll retried) |
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -342,13 +342,12 @@ fn hit_slow(point: &'static str) -> Result<(), InjectedError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// Tests in this module mutate process-global fail-point state, so
-    /// they serialize on one lock (shared with nothing else: unit tests
-    /// use their own point names).
-    fn serial() -> MutexGuard<'static, ()> {
+    /// Unit tests that arm fail points mutate process-global state, so
+    /// they serialize on this one lock.
+    pub(crate) fn serial() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         lock_clean(&LOCK)
     }

@@ -196,7 +196,8 @@ struct JobShared {
     attempts: AtomicUsize,
     /// Absolute expiry instant, fixed at submission.
     deadline: Option<Instant>,
-    outcome: Mutex<Option<JobOutcome>>,
+    /// Stored once; waiters share it rather than copy it.
+    outcome: Mutex<Option<Arc<JobOutcome>>>,
     finished: Condvar,
 }
 
@@ -220,7 +221,7 @@ impl JobShared {
     fn finish(&self, outcome: JobOutcome) {
         let mut slot = lock_clean(&self.outcome);
         if slot.is_none() {
-            *slot = Some(outcome);
+            *slot = Some(Arc::new(outcome));
         }
         self.finished.notify_all();
     }
@@ -277,7 +278,7 @@ impl JobHandle {
             .finished
             .wait_while(lock_clean(&self.shared.outcome), |o| o.is_none())
             .unwrap_or_else(PoisonError::into_inner);
-        slot.clone().expect("woken with an outcome")
+        JobOutcome::clone(slot.as_ref().expect("woken with an outcome"))
     }
 
     /// Block until the job reaches a terminal state or `timeout`
@@ -286,6 +287,13 @@ impl JobHandle {
     /// or walk away.
     #[must_use]
     pub fn wait_timeout(&self, timeout: Duration) -> Option<JobOutcome> {
+        self.outcome_within(timeout).map(|o| JobOutcome::clone(&o))
+    }
+
+    /// [`wait_timeout`](Self::wait_timeout) without the copy: the
+    /// job's own stored outcome, shared. Woken by the job's finish, not
+    /// by polling.
+    pub(crate) fn outcome_within(&self, timeout: Duration) -> Option<Arc<JobOutcome>> {
         let (slot, _timed_out) = self
             .shared
             .finished
@@ -822,6 +830,47 @@ mod tests {
             Some(JobOutcome::FaultSim(_)) => {}
             other => panic!("job must finish well within 30s, got {other:?}"),
         }
+        engine.shutdown();
+    }
+
+    #[test]
+    fn completion_wakes_the_wait_and_a_held_job_times_it_out() {
+        use crate::failpoint::{scoped, FailAction, FailConfig};
+        let _s = crate::failpoint::tests::serial();
+        let compiled = Arc::new(compile_circuit("c17", Circuit::c17()));
+        let engine = JobEngine::new(1);
+        let job = |engine: &JobEngine| {
+            engine.submit(JobSpec::FaultSim {
+                compiled: Arc::clone(&compiled),
+                patterns: Arc::new(patterns_for(compiled.circuit(), 8)),
+                drop_detected: false,
+                threads: 1,
+            })
+        };
+
+        // The finish wakes the wait: far sooner than its 30 s timeout.
+        let start = Instant::now();
+        let outcome = job(&engine).outcome_within(Duration::from_secs(30));
+        assert!(matches!(outcome.as_deref(), Some(JobOutcome::FaultSim(_))));
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "{:?}",
+            start.elapsed()
+        );
+
+        // A chunk delay holds the job: the wait gives up at its timeout.
+        let held = {
+            let _g = scoped(
+                "jobs.faultsim.chunk",
+                FailConfig::always(FailAction::Delay(Duration::from_millis(400))),
+            );
+            let handle = job(&engine);
+            let start = Instant::now();
+            assert!(handle.outcome_within(Duration::from_millis(50)).is_none());
+            assert!(start.elapsed() >= Duration::from_millis(50));
+            handle
+        };
+        assert!(held.outcome_within(Duration::from_secs(30)).is_some());
         engine.shutdown();
     }
 

@@ -70,7 +70,9 @@
 //!   ([`SessionError`]).
 //! * [`net`] — the [`NetServer`] (std-only TCP, thread per connection)
 //!   composing registry + store + engine + sessions, streaming job
-//!   progress frame-by-frame over `AwaitJob`, closing idle connections
+//!   progress frame-by-frame over `AwaitJob` (a wait on the job's
+//!   completion, at most one progress tick long, so the outcome goes
+//!   out as soon as the job finishes), closing idle connections
 //!   only when no job is in flight, and draining gracefully on
 //!   shutdown; plus the matching blocking [`NetClient`].
 //!

@@ -40,6 +40,7 @@
 //! response write), and `net.progress.poll` (delay stretches the
 //! streaming cadence; ioerr is ignored — polling is retried).
 
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -65,7 +66,9 @@ const REGISTRY_CAPACITY: usize = 256 * 1024 * 1024;
 /// Socket read timeout — the handler's idle/drain tick period.
 const READ_POLL: Duration = Duration::from_millis(25);
 
-/// Poll period of the `AwaitJob` progress stream.
+/// Longest `AwaitJob` waits on the job's completion before it checks
+/// progress again: the progress stream's cadence. The job's finish
+/// wakes the wait at once.
 const PROGRESS_POLL: Duration = Duration::from_millis(1);
 
 /// Server configuration: pool size, quotas, and persistence.
@@ -269,8 +272,7 @@ impl Drop for SessionCloser<'_> {
 /// Send one response, honoring the `net.frame.write` fail point.
 fn send(stream: &mut TcpStream, response: &Response) -> Result<(), CodecError> {
     failpoint::hit("net.frame.write").map_err(std::io::Error::from)?;
-    let (ty, payload) = response.encode();
-    wire::write_frame(stream, ty, &payload)
+    Ok(stream.write_all(&response.frame())?)
 }
 
 /// Intra-job workers for a wire-supplied thread count: at least one, at
@@ -544,18 +546,19 @@ fn handle_request(
                 // outcome.
                 let mut last = handle.progress();
                 send(stream, &progress_frame(job, last, false))?;
-                while !handle.is_finished() {
+                let outcome = loop {
+                    if let Some(outcome) = handle.outcome_within(PROGRESS_POLL) {
+                        break outcome;
+                    }
                     // Delay injections stretch the cadence; an ioerr arm
                     // is ignored (polling is retried, not abandoned).
                     let _ = failpoint::hit("net.progress.poll");
-                    std::thread::sleep(PROGRESS_POLL);
                     let p = handle.progress();
                     if p != last {
                         last = p;
                         send(stream, &progress_frame(job, p, false))?;
                     }
-                }
-                let outcome = handle.wait();
+                };
                 let p = handle.progress();
                 send(stream, &progress_frame(job, p, true))?;
                 send(
@@ -682,8 +685,9 @@ impl NetClient {
     }
 
     fn request(&mut self, request: &Request) -> Result<(), ClientError> {
-        let (ty, payload) = request.encode();
-        wire::write_frame(&mut self.stream, ty, &payload)?;
+        self.stream
+            .write_all(&request.frame())
+            .map_err(CodecError::from)?;
         Ok(())
     }
 
@@ -838,7 +842,6 @@ impl NetClient {
     ///
     /// [`ClientError::Wire`] on socket failure.
     pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), ClientError> {
-        use std::io::Write;
         self.stream.write_all(bytes).map_err(CodecError::from)?;
         self.stream.flush().map_err(CodecError::from)?;
         Ok(())

@@ -149,30 +149,31 @@ impl Snapshot {
         // Panic / delay injection site; an `ioerr` arm is meaningless
         // here (encoding is infallible) and is deliberately ignored.
         let _ = crate::failpoint::hit("snapshot.encode");
-        let mut payload = Vec::new();
-        put_str(&mut payload, &self.name);
-        put_circuit(&mut payload, &self.circuit);
+        encode_container(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 0, |out| {
+            self.put_payload(out)
+        })
+    }
 
-        put_count(&mut payload, self.faults.len(), "fault");
+    fn put_payload(&self, payload: &mut Vec<u8>) {
+        put_str(payload, &self.name);
+        put_circuit(payload, &self.circuit);
+
+        put_count(payload, self.faults.len(), "fault");
         for &fault in &self.faults {
-            put_fault(&mut payload, fault);
+            put_fault(payload, fault);
         }
 
         match &self.collapsed {
             None => payload.push(0),
             Some(collapsed) => {
                 payload.push(1);
-                put_count(
-                    &mut payload,
-                    collapsed.representatives.len(),
-                    "representative",
-                );
+                put_count(payload, collapsed.representatives.len(), "representative");
                 for &rep in &collapsed.representatives {
-                    put_fault(&mut payload, rep);
+                    put_fault(payload, rep);
                 }
-                put_count(&mut payload, collapsed.class_of.len(), "collapse class");
+                put_count(payload, collapsed.class_of.len(), "collapse class");
                 for &class in &collapsed.class_of {
-                    put_count(&mut payload, class, "collapse class index");
+                    put_count(payload, class, "collapse class index");
                 }
             }
         }
@@ -181,22 +182,20 @@ impl Snapshot {
             None => payload.push(0),
             Some(dict) => {
                 payload.push(1);
-                put_count(&mut payload, dict.pattern_count(), "dictionary pattern");
-                put_count(&mut payload, dict.output_count(), "dictionary output");
-                put_count(&mut payload, dict.class_count(), "dictionary class");
-                put_count(&mut payload, dict.fault_count(), "dictionary fault");
+                put_count(payload, dict.pattern_count(), "dictionary pattern");
+                put_count(payload, dict.output_count(), "dictionary output");
+                put_count(payload, dict.class_count(), "dictionary class");
+                put_count(payload, dict.fault_count(), "dictionary fault");
                 for class in 0..dict.class_count() {
                     for &word in dict.class_signature(class) {
-                        put_u64(&mut payload, word);
+                        put_u64(payload, word);
                     }
                 }
                 for &class in dict.class_of() {
-                    put_count(&mut payload, class, "dictionary class index");
+                    put_count(payload, class, "dictionary class index");
                 }
             }
         }
-
-        encode_container(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 0, &payload)
     }
 
     /// Decode a `.sinw` byte string.

@@ -21,7 +21,7 @@
 //! payload that decodes but leaves bytes unread is rejected
 //! ([`CodecError::TrailingBytes`]).
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 use sinw_atpg::faultsim::{FaultSimReport, SignatureMatrix};
 use sinw_atpg::tpg::AtpgReport;
@@ -106,7 +106,9 @@ pub enum FrameEvent {
 /// Encode one complete frame (header + payload) into a byte string.
 #[must_use]
 pub fn encode_frame(frame_type: u16, payload: &[u8]) -> Vec<u8> {
-    encode_container(WIRE_MAGIC, WIRE_VERSION, frame_type, payload)
+    encode_container(WIRE_MAGIC, WIRE_VERSION, frame_type, |out| {
+        out.extend_from_slice(payload);
+    })
 }
 
 /// Read one frame from `r`, enforcing `max_payload` before allocating.
@@ -200,18 +202,6 @@ pub fn decode_frame(bytes: &[u8], max_payload: u64) -> Result<(u16, Vec<u8>), Co
     Ok((header.kind, payload.to_vec()))
 }
 
-/// Write one frame to `w` (header + payload, then flush).
-///
-/// # Errors
-///
-/// Returns [`CodecError::Io`] when the underlying write or flush fails.
-pub fn write_frame(w: &mut impl Write, frame_type: u16, payload: &[u8]) -> Result<(), CodecError> {
-    let frame = encode_frame(frame_type, payload);
-    w.write_all(&frame)?;
-    w.flush()?;
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // Fields
 // ---------------------------------------------------------------------
@@ -278,25 +268,29 @@ impl Field for Vec<u8> {
     }
 }
 
-/// `u32` count, then one `u64` per value.
+/// `u32` count, then one `u64` per value, written into space sized
+/// once up front.
 fn put_u64s(out: &mut Vec<u8>, values: impl ExactSizeIterator<Item = u64>) {
     put_count(out, values.len(), "u64 list");
-    for v in values {
-        put_u64(out, v);
+    let start = out.len();
+    out.resize(start + 8 * values.len(), 0);
+    for (slot, v) in out[start..].chunks_exact_mut(8).zip(values) {
+        slot.copy_from_slice(&v.to_le_bytes());
     }
 }
 
+/// The count is checked against the remaining bytes first, so the one
+/// bulk read after it cannot fail.
 fn get_u64s<T>(
     r: &mut Reader<'_>,
     context: &'static str,
     from: impl Fn(u64) -> T,
 ) -> Result<Vec<T>, CodecError> {
     let n = r.count(context, 8)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(from(r.u64()?));
-    }
-    Ok(out)
+    Ok(r.take(8 * n)?
+        .chunks_exact(8)
+        .map(|word| from(u64::from_le_bytes(word.try_into().expect("8 bytes"))))
+        .collect())
 }
 
 impl Field for Vec<u64> {
@@ -329,6 +323,7 @@ impl Field for Vec<Vec<bool>> {
         let width = self.first().map_or(0, Vec::len);
         put_count(out, self.len(), "pattern");
         put_count(out, width, "pattern width");
+        out.reserve(self.len() * width);
         for p in self {
             assert_eq!(p.len(), width, "patterns must be uniform width");
             out.extend(p.iter().map(|&bit| u8::from(bit)));
@@ -574,12 +569,20 @@ wire_fields!(Request: u16 {
 });
 
 impl Request {
-    /// Encode into `(frame_type, payload)`, ready for [`write_frame`].
+    /// Encode into `(frame_type, payload)`, ready for [`encode_frame`].
     #[must_use]
     pub fn encode(&self) -> (u16, Vec<u8>) {
         let mut out = Vec::new();
         self.put_fields(&mut out);
         (self.code(), out)
+    }
+
+    /// The bytes of `encode_frame(self.encode())`, with the fields
+    /// written straight after the header instead of copied there.
+    pub(crate) fn frame(&self) -> Vec<u8> {
+        encode_container(WIRE_MAGIC, WIRE_VERSION, self.code(), |out| {
+            self.put_fields(out);
+        })
     }
 
     /// Decode a request payload. Total: every malformed payload is a
@@ -919,12 +922,20 @@ wire_fields!(Response: u16 {
 });
 
 impl Response {
-    /// Encode into `(frame_type, payload)`, ready for [`write_frame`].
+    /// Encode into `(frame_type, payload)`, ready for [`encode_frame`].
     #[must_use]
     pub fn encode(&self) -> (u16, Vec<u8>) {
         let mut out = Vec::new();
         self.put_fields(&mut out);
         (self.code(), out)
+    }
+
+    /// The bytes of `encode_frame(self.encode())`, with the fields
+    /// written straight after the header instead of copied there.
+    pub(crate) fn frame(&self) -> Vec<u8> {
+        encode_container(WIRE_MAGIC, WIRE_VERSION, self.code(), |out| {
+            self.put_fields(out);
+        })
     }
 
     /// Decode a response payload. Total, full-consumption, typed — the
@@ -1070,10 +1081,9 @@ mod tests {
 
     #[test]
     fn frames_round_trip_through_a_stream() {
-        let (ty, payload) = Request::JobProgress { job: 17 }.encode();
-        let mut buf = Vec::new();
-        write_frame(&mut buf, ty, &payload).expect("write");
-        let mut cursor = Cursor::new(buf);
+        let request = Request::JobProgress { job: 17 };
+        let ty = request.code();
+        let mut cursor = Cursor::new(request.frame());
         match read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD).expect("read") {
             FrameEvent::Frame {
                 frame_type,
@@ -1125,6 +1135,93 @@ mod tests {
             Request::decode(frame_type::ERROR, &[]),
             Err(CodecError::UnknownFrameType { .. })
         ));
+    }
+
+    /// `send` and `NetClient::request` write each message through the
+    /// one-buffer writer: every committed golden frame must come back
+    /// from it byte for byte once decoded.
+    #[test]
+    fn one_buffer_writer_reproduces_every_golden_frame() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+        let mut frames = 0;
+        for entry in std::fs::read_dir(&dir).expect("golden fixtures") {
+            let path = entry.expect("fixture entry").path();
+            if path.extension().and_then(|e| e.to_str()) != Some("sinp") {
+                continue;
+            }
+            let expected = std::fs::read(&path).expect("read fixture");
+            let (ty, payload) = decode_frame(&expected, DEFAULT_MAX_PAYLOAD).expect("frame");
+            let rewritten = if ty < 0x80 {
+                Request::decode(ty, &payload).expect("request").frame()
+            } else {
+                Response::decode(ty, &payload).expect("response").frame()
+            };
+            assert!(rewritten == expected, "{}: bytes drifted", path.display());
+            frames += 1;
+        }
+        assert_eq!(frames, 22, "every request and response fixture");
+    }
+
+    /// xorshift64 words from `seed`.
+    fn words(seed: u64, n: usize) -> Vec<u64> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            })
+            .collect()
+    }
+
+    /// The one-buffer frame equals `encode_frame(encode())`, and both
+    /// decode back to `response`.
+    fn both_writers_agree(response: &Response) {
+        let (ty, payload) = response.encode();
+        let framed = encode_frame(ty, &payload);
+        assert!(response.frame() == framed, "one-buffer frame drifted");
+        let (ty, payload) = decode_frame(&framed, DEFAULT_MAX_PAYLOAD).expect("frame");
+        assert_eq!(&Response::decode(ty, &payload).expect("decode"), response);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        /// Signature matrices of random geometry, up to about 10^5
+        /// words, and fault-sim index lists frame identically through
+        /// both writers.
+        #[test]
+        fn outcome_frames_match_encode_frame(
+            seed in 0u64..u64::MAX,
+            faults in 1usize..3000,
+            patterns in 1usize..600,
+            outputs in 1usize..40,
+            lists in proptest::collection::vec(0usize..4000, 3),
+        ) {
+            let row_words = (patterns * outputs).div_ceil(64);
+            let faults = faults.min(100_000 / row_words).max(1);
+            both_writers_agree(&Response::Outcome {
+                job: seed,
+                outcome: WireOutcome::Signatures {
+                    faults: faults as u64,
+                    patterns: patterns as u64,
+                    outputs: outputs as u64,
+                    bits: words(seed, faults * row_words),
+                },
+            });
+            let index = |i: u64, n: usize| -> Vec<usize> {
+                words(seed ^ i, n).into_iter().map(|w| (w >> 40) as usize).collect()
+            };
+            both_writers_agree(&Response::Outcome {
+                job: seed,
+                outcome: WireOutcome::FaultSim {
+                    detected: index(1, lists[0]),
+                    undetected: index(2, lists[1]),
+                    first_detections: index(3, lists[2]),
+                },
+            });
+        }
     }
 
     #[test]
