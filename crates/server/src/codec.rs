@@ -6,16 +6,16 @@
 //! | offset | size | field |
 //! |--------|------|-------|
 //! | 0      | 4    | magic: `b"SINW"` (snapshot) or `b"SINP"` (frame) |
-//! | 4      | 2    | format version (currently 1 for both) |
+//! | 4      | 2    | format version (currently 2 for both) |
 //! | 6      | 2    | snapshot: reserved, must be 0; frame: frame type |
 //! | 8      | 8    | payload length in bytes |
-//! | 16     | 8    | FNV-1a 64 checksum of the payload |
+//! | 16     | 8    | XXH64 (seed 0) checksum of the payload |
 //! | 24     | n    | payload |
 //!
-//! This module owns that header, the checksum (also the registry's
-//! content key, under a domain tag), the scalar and string `put_*`
-//! writers, the one bounds-checked [`Reader`], and the one decode error,
-//! [`CodecError`]. Each format's structured fields live with the format.
+//! This module owns that header, its [`checksum`], the scalar and
+//! string `put_*` writers, the one bounds-checked [`Reader`], and the
+//! one decode error, [`CodecError`]. Each format's structured fields
+//! live with the format.
 //!
 //! Decoding is total: every read is bounds-checked, and every element
 //! count is checked against the bytes that remain *before* anything is
@@ -25,21 +25,77 @@
 /// Header size of both formats, in bytes.
 pub(crate) const HEADER_LEN: usize = 24;
 
-/// FNV-1a 64 with a one-byte domain tag folded into the offset basis.
-/// Domain 0 is the header checksum; the registry keys `.bench` text and
-/// canonical circuit bytes under their own tags so they never alias.
-pub(crate) fn fnv1a(domain: u8, bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64 ^ u64::from(domain);
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+// The five XXH64 primes.
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// One XXH64 lane step: fold an 8-byte word into an accumulator.
+fn round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
 }
 
-/// FNV-1a 64 of a payload: the checksum both headers carry.
+fn le64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+/// XXH64 (seed 0) of a payload: the checksum both headers carry. The
+/// body runs in four independent lanes over 32-byte stripes, 8 bytes
+/// per lane step; the tail folds 8, then 4, then 1 byte at a time.
 #[must_use]
 pub fn checksum(payload: &[u8]) -> u64 {
-    fnv1a(0, payload)
+    let stripes = payload.chunks_exact(32);
+    let tail = stripes.remainder();
+    let mut h = if payload.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for s in stripes {
+            v = [
+                round(v[0], le64(&s[0..])),
+                round(v[1], le64(&s[8..])),
+                round(v[2], le64(&s[16..])),
+                round(v[3], le64(&s[24..])),
+            ];
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.iter().fold(h, |h, &lane| {
+            (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+        })
+    } else {
+        P5
+    };
+    h = h.wrapping_add(payload.len() as u64);
+    let mut words = tail.chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ round(0, le64(w)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    let mut rest = words.remainder();
+    if rest.len() >= 4 {
+        let w = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
+        h = (h ^ u64::from(w).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h = (h ^ (h >> 33)).wrapping_mul(P2);
+    h = (h ^ (h >> 29)).wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Typed decode failure of a `.sinw` snapshot or a `SINP` frame, and
@@ -439,6 +495,40 @@ impl<'a> Reader<'a> {
         match self.remaining() {
             0 => Ok(()),
             extra => Err(CodecError::TrailingBytes { extra }),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::checksum;
+
+    #[test]
+    fn checksum_is_xxh64_seed_0() {
+        // Published XXH64 seed-0 vectors. The 39-byte one takes the
+        // 32-byte stripe path, then the 4-byte and 1-byte tails.
+        assert_eq!(checksum(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(checksum(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(checksum(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(
+            checksum(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+    }
+
+    #[test]
+    fn every_byte_flip_at_every_length_changes_the_checksum() {
+        // Lengths 0..=96 reach every branch: under and over one stripe,
+        // every count of 8-byte, 4-byte and 1-byte tail steps.
+        let bytes: Vec<u8> = (0..=96u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        for len in 0..=bytes.len() {
+            let payload = &bytes[..len];
+            let sum = checksum(payload);
+            for pos in 0..len {
+                let mut flipped = payload.to_vec();
+                flipped[pos] ^= 0xFF;
+                assert_ne!(checksum(&flipped), sum, "flip at {pos} of {len} bytes");
+            }
         }
     }
 }

@@ -52,9 +52,9 @@
 //!   [`Arc`](std::sync::Arc) already handed to a job.
 //!
 //! Both binary formats share one crate-private codec: the 24-byte
-//! header (magic, version, a `u16`, payload length, FNV-1a 64
-//! checksum), the checksum itself (also the registry's content key),
-//! one bounds-checked reader, and one error type, [`CodecError`].
+//! header (magic, version, a `u16`, payload length, XXH64 checksum),
+//! the [`checksum`] itself, one bounds-checked reader, and one error
+//! type, [`CodecError`].
 //! Decoding either format is total — truncated, corrupted, or fuzzed
 //! bytes produce a typed [`CodecError`], never a panic, and hostile
 //! lengths or counts die before allocation.

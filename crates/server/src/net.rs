@@ -17,12 +17,12 @@
 //! the idle tick: on every tick the handler closes the connection when
 //! it has been idle past the session `idle_timeout` with no job in
 //! flight, or when the server is draining and its last job has
-//! finished. A framing error (bad magic, checksum mismatch, truncation)
-//! desynchronizes the stream, so the handler sends a best-effort
-//! [`ErrorCode::BadFrame`] frame and closes — the *server* stays
-//! serviceable for every other connection. A well-framed but malformed
-//! or unknown request only costs an error frame; the connection keeps
-//! serving.
+//! finished. A framing error (bad magic, unsupported version, checksum
+//! mismatch, truncation) desynchronizes the stream, so the handler
+//! sends a best-effort [`ErrorCode::BadFrame`] frame and closes — the
+//! *server* stays serviceable for every other connection. A well-framed
+//! but malformed or unknown request only costs an error frame; the
+//! connection keeps serving.
 //!
 //! ## Drain protocol
 //!

@@ -46,7 +46,6 @@
 //! empty and **retryable**, and no lock is left poisoned (all registry
 //! locks recover from poisoning).
 
-use crate::codec::fnv1a;
 use crate::snapshot::Snapshot;
 use crate::{failpoint, lock_clean};
 use sinw_atpg::collapse::{collapse, CollapsedFaults};
@@ -62,6 +61,17 @@ use std::sync::{Arc, Mutex};
 const DOMAIN_BENCH: u8 = 0xB5;
 /// Key domain for canonical circuit bytes (generated circuits, snapshots).
 const DOMAIN_CANONICAL: u8 = 0xC4;
+
+/// FNV-1a 64 with a one-byte domain tag folded into the offset basis:
+/// the registry's content key. The `.bench` text and the canonical
+/// circuit bytes hash under their own tags so they never alias.
+fn fnv1a(domain: u8, bytes: &[u8]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64 ^ u64::from(domain);
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
 
 /// Everything the engines derive from a circuit before simulating the
 /// first pattern, compiled once and shared immutably.

@@ -13,9 +13,10 @@
 //!
 //! The payload sits in the shared 24-byte header of the crate's binary
 //! codec: magic `b"SINW"`, version [`SNAPSHOT_VERSION`], a reserved
-//! `u16` that must be 0, the payload length, and the FNV-1a 64 checksum
-//! of the payload. The same header fronts every `SINP` wire frame (see
-//! [`crate::wire`]). All integers are little-endian.
+//! `u16` that must be 0, the payload length, and the XXH64
+//! [`checksum`](crate::checksum) of the payload. The same header fronts
+//! every `SINP` wire frame (see [`crate::wire`]). All integers are
+//! little-endian.
 //!
 //! ## Payload sections, in order
 //!
@@ -57,8 +58,10 @@ use crate::codec::{
 /// The four magic bytes every `.sinw` file starts with.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SINW";
 
-/// The current format version.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// The current format version. Version 2 checksums the payload with
+/// XXH64; a version-1 (FNV-1a) snapshot is rejected as
+/// [`CodecError::UnsupportedVersion`] before its checksum is read.
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 /// A decoded (or to-be-encoded) `.sinw` snapshot.
 #[derive(Debug, Clone)]

@@ -3,7 +3,7 @@
 //!
 //! A [`SnapshotStore`] owns one directory. Every snapshot is stored as
 //! `{key:016x}.sinw`, named by the circuit's canonical content key (the
-//! same FNV-1a key the [registry](crate::registry) caches under), so the
+//! same key the [registry](crate::registry) caches under), so the
 //! store is content-addressed: saving the same circuit twice overwrites
 //! one file, and a file's name alone says which registry entry it can
 //! warm-start.

@@ -5,7 +5,8 @@
 //! snapshot) followed by a checksummed payload. The frame's header
 //! carries magic `b"SINP"`, version [`WIRE_VERSION`], the **frame type**
 //! in the `u16` at offset 6 (where a snapshot keeps a reserved zero),
-//! the payload length, and the FNV-1a 64 checksum of the payload.
+//! the payload length, and the XXH64 [`checksum`](crate::checksum) of
+//! the payload.
 //!
 //! Request frame types occupy `0x01..=0x7F`, response types
 //! `0x80..=0xFF`; the concrete catalog lives in [`frame_type`]. All
@@ -36,8 +37,10 @@ use crate::jobs::JobOutcome;
 /// **p**rotocol — one letter off the snapshot container's `SINW`).
 pub const WIRE_MAGIC: [u8; 4] = *b"SINP";
 
-/// The current protocol version.
-pub const WIRE_VERSION: u16 = 1;
+/// The current protocol version. Version 2 checksums the payload with
+/// XXH64; a version-1 (FNV-1a) frame is rejected as
+/// [`CodecError::UnsupportedVersion`] before its checksum is read.
+pub const WIRE_VERSION: u16 = 2;
 
 /// Default cap on a single frame's payload (64 MiB) — the bound
 /// [`read_frame`] enforces before allocating.

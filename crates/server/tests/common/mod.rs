@@ -1,6 +1,6 @@
 //! The adversarial battery both binary formats share. `.sinw`
 //! snapshots and `SINP` frames sit behind the same 24-byte codec header
-//! (magic, version, a `u16`, payload length, FNV-1a 64 checksum), so the
+//! (magic, version, a `u16`, payload length, XXH64 checksum), so the
 //! same attacks apply to both: every truncation prefix, per-field header
 //! byte flips, every payload byte flip, trailing bytes, a hostile count,
 //! and seeded fuzz. Each leg takes a valid reference encoding and the

@@ -101,6 +101,39 @@ fn corrupted_snapshot_is_quarantined_and_the_rest_warm_start() {
 }
 
 #[test]
+fn version_1_snapshot_is_quarantined_by_version_not_installed() {
+    let _serial = serial();
+    let dir = scratch("v1");
+    let c17 = compile_circuit("c17", Circuit::c17());
+    let survivor = compile_circuit("mul3", array_multiplier(3));
+    {
+        let (store, _) = SnapshotStore::open(&dir).expect("first boot");
+        store.save_artifact(&survivor).expect("save");
+    }
+    // c17's snapshot as a version-1 build wrote it, under its own key.
+    let v1 = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/v1/c17_bare.sinw");
+    let planted = format!("{:016x}.sinw", c17.key());
+    std::fs::copy(&v1, dir.join(&planted)).expect("plant v1 snapshot");
+
+    let (store, report) = SnapshotStore::open(&dir).expect("boot");
+    assert_eq!(report.loaded, vec![survivor.key()]);
+    assert_eq!(report.quarantined.len(), 1);
+    let q = &report.quarantined[0];
+    assert_eq!(q.file, planted);
+    assert!(
+        q.reason.contains("unsupported format version 1"),
+        "reason must name version 1, got: {}",
+        q.reason
+    );
+    let registry = CircuitRegistry::new();
+    let warm = store.warm_start(&registry).expect("warm start");
+    assert_eq!(warm.installed, 1);
+    assert!(registry.get(c17.key()).is_none(), "v1 snapshot stays out");
+    assert!(registry.get(survivor.key()).is_some());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn injected_scan_read_fault_degrades_to_quarantine_not_panic() {
     let _serial = serial();
     failpoint::clear();
