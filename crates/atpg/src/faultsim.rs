@@ -58,8 +58,8 @@
 //!    `INV`/`XOR2`/`XOR3`, the other input for `NAND2`, its negation for
 //!    `NOR2`, the XOR of the other two for `MAJ3`); the walk stops early
 //!    once the term is zero;
-//! 2. **`obs(stem)`**, at most once per (worker, block, stem) and cached
-//!    across chunks: one event-driven pass flips the stem in every
+//! 2. **`obs(stem)`**, once per (run, block, stem) and shared by the
+//!    run's workers: one event-driven pass flips the stem in every
 //!    pattern, evaluates only the gates an event reaches (reading the
 //!    rest from the good words), and ORs PO differences until they
 //!    saturate the block's valid patterns;
@@ -67,11 +67,30 @@
 //!    obs(stem)`, where a `GatePin` fault's path starts with its own
 //!    pin's sensitivity.
 //!
-//! Signature capture runs the same stem pass without saturation, caches
-//! each stem's per-PO differences and ANDs them with the fault's term.
+//! Signature capture runs the same stem pass without saturation, keeps
+//! each stem's per-PO differences and ANDs them with the fault's term;
+//! each fan-out chunk writes its rows straight into the one matrix.
 //! Pass state lives in a [`FaultSimScratch`], validated by epoch stamps
 //! instead of being cleared, so a pass is allocation-free and costs
 //! O(disturbed region), not O(circuit).
+//!
+//! # Stem lanes
+//!
+//! One pass carries a group of consecutive stems, one per **stem lane**:
+//! each signal's faulty word is `K` pattern words, stem `k` of the group
+//! flips lane `k` only, lanes without a flip read the good words, and a
+//! member inside another member's cone keeps its own lane flipped when
+//! its driver is evaluated. Lane `k` therefore ends exactly as a
+//! one-stem pass of member `k` would, while the per-gate bookkeeping is
+//! paid once for `K` stems. Capture reads each lane's per-output
+//! differences; detection ORs each lane over the outputs and stops when
+//! every lane saturates. Grouping pays only where every stem is likely
+//! needed: every capture block (`K` = 8), every block of a no-drop
+//! detection run and the first block of a dropping run (`K` = 4, which
+//! every fault visits). A dropping run's later blocks run the same
+//! kernel at `K` = 1. Each group's pass runs once per run, whichever
+//! worker asks first, so a run's kernel work is the same on any number
+//! of workers.
 //!
 //! The whole-circuit pass is retained as [`simulate_faults_full_pass`] —
 //! it is the property-test oracle and the baseline of the ≥ 5×
@@ -90,6 +109,8 @@ pub use crate::steal::StealStats;
 use sinw_switch::cells::CellKind;
 use sinw_switch::gate::{Circuit, GateId, SignalId};
 use std::convert::Infallible;
+use std::ops::Range;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// A block of up to `64 * L` fully-specified input patterns.
 ///
@@ -236,15 +257,29 @@ fn check_arity(circuit: &Circuit, patterns: &[Vec<bool>]) -> Result<(), PackErro
     }
 }
 
-fn eval_word<const L: usize>(kind: CellKind, ins: &[PatternWords<L>]) -> PatternWords<L> {
+/// One gate evaluated in each of `K` stem lanes: `a[k]`, `b[k]` and
+/// `c[k]` are pins 0–2 in lane `k` (pins past the gate's arity are
+/// ignored).
+#[inline]
+fn eval_lanes<const L: usize, const K: usize>(
+    kind: CellKind,
+    [a, b, c]: &[[PatternWords<L>; K]; 3],
+) -> [PatternWords<L>; K] {
+    use std::array::from_fn;
     match kind {
-        CellKind::Inv => !ins[0],
-        CellKind::Nand2 => !(ins[0] & ins[1]),
-        CellKind::Nor2 => !(ins[0] | ins[1]),
-        CellKind::Xor2 => ins[0] ^ ins[1],
-        CellKind::Xor3 => ins[0] ^ ins[1] ^ ins[2],
-        CellKind::Maj3 => (ins[0] & ins[1]) | (ins[1] & ins[2]) | (ins[0] & ins[2]),
+        CellKind::Inv => from_fn(|k| !a[k]),
+        CellKind::Nand2 => from_fn(|k| !(a[k] & b[k])),
+        CellKind::Nor2 => from_fn(|k| !(a[k] | b[k])),
+        CellKind::Xor2 => from_fn(|k| a[k] ^ b[k]),
+        CellKind::Xor3 => from_fn(|k| a[k] ^ b[k] ^ c[k]),
+        CellKind::Maj3 => from_fn(|k| (a[k] & b[k]) | (b[k] & c[k]) | (a[k] & c[k])),
     }
+}
+
+/// [`eval_lanes`] in one lane.
+fn eval_word<const L: usize>(kind: CellKind, [a, b, c]: &[PatternWords<L>; 3]) -> PatternWords<L> {
+    let [out] = eval_lanes(kind, &[[*a], [*b], [*c]]);
+    out
 }
 
 /// Bit-parallel good-machine simulation: one wide word per signal.
@@ -271,7 +306,7 @@ pub(crate) fn good_sim_into<const L: usize>(
         for (k, s) in gate.inputs.iter().enumerate() {
             ins[k] = values[s.0];
         }
-        values[gate.output.0] = eval_word(gate.kind, &ins[..gate.inputs.len()]);
+        values[gate.output.0] = eval_word(gate.kind, &ins);
     }
 }
 
@@ -311,7 +346,7 @@ fn faulty_sim_into<const L: usize>(
                 values[s.0]
             };
         }
-        let mut out = eval_word(gate.kind, &ins[..gate.inputs.len()]);
+        let mut out = eval_word(gate.kind, &ins);
         if fault.site == FaultSite::Signal(gate.output) {
             out = stuck;
         }
@@ -323,14 +358,30 @@ fn faulty_sim_into<const L: usize>(
 // Per-worker scratch and the event-driven kernel
 // ----------------------------------------------------------------------
 
+/// Stems one grouped saturating (detection) pass carries, one per
+/// **stem lane**: the pass's words are `K` pattern words per signal,
+/// and stem `first + k` of the group flips lane `k` only. Lanes amortise
+/// the per-gate bookkeeping (the worklist, the stamps, the event test)
+/// over several stems, but a saturating pass stops only once every lane
+/// saturates; measured on the mapped multipliers at 64 patterns, four
+/// lanes beat one and eight (`EXPERIMENTS.md`, "Stem lanes").
+const DETECT_LANES: usize = 4;
+
+/// Stems one grouped unsaturated (signature-capture) pass carries. With
+/// no saturation to wait for, wider groups keep paying: eight lanes beat
+/// four on every mapped multiplier measured.
+const CAPTURE_LANES: usize = 8;
+
 /// Reusable per-worker buffers for fault-simulation passes.
 ///
 /// Holds the faulty-word scratch, the epoch-validated dirty marks, the
 /// per-level worklist buckets of the event-driven stem pass, the
-/// per-(block, stem) cache of stem-pass results, and the good/faulty
-/// vectors used by [`detect_mask_in`]. Buffers grow lazily to the largest
-/// circuit seen and are never shrunk or cleared: a pass invalidates
-/// previous state by bumping an epoch stamp, so reuse is allocation-free.
+/// good/faulty vectors used by [`detect_mask_in`], and counts of the
+/// stem passes and gate evaluations it ran. Buffers grow lazily to the
+/// largest circuit seen and are never shrunk or cleared: a pass
+/// invalidates previous state by bumping an epoch stamp, so reuse is
+/// allocation-free. Stem results live in a run's shared `StemTable`,
+/// not here.
 ///
 /// One scratch serves one thread; every engine creates one per worker.
 /// The lane count `L` must match the blocks it is used with (default 1).
@@ -338,7 +389,9 @@ fn faulty_sim_into<const L: usize>(
 pub struct FaultSimScratch<const L: usize = 1> {
     /// Good-machine words for [`detect_mask_in`].
     good: Vec<PatternWords<L>>,
-    /// Faulty words, valid only where `stamp[sig] == epoch`.
+    /// Faulty words, `K` stem lanes per signal in a `K`-lane pass
+    /// (signal `s` at `s * K..(s + 1) * K`; grown by the first pass that
+    /// wide), valid only where `stamp[s] == epoch`.
     faulty: Vec<PatternWords<L>>,
     /// Per-signal dirty mark (epoch at which `faulty` was written).
     stamp: Vec<u32>,
@@ -348,15 +401,26 @@ pub struct FaultSimScratch<const L: usize = 1> {
     buckets: Vec<Vec<u32>>,
     /// Current pass number; bumping it invalidates all stamps at once.
     epoch: u32,
-    /// Per (block, stem) slot: whether its stem pass ran since the last
-    /// reset.
-    stem_done: Vec<bool>,
-    /// Per slot: the stem's observability, for detection.
-    stem_obs: Vec<PatternWords<L>>,
-    /// Per slot: its range of `po_diffs`, for signature capture.
-    stem_span: Vec<(u32, u32)>,
-    /// `(output index, difference)` of every captured stem pass.
-    po_diffs: Vec<(u32, PatternWords<L>)>,
+    /// Work done since the last [`FaultSimScratch::take_work`].
+    work: KernelWork,
+}
+
+/// Deterministic work counts of the stem kernel: the same on every run
+/// of the same input, whatever the host, the worker count or the chunk
+/// schedule.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct KernelWork {
+    /// Stem passes run (one per group of stems).
+    pub(crate) passes: u64,
+    /// Gate evaluations those passes made.
+    pub(crate) evals: u64,
+}
+
+impl std::ops::AddAssign for KernelWork {
+    fn add_assign(&mut self, rhs: Self) {
+        self.passes += rhs.passes;
+        self.evals += rhs.evals;
+    }
 }
 
 impl<const L: usize> FaultSimScratch<L> {
@@ -367,69 +431,73 @@ impl<const L: usize> FaultSimScratch<L> {
     }
 
     /// A scratch sized for every buffer the stem pass touches over
-    /// `graph`, with a stem cache for `blocks` blocks.
-    pub(crate) fn for_graph(graph: &SimGraph, blocks: usize) -> Self {
+    /// `graph`.
+    pub(crate) fn for_graph(graph: &SimGraph) -> Self {
         let mut scratch = Self::new();
         scratch.ensure_signals(graph.signal_count());
         scratch.queued.resize(graph.gate_count(), 0);
         scratch.buckets.resize_with(graph.level_count(), Vec::new);
-        scratch.reset_stems(graph, blocks);
         scratch
     }
 
     /// Grow the per-signal buffers to cover `n` signals.
     fn ensure_signals(&mut self, n: usize) {
-        if self.faulty.len() < n {
+        if self.stamp.len() < n {
             self.good.resize(n, PatternWords::ZERO);
             self.faulty.resize(n, PatternWords::ZERO);
             self.stamp.resize(n, 0);
         }
     }
 
-    /// Forget every cached stem pass and size the cache for `blocks`
-    /// fresh blocks over `graph`'s stems.
-    pub(crate) fn reset_stems(&mut self, graph: &SimGraph, blocks: usize) {
-        self.stem_done.clear();
-        self.stem_done.resize(blocks * graph.stem_count(), false);
-        self.po_diffs.clear();
+    /// The work counted since the last call, resetting the counts.
+    pub(crate) fn take_work(&mut self) -> KernelWork {
+        std::mem::take(&mut self.work)
     }
 
-    /// The cache slot of `stem` over block `bi`, running its stem pass
-    /// first unless one ran since the last reset. Without `outputs` the
-    /// pass saturates and leaves `obs(stem)` in `stem_obs[slot]`; with
-    /// them it runs to completion and leaves the outputs' nonzero
-    /// differences in the `po_diffs` range `stem_span[slot]`.
-    #[inline]
-    fn stem_slot(
+    /// Run the stem pass of `members` over `gb`, in `K` lanes when
+    /// `grouped` (else `members` is one stem), and return what `read`
+    /// makes of each member's lane, given the scratch after the pass,
+    /// the lane, the pass's lane count and the lane's detection mask.
+    /// Lanes past the group's length read `T::default()`.
+    fn group_pass<const K: usize, const SATURATE: bool, T: Default>(
         &mut self,
         graph: &SimGraph,
-        outputs: Option<&[SignalId]>,
-        bi: usize,
-        stem: usize,
+        members: Range<usize>,
+        grouped: bool,
         gb: &GoodBlock<L>,
-    ) -> usize {
-        let slot = bi * graph.stem_count() + stem;
-        if std::mem::replace(&mut self.stem_done[slot], true) {
-            return slot;
-        }
-        let sig = graph.stem_signal(stem);
-        let (mask, slots) = (gb.block.mask(), self.stem_done.len());
-        let Some(outputs) = outputs else {
-            self.stem_obs.resize(slots, PatternWords::ZERO);
-            self.stem_obs[slot] = stem_pass::<L, true>(graph, sig, mask, &gb.good, self);
-            return slot;
-        };
-        self.stem_span.resize(slots, (0, 0));
-        stem_pass::<L, false>(graph, sig, mask, &gb.good, self);
-        let start = self.po_diffs.len() as u32;
-        for (o, &SignalId(s)) in outputs.iter().enumerate() {
-            let diff = (self.faulty[s] ^ gb.good[s]) & mask;
-            if self.stamp[s] == self.epoch && diff.any() {
-                self.po_diffs.push((o as u32, diff));
+        read: impl Fn(&Self, usize, usize, PatternWords<L>) -> T,
+    ) -> [T; K] {
+        let mask = gb.block.mask();
+        let mut out: [T; K] = std::array::from_fn(|_| T::default());
+        if grouped {
+            let detect = stem_pass::<L, K, SATURATE>(graph, members.clone(), mask, &gb.good, self);
+            for k in 0..members.len() {
+                out[k] = read(self, k, K, detect[k]);
             }
+        } else {
+            let [detect] = stem_pass::<L, 1, SATURATE>(graph, members, mask, &gb.good, self);
+            out[0] = read(self, 0, 1, detect);
         }
-        self.stem_span[slot] = (start, self.po_diffs.len() as u32);
-        slot
+        out
+    }
+
+    /// Lane `k`'s nonzero per-output differences, as `(output index,
+    /// difference)`, after an unsaturated pass of `lanes` stem lanes.
+    fn lane_diffs(
+        &self,
+        k: usize,
+        lanes: usize,
+        outputs: &[SignalId],
+        gb: &GoodBlock<L>,
+    ) -> Box<[(u32, PatternWords<L>)]> {
+        let mask = gb.block.mask();
+        outputs
+            .iter()
+            .enumerate()
+            .filter(|&(_, &SignalId(s))| self.stamp[s] == self.epoch)
+            .map(|(o, &SignalId(s))| (o as u32, (self.faulty[s * lanes + k] ^ gb.good[s]) & mask))
+            .filter(|(_, diff)| diff.any())
+            .collect()
     }
 
     /// Start a new pass: bump the epoch, handling the (once per 2³²
@@ -441,6 +509,7 @@ impl<const L: usize> FaultSimScratch<L> {
             self.queued.fill(0);
             self.epoch = 1;
         }
+        self.work.passes += 1;
         self.epoch
     }
 
@@ -460,82 +529,178 @@ impl<const L: usize> FaultSimScratch<L> {
     }
 }
 
-/// The one event-driven kernel: flip `stem` in every pattern and
-/// propagate the flip through its cone, in work proportional to the
-/// disturbed part. `scratch` must be sized for `graph` (`for_graph`). It
-/// returns the detection mask and leaves every disturbed signal's faulty
-/// word stamped in `scratch`. With `SATURATE` it stops once the mask
-/// covers `block_mask`; without it, signature capture reads complete
-/// per-PO responses. Kept out of line (and the per-fault path inline), so
-/// a crate instantiating the drivers, like the job path, builds the same
+/// The stem results of one run, shared by its workers: one slot per
+/// (block, stem), filled by the pass of the stem's group the first time
+/// any worker needs one of its members. A group is `K` consecutive stem
+/// indices over the first `grouped` blocks (the blocks every fault of
+/// the run visits) and a lone stem after them. Each group's pass runs
+/// exactly once per run, so the run's work does not depend on how its
+/// faults are spread over workers.
+pub(crate) struct StemTable<T, const K: usize> {
+    stems: usize,
+    grouped: usize,
+    slots: Vec<OnceLock<T>>,
+}
+
+/// Detection's table: each stem's observability, `obs(stem)`.
+pub(crate) type ObsTable<const L: usize> = StemTable<PatternWords<L>, DETECT_LANES>;
+
+/// Capture's table: each stem's nonzero `(output index, difference)`s.
+type DiffTable<const L: usize> = StemTable<Box<[(u32, PatternWords<L>)]>, CAPTURE_LANES>;
+
+impl<T: Default, const K: usize> StemTable<T, K> {
+    /// An empty table for `blocks` blocks over `graph`'s stems, with the
+    /// first `grouped` blocks grouped.
+    pub(crate) fn new(graph: &SimGraph, blocks: usize, grouped: usize) -> Self {
+        let stems = graph.stem_count();
+        StemTable {
+            stems,
+            grouped,
+            slots: std::iter::repeat_with(OnceLock::new)
+                .take(blocks * stems)
+                .collect(),
+        }
+    }
+
+    /// Forget every result.
+    pub(crate) fn clear(&mut self) {
+        for slot in &mut self.slots {
+            slot.take();
+        }
+    }
+
+    /// The result of `stem` over block `bi`. Unless its group's pass has
+    /// run, `pass` runs it, given the group's members and whether the
+    /// block is grouped, and returns one result per member.
+    fn get(&self, bi: usize, stem: usize, pass: impl FnOnce(Range<usize>, bool) -> [T; K]) -> &T {
+        let slot = bi * self.stems + stem;
+        if let Some(result) = self.slots[slot].get() {
+            return result;
+        }
+        let lanes = if bi < self.grouped { K } else { 1 };
+        let first = stem - stem % lanes;
+        let members = first..(first + lanes).min(self.stems);
+        let base = bi * self.stems;
+        // The first member's slot is the group's lock: whoever fills it
+        // fills the others first, so a filled first slot means a filled
+        // group.
+        self.slots[base + first].get_or_init(|| {
+            let mut results = pass(members.clone(), lanes > 1);
+            for (k, member) in members.clone().enumerate().skip(1) {
+                let fresh = self.slots[base + member].set(std::mem::take(&mut results[k]));
+                debug_assert!(fresh.is_ok(), "one pass per group");
+            }
+            std::mem::take(&mut results[0])
+        });
+        self.slots[slot]
+            .get()
+            .expect("a group pass fills its members")
+    }
+}
+
+/// The one event-driven kernel: flip each stem of `members` (at most
+/// `K`) in every pattern of its own stem lane and propagate the flips
+/// through their cones, in work proportional to the disturbed part.
+/// Lanes without a flip carry the good words, and a member inside
+/// another member's cone keeps its own lane flipped when its driver is
+/// evaluated, so lane `k` ends exactly as a one-stem pass of member `k`
+/// would. `scratch` must be sized for `graph` (`for_graph`). It returns
+/// each lane's detection mask and leaves every disturbed signal's
+/// faulty lanes stamped in `scratch`. With `SATURATE` it stops once
+/// every lane's mask covers `block_mask` (a member no output can see
+/// stays clear); without it, signature capture reads complete per-PO
+/// responses. Kept out of line (and the per-fault path inline), so a
+/// crate instantiating the drivers, like the job path, builds the same
 /// hot loop as this one.
 #[inline(never)]
-fn stem_pass<const L: usize, const SATURATE: bool>(
+fn stem_pass<const L: usize, const K: usize, const SATURATE: bool>(
     graph: &SimGraph,
-    stem: SignalId,
+    members: Range<usize>,
     block_mask: PatternWords<L>,
     good: &[PatternWords<L>],
     scratch: &mut FaultSimScratch<L>,
-) -> PatternWords<L> {
-    let epoch = scratch.begin_pass();
-    if graph.po_reach(stem) == 0 {
-        return PatternWords::ZERO; // no primary output can see the stem
+) -> [PatternWords<L>; K] {
+    debug_assert!(members.len() <= K);
+    let lanes = graph.signal_count() * K;
+    if scratch.faulty.len() < lanes {
+        // The first pass this wide: room for `K` words per signal.
+        scratch.faulty.resize(lanes, PatternWords::ZERO);
     }
-    scratch.faulty[stem.0] = !good[stem.0];
-    scratch.stamp[stem.0] = epoch;
-    let mut detect = PatternWords::<L>::ZERO;
-    if graph.po_bit(stem) != 0 {
-        detect = block_mask;
-        if SATURATE {
-            return detect;
+    let epoch = scratch.begin_pass();
+    let mut detect = [PatternWords::<L>::ZERO; K];
+    let mut full = [PatternWords::<L>::ZERO; K];
+    let (mut lo, mut hi) = (usize::MAX, 0usize);
+    for (k, stem) in members.clone().enumerate() {
+        let sig = graph.stem_signal(stem);
+        if graph.po_reach(sig) == 0 {
+            continue; // no primary output can see the stem
+        }
+        full[k] = block_mask;
+        let s = sig.0;
+        scratch.faulty[s * K..(s + 1) * K].fill(good[s]);
+        scratch.faulty[s * K + k] = !good[s];
+        scratch.stamp[s] = epoch;
+        if graph.po_bit(sig) != 0 {
+            detect[k] = block_mask;
+        }
+        for &g in graph.consumers(sig) {
+            scratch.enqueue(graph, g, epoch, &mut lo, &mut hi);
         }
     }
-    let (mut lo, mut hi) = (usize::MAX, 0usize);
-    for &g in graph.consumers(stem) {
-        scratch.enqueue(graph, g, epoch, &mut lo, &mut hi);
-    }
-    if lo == usize::MAX {
-        return detect; // a PO with no fanout
+    if (SATURATE && detect == full) || lo == usize::MAX {
+        return detect; // saturated already, or only POs with no fanout
     }
 
     // Drain levels in ascending order. Events only ever flow to strictly
     // higher levels, so each gate is evaluated at most once per pass and
     // reads final faulty input words.
+    let mut evals = 0u64;
     let mut lvl = lo;
-    while lvl <= hi {
+    'drain: while lvl <= hi {
         let mut bucket = std::mem::take(&mut scratch.buckets[lvl]);
         for &gi in &bucket {
+            evals += 1;
             let gate = GateId(gi as usize);
-            let gate_ins = graph.gate_inputs(gate);
-            let mut ins = [PatternWords::<L>::ZERO; 3];
-            for (pin, &s) in gate_ins.iter().enumerate() {
+            let mut ins = [[PatternWords::<L>::ZERO; K]; 3];
+            for (pin, &s) in graph.gate_inputs(gate).iter().enumerate() {
                 let s = s as usize;
                 ins[pin] = if scratch.stamp[s] == epoch {
-                    scratch.faulty[s]
+                    std::array::from_fn(|k| scratch.faulty[s * K + k])
                 } else {
-                    good[s]
+                    [good[s]; K]
                 };
             }
-            let out = eval_word(graph.kind(gate), &ins[..gate_ins.len()]);
+            let mut out = eval_lanes(graph.kind(gate), &ins);
             let osig = graph.gate_output(gate);
             let o = osig.0;
-            if out == good[o] {
+            if K > 1 {
+                // A member driven from inside another member's cone.
+                let stem = graph.stem_of(osig);
+                let k = stem.wrapping_sub(members.start);
+                if k < members.len() && graph.stem_signal(stem) == osig {
+                    out[k] = !good[o];
+                }
+            }
+            if out.iter().all(|w| *w == good[o]) {
                 continue; // the event dies here
             }
-            scratch.faulty[o] = out;
+            scratch.faulty[o * K..(o + 1) * K].copy_from_slice(&out);
             scratch.stamp[o] = epoch;
             if graph.po_bit(osig) != 0 {
-                detect |= (out ^ good[o]) & block_mask;
-                if SATURATE && detect == block_mask {
-                    // Saturated: every valid pattern already sees the
-                    // flip, so the rest of the cone cannot change the
-                    // answer. Clear the pending buckets and stop.
+                for (d, w) in detect.iter_mut().zip(&out) {
+                    *d |= (*w ^ good[o]) & block_mask;
+                }
+                if SATURATE && detect == full {
+                    // Saturated: every valid pattern of every lane
+                    // already sees its flip, so the rest of the cones
+                    // cannot change the answer. Clear the pending
+                    // buckets and stop.
                     bucket.clear();
                     scratch.buckets[lvl] = bucket;
                     for b in &mut scratch.buckets[lvl + 1..=hi] {
                         b.clear();
                     }
-                    return detect;
+                    break 'drain;
                 }
             }
             if graph.po_reach(osig) != 0 {
@@ -549,6 +714,7 @@ fn stem_pass<const L: usize, const SATURATE: bool>(
         scratch.buckets[lvl] = bucket;
         lvl += 1;
     }
+    scratch.work.evals += evals;
     detect
 }
 
@@ -736,23 +902,28 @@ pub(crate) trait FaultModel<const L: usize>: Sync {
         block: &'b Self::Block,
     ) -> (StuckAtFault, PatternWords<L>, &'b GoodBlock<L>);
 
-    /// Detection mask of `fault` over `block`, the `bi`-th block since
-    /// `scratch`'s stem cache was last reset:
-    /// `excited & local & model_mask & obs(stem)`.
+    /// Detection mask of `fault` over `block`, block `bi` of `stems`:
+    /// `excited & local & model_mask & obs(stem)`, where `obs(stem)` is
+    /// the stem's saturating pass, run on `scratch` unless `stems`
+    /// holds it.
     fn detect_mask(
         &self,
         fault: Self::Fault,
         block: &Self::Block,
         bi: usize,
         scratch: &mut FaultSimScratch<L>,
+        stems: &ObsTable<L>,
     ) -> PatternWords<L> {
         let (stuck_at, mask, gb) = self.kernel_args(fault, block);
-        let (stem, pre) = gb.to_stem(self.graph(), stuck_at, mask);
+        let graph = self.graph();
+        let (stem, pre) = gb.to_stem(graph, stuck_at, mask);
         if pre.is_zero() {
             return PatternWords::ZERO;
         }
-        let slot = scratch.stem_slot(self.graph(), None, bi, stem, gb);
-        pre & scratch.stem_obs[slot]
+        let obs = stems.get(bi, stem, |members, grouped| {
+            scratch.group_pass::<DETECT_LANES, true, _>(graph, members, grouped, gb, |_, _, _, d| d)
+        });
+        pre & *obs
     }
 }
 
@@ -852,8 +1023,12 @@ pub(crate) fn stealing(threads: usize, n_faults: usize) -> (usize, usize) {
 /// The detection driver of both fault models: pack and good-simulate
 /// `patterns` once in blocks of [`PatternBlock::CAPACITY`], fan the
 /// fault list out over `(workers, chunk)` with a private scratch per
-/// worker, run the first-detection loop on each chunk between `admit`
-/// (which may stop the run) and `finished`, and merge in chunk order.
+/// worker and one shared [`StemTable`], run the first-detection loop on
+/// each chunk between `admit` (which may stop the run) and `finished`,
+/// and merge in chunk order. Every fault visits every block without
+/// dropping, and block 0 with it, so those blocks run grouped stem
+/// passes; a dropping run's later blocks run one stem per pass, since
+/// most of their stems may never be asked for.
 pub(crate) fn detect<M: FaultModel<L>, E: Send, const L: usize>(
     model: &M,
     faults: &[M::Fault],
@@ -862,31 +1037,40 @@ pub(crate) fn detect<M: FaultModel<L>, E: Send, const L: usize>(
     (workers, chunk): (usize, usize),
     admit: &(impl Fn() -> Result<(), E> + Sync),
     finished: &(impl Fn() + Sync),
-) -> Result<(FaultSimReport, StealStats), E> {
+) -> Result<(FaultSimReport, StealStats, KernelWork), E> {
     let blocks: Vec<M::Block> = patterns
         .chunks(PatternBlock::<L>::CAPACITY)
         .map(|p| model.block(p))
         .collect();
+    let grouped = if drop_detected { 1 } else { blocks.len() };
+    let stems = StemTable::new(model.graph(), blocks.len(), grouped);
     let (chunks, stats) = fan_out(
         faults.len(),
         workers,
         chunk,
-        |_| FaultSimScratch::for_graph(model.graph(), blocks.len()),
+        |_| FaultSimScratch::for_graph(model.graph()),
         |scratch, range| {
             admit()?;
             let firsts = first_detections(&faults[range], &blocks, drop_detected, |f, bi, b| {
-                model.detect_mask(f, b, bi, scratch)
+                model.detect_mask(f, b, bi, scratch, &stems)
             });
             finished();
-            Ok(firsts)
+            Ok((firsts, scratch.take_work()))
         },
     )?;
-    Ok((report_from(concat(chunks), patterns.len()), stats))
+    let mut work = KernelWork::default();
+    let mut firsts = Vec::with_capacity(faults.len());
+    for (chunk_firsts, chunk_work) in chunks {
+        firsts.extend(chunk_firsts);
+        work += chunk_work;
+    }
+    Ok((report_from(firsts, patterns.len()), stats, work))
 }
 
 /// The capture driver of both fault models: [`detect`]'s prepare and
-/// fan-out around the one signature-row loop, rows merged in chunk
-/// order.
+/// fan-out around the one signature-row loop. Every block runs grouped
+/// stem passes (capture never drops a fault), and the matrix is
+/// allocated once: each chunk writes its own rows in place.
 pub(crate) fn capture<M: FaultModel<L>, E: Send, const L: usize>(
     model: &M,
     faults: &[M::Fault],
@@ -894,7 +1078,7 @@ pub(crate) fn capture<M: FaultModel<L>, E: Send, const L: usize>(
     (workers, chunk): (usize, usize),
     admit: &(impl Fn() -> Result<(), E> + Sync),
     finished: &(impl Fn() + Sync),
-) -> Result<(SignatureMatrix, StealStats), E> {
+) -> Result<(SignatureMatrix, StealStats, KernelWork), E> {
     let blocks: Vec<M::Block> = patterns
         .chunks(PatternBlock::<L>::CAPACITY)
         .map(|p| model.block(p))
@@ -902,56 +1086,80 @@ pub(crate) fn capture<M: FaultModel<L>, E: Send, const L: usize>(
     let graph = model.graph();
     let outputs = model.circuit().primary_outputs();
     let words_per_row = (patterns.len() * outputs.len()).div_ceil(64);
+    let stems = StemTable::new(graph, blocks.len(), blocks.len());
+    // The chunk size `fan_out` will use, so chunk `i` owns rows
+    // `i * chunk..`; without patterns there are no rows to own.
+    let chunk = chunk.clamp(1, faults.len().max(1));
+    let mut bits = vec![0u64; faults.len() * words_per_row];
+    let rows: Vec<Mutex<&mut [u64]>> = bits
+        .chunks_mut((chunk * words_per_row).max(1))
+        .map(Mutex::new)
+        .collect();
     let (chunks, stats) = fan_out(
         faults.len(),
         workers,
         chunk,
-        |_| FaultSimScratch::for_graph(graph, blocks.len()),
+        |_| FaultSimScratch::for_graph(graph),
         |scratch, range| {
             admit()?;
-            // One packed row per fault: bit `pattern * outputs + output`
-            // is set where the fault's response differs from the good
-            // machine, i.e. where its stem's flip reaches that output.
-            let mut rows = vec![0u64; range.len() * words_per_row];
-            for (fi, &fault) in faults[range].iter().enumerate() {
-                let row = &mut rows[fi * words_per_row..(fi + 1) * words_per_row];
-                for (bi, block) in blocks.iter().enumerate() {
-                    let (stuck_at, mask, gb) = model.kernel_args(fault, block);
-                    let (stem, pre) = gb.to_stem(graph, stuck_at, mask);
-                    if pre.is_zero() {
-                        continue;
-                    }
-                    let slot = scratch.stem_slot(graph, Some(outputs), bi, stem, gb);
-                    let (start, end) = scratch.stem_span[slot];
-                    for &(o, diff) in &scratch.po_diffs[start as usize..end as usize] {
-                        for k in (diff & pre).set_bits() {
-                            let p = bi * PatternBlock::<L>::CAPACITY + k;
-                            let bit = p * outputs.len() + o as usize;
-                            row[bit / 64] |= 1u64 << (bit % 64);
-                        }
-                    }
+            if let Some(rows) = rows.get(range.start / chunk) {
+                let mut rows = rows.lock().unwrap_or_else(PoisonError::into_inner);
+                let rows = rows.chunks_exact_mut(words_per_row);
+                for (&fault, row) in faults[range].iter().zip(rows) {
+                    signature_row(model, graph, outputs, &blocks, &stems, scratch, fault, row);
                 }
             }
             finished();
-            Ok(rows)
+            Ok(scratch.take_work())
         },
     )?;
+    drop(rows);
+    let mut work = KernelWork::default();
+    for chunk_work in chunks {
+        work += chunk_work;
+    }
     let matrix = SignatureMatrix {
         n_faults: faults.len(),
         n_patterns: patterns.len(),
         n_outputs: outputs.len(),
         words_per_row,
-        bits: concat(chunks),
+        bits,
     };
-    Ok((matrix, stats))
+    Ok((matrix, stats, work))
 }
 
-/// Join per-chunk results in chunk order, moving a lone chunk rather
-/// than copying it (a single-worker signature matrix can be megabytes).
-fn concat<T: Clone>(parts: Vec<Vec<T>>) -> Vec<T> {
-    match <[Vec<T>; 1]>::try_from(parts) {
-        Ok([only]) => only,
-        Err(parts) => parts.concat(),
+/// The one signature-row loop: set bit `pattern * outputs + output` of
+/// `row` wherever `fault`'s response differs from the good machine,
+/// i.e. where its flip reaches its stem and the stem's flip reaches
+/// that output.
+#[allow(clippy::too_many_arguments)]
+fn signature_row<M: FaultModel<L>, const L: usize>(
+    model: &M,
+    graph: &SimGraph,
+    outputs: &[SignalId],
+    blocks: &[M::Block],
+    stems: &DiffTable<L>,
+    scratch: &mut FaultSimScratch<L>,
+    fault: M::Fault,
+    row: &mut [u64],
+) {
+    for (bi, block) in blocks.iter().enumerate() {
+        let (stuck_at, mask, gb) = model.kernel_args(fault, block);
+        let (stem, pre) = gb.to_stem(graph, stuck_at, mask);
+        if pre.is_zero() {
+            continue;
+        }
+        let diffs = stems.get(bi, stem, |members, grouped| {
+            let read = |s: &FaultSimScratch<L>, k, lanes, _| s.lane_diffs(k, lanes, outputs, gb);
+            scratch.group_pass::<CAPTURE_LANES, false, _>(graph, members, grouped, gb, read)
+        });
+        for &(o, diff) in diffs.iter() {
+            for k in (diff & pre).set_bits() {
+                let p = bi * PatternBlock::<L>::CAPACITY + k;
+                let bit = p * outputs.len() + o as usize;
+                row[bit / 64] |= 1u64 << (bit % 64);
+            }
+        }
     }
 }
 
@@ -1197,7 +1405,8 @@ pub fn simulate_faults_threaded_stats(
     let run = dispatch_lanes!(lanes, L => detect::<_, _, L>(
         &model, faults, patterns, drop_detected, fan, &|| Ok(()), &|| {}
     ));
-    run.unwrap_or_else(|e: Infallible| match e {})
+    let (report, stats, _) = run.unwrap_or_else(|e: Infallible| match e {});
+    (report, stats)
 }
 
 /// The deterministic stream generator behind [`seeded_patterns`] and the
@@ -1257,13 +1466,10 @@ pub fn compact_reverse(
     patterns: &[Vec<bool>],
 ) -> Vec<Vec<bool>> {
     let graph = SimGraph::build(circuit);
-    let mut scratch = FaultSimScratch::for_graph(&graph, 1);
-    compact(
-        &StuckAt::new(circuit, &graph),
-        faults,
-        patterns,
-        &mut scratch,
-    )
+    let mut scratch = FaultSimScratch::for_graph(&graph);
+    let mut stems = ObsTable::new(&graph, 1, 0);
+    let model = StuckAt::new(circuit, &graph);
+    compact(&model, faults, patterns, &mut scratch, &mut stems)
 }
 
 /// The one reverse-order compaction loop, under either fault model:
@@ -1275,6 +1481,7 @@ pub(crate) fn compact<M: FaultModel<1>>(
     faults: &[M::Fault],
     patterns: &[M::Pattern],
     scratch: &mut FaultSimScratch,
+    stems: &mut ObsTable<1>,
 ) -> Vec<M::Pattern>
 where
     M::Pattern: Clone,
@@ -1286,9 +1493,9 @@ where
             break;
         }
         let block = model.block(std::slice::from_ref(p));
-        scratch.reset_stems(model.graph(), 1);
+        stems.clear();
         let before = live.len();
-        live.retain(|f| model.detect_mask(*f, &block, 0, scratch).is_zero());
+        live.retain(|f| model.detect_mask(*f, &block, 0, scratch, stems).is_zero());
         if live.len() < before {
             kept.push(p.clone());
         }
@@ -1645,61 +1852,7 @@ mod tests {
         assert!(event.undetected.contains(&dead_sa0));
     }
 
-    /// Every fanout-free-region shape the stem kernel distinguishes:
-    /// every cell kind driving every pin of every cell kind through a
-    /// non-stem line, a four-gate fanout-free chain, POs with pin fanout
-    /// one and two, one signal on two pins of one gate (`Xor2(n, n)`,
-    /// `Maj3(m, m, b)`), a dead cone, and PIs that are also POs (one of
-    /// them read by gates too).
-    fn ffr_zoo() -> Circuit {
-        use CellKind::{Inv, Maj3, Nand2, Nor2, Xor2, Xor3};
-        let kinds = [Inv, Nand2, Nor2, Xor2, Xor3, Maj3];
-        let mut c = Circuit::new();
-        let pi: Vec<SignalId> = (0..5).map(|i| c.add_input(format!("i{i}"))).collect();
-        let pick = |n: usize, from: usize| -> Vec<SignalId> {
-            (0..n).map(|j| pi[(from + j) % pi.len()]).collect()
-        };
-        for (d, &driver) in kinds.iter().enumerate() {
-            for (u, &user) in kinds.iter().enumerate() {
-                for pin in 0..user.input_count() {
-                    let tag = format!("{d}_{u}_{pin}");
-                    let ins = pick(driver.input_count(), d + pin);
-                    let line = c.add_gate(driver, format!("d{tag}"), &ins);
-                    let mut ins = pick(user.input_count(), d + u + 1);
-                    ins[pin] = line;
-                    let out = c.add_gate(user, format!("u{tag}"), &ins);
-                    c.mark_output(out);
-                }
-            }
-        }
-        let ch1 = c.add_gate(Nor2, "ch1", &[pi[0], pi[1]]);
-        let ch2 = c.add_gate(Maj3, "ch2", &[ch1, pi[2], pi[3]]);
-        let ch3 = c.add_gate(Nand2, "ch3", &[pi[4], ch2]);
-        let ch4 = c.add_gate(Xor3, "ch4", &[ch3, pi[0], pi[2]]);
-        c.mark_output(ch4);
-        let po1 = c.add_gate(Inv, "po1", &[pi[0]]);
-        c.mark_output(po1);
-        let after1 = c.add_gate(Nand2, "after1", &[po1, pi[1]]);
-        c.mark_output(after1);
-        let po2 = c.add_gate(Nand2, "po2", &[pi[1], pi[3]]);
-        c.mark_output(po2);
-        let after2 = c.add_gate(Inv, "after2", &[po2]);
-        let join = c.add_gate(Nor2, "join", &[po2, after2]);
-        c.mark_output(join);
-        let n = c.add_gate(Nand2, "n", &[pi[0], pi[3]]);
-        let xnn = c.add_gate(Xor2, "xnn", &[n, n]);
-        let seen = c.add_gate(Xor2, "seen", &[xnn, pi[4]]);
-        c.mark_output(seen);
-        let m = c.add_gate(Nor2, "m", &[pi[1], pi[2]]);
-        let mmb = c.add_gate(Maj3, "mmb", &[m, m, pi[4]]);
-        c.mark_output(mmb);
-        let dead = c.add_gate(Inv, "dead", &[mmb]);
-        let _dead2 = c.add_gate(Nand2, "dead2", &[dead, pi[0]]);
-        c.mark_output(pi[3]);
-        let lone = c.add_input("lone");
-        c.mark_output(lone);
-        c
-    }
+    include!("../tests/common/mod.rs");
 
     #[test]
     fn stem_kernel_matches_the_full_pass_on_every_region_shape() {
@@ -2020,6 +2173,136 @@ mod tests {
                 simulate_faults_threaded_stats(&c, &faults, &patterns, drop_detected, 4, 1);
             assert_eq!(serial, steal, "drop = {drop_detected}");
             assert!(stats.chunks > 0 && stats.chunk_size > 0);
+        }
+    }
+
+    /// Whether some window of `lanes` consecutive stems holds a member
+    /// that another member drives directly, so one flip must reach a
+    /// signal that carries a flip of its own.
+    fn has_nested_group(graph: &SimGraph, lanes: usize) -> bool {
+        (0..graph.stem_count()).any(|stem| {
+            graph.consumers(graph.stem_signal(stem)).iter().any(|&g| {
+                let out = graph.gate_output(GateId(g as usize));
+                let t = graph.stem_of(out);
+                graph.stem_signal(t) == out && t > stem && t - stem < lanes
+            })
+        })
+    }
+
+    /// One `K`-lane pass over every window of `K` consecutive stems
+    /// (the last ones short) against one single-stem pass per member:
+    /// the same per-output difference words and the same saturating
+    /// detection masks, lane for lane.
+    fn lanes_match_single_stem_passes<const K: usize>(c: &Circuit, patterns: &[Vec<bool>]) {
+        let graph = SimGraph::build(c);
+        let outputs = c.primary_outputs();
+        let gb = GoodBlock::<1>::new(c, patterns);
+        let mask = gb.block.mask();
+        let mut wide = FaultSimScratch::<1>::for_graph(&graph);
+        let mut one = FaultSimScratch::<1>::for_graph(&graph);
+        let n = graph.stem_count();
+        for first in 0..n {
+            let members = first..(first + K).min(n);
+            stem_pass::<1, K, false>(&graph, members.clone(), mask, &gb.good, &mut wide);
+            let diffs: Vec<_> = (0..members.len())
+                .map(|k| wide.lane_diffs(k, K, outputs, &gb))
+                .collect();
+            let detect =
+                stem_pass::<1, K, true>(&graph, members.clone(), mask, &gb.good, &mut wide);
+            for (k, stem) in members.enumerate() {
+                stem_pass::<1, 1, false>(&graph, stem..stem + 1, mask, &gb.good, &mut one);
+                assert_eq!(
+                    diffs[k],
+                    one.lane_diffs(0, 1, outputs, &gb),
+                    "stem {stem} of {first}"
+                );
+                let [alone] =
+                    stem_pass::<1, 1, true>(&graph, stem..stem + 1, mask, &gb.good, &mut one);
+                assert_eq!(detect[k], alone, "stem {stem} of {first}, K = {K}");
+            }
+        }
+    }
+
+    #[test]
+    fn stem_lane_passes_match_single_stem_passes() {
+        use sinw_switch::generate::array_multiplier;
+        for c in [ffr_zoo(), array_multiplier(6), Circuit::ripple_adder(4)] {
+            let graph = SimGraph::build(&c);
+            assert!(
+                has_nested_group(&graph, 2),
+                "a member inside another's cone"
+            );
+            let patterns = seeded_patterns(c.primary_inputs().len(), 50, 31);
+            lanes_match_single_stem_passes::<2>(&c, &patterns);
+            lanes_match_single_stem_passes::<DETECT_LANES>(&c, &patterns);
+            lanes_match_single_stem_passes::<CAPTURE_LANES>(&c, &patterns);
+        }
+    }
+
+    /// The kernel's work counters as a host-independent record of the
+    /// stem lanes: capture runs one pass per group of `CAPTURE_LANES`
+    /// stems per block, with fewer gate evaluations than one stem per
+    /// pass, and a run does the same work on one worker as on several.
+    #[test]
+    fn stem_lanes_cut_kernel_work_on_any_worker_count() {
+        use crate::collapse::collapse;
+        use sinw_switch::generate::array_multiplier;
+        let c = array_multiplier(8);
+        let graph = SimGraph::build(&c);
+        let faults = collapse(&c, &enumerate_stuck_at(&c)).representatives;
+        let patterns = seeded_patterns(c.primary_inputs().len(), 100, 8);
+        let model = StuckAt::new(&c, &graph);
+        let never = || Ok::<(), Infallible>(());
+        let (sig, _, work) =
+            capture::<_, _, 1>(&model, &faults, &patterns, ONE_WORKER, &never, &|| {})
+                .unwrap_or_else(|e| match e {});
+        let blocks = patterns.len().div_ceil(64);
+        let groups = graph.stem_count().div_ceil(CAPTURE_LANES);
+        assert_eq!(work.passes, (blocks * groups) as u64);
+
+        // The same rows from one stem per pass, through the same row loop.
+        let gbs: Vec<GoodBlock<1>> = patterns.chunks(64).map(|p| model.block(p)).collect();
+        let single = DiffTable::new(&graph, blocks, 0);
+        let mut scratch = FaultSimScratch::for_graph(&graph);
+        let mut row = vec![0u64; sig.words_per_row()];
+        for (fi, &fault) in faults.iter().enumerate() {
+            row.fill(0);
+            let outputs = c.primary_outputs();
+            signature_row(
+                &model,
+                &graph,
+                outputs,
+                &gbs,
+                &single,
+                &mut scratch,
+                fault,
+                &mut row,
+            );
+            assert_eq!(row, sig.row(fi), "{}", fault.describe(&c));
+        }
+        let alone = scratch.take_work();
+        assert!(
+            alone.passes > work.passes && alone.evals > work.evals,
+            "{alone:?} vs {work:?}"
+        );
+
+        for threads in [2, 3] {
+            let fan = stealing(threads, faults.len());
+            let (threaded, _, w) =
+                capture::<_, _, 1>(&model, &faults, &patterns, fan, &never, &|| {})
+                    .unwrap_or_else(|e| match e {});
+            assert_eq!(threaded, sig);
+            assert_eq!(w, work, "capture on {threads} workers");
+            for drop in [false, true] {
+                let run = |fan| {
+                    detect::<_, _, 1>(&model, &faults, &patterns, drop, fan, &never, &|| {})
+                        .unwrap_or_else(|e| match e {})
+                };
+                let (report, _, one) = run(ONE_WORKER);
+                let (threaded, _, many) = run(fan);
+                assert_eq!(threaded, report);
+                assert_eq!(many, one, "detection on {threads} workers, drop = {drop}");
+            }
         }
     }
 }

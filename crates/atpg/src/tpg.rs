@@ -41,7 +41,8 @@
 use crate::collapse::{collapse, CollapsedFaults};
 use crate::fault_list::{enumerate_stuck_at, StuckAtFault};
 use crate::faultsim::{
-    compact, simulate_faults_with_graph_lanes, FaultModel, FaultSimScratch, SplitMix64, StuckAt,
+    compact, simulate_faults_with_graph_lanes, FaultModel, FaultSimScratch, ObsTable, SplitMix64,
+    StuckAt,
 };
 use crate::graph::SimGraph;
 use crate::podem::{generate_test, PodemConfig, PodemResult};
@@ -243,6 +244,8 @@ pub(crate) struct Campaign<'m, M: FaultModel<1>> {
     /// The random-pattern and fill stream.
     rng: SplitMix64,
     scratch: FaultSimScratch,
+    /// The current block's stem results, one stem per pass.
+    stems: ObsTable<1>,
     /// PODEM invocations so far.
     pub(crate) podem_calls: usize,
 }
@@ -258,7 +261,8 @@ where
             faults,
             statuses: vec![FaultStatus::Undetected; faults.len()],
             rng: SplitMix64::new(seed),
-            scratch: FaultSimScratch::for_graph(model.graph(), 1),
+            scratch: FaultSimScratch::for_graph(model.graph()),
+            stems: ObsTable::new(model.graph(), 1, 0),
             podem_calls: 0,
         }
     }
@@ -274,13 +278,15 @@ where
     /// detecting pattern of each newly dropped fault.
     fn drop_detected(&mut self, patterns: &[M::Pattern], credit: FaultStatus) -> u64 {
         let block = self.model.block(patterns);
-        self.scratch.reset_stems(self.model.graph(), 1);
+        self.stems.clear();
         let mut credited = 0u64;
         for (status, fault) in self.statuses.iter_mut().zip(self.faults) {
             if *status != FaultStatus::Undetected {
                 continue;
             }
-            let mask = self.model.detect_mask(*fault, &block, 0, &mut self.scratch);
+            let mask = self
+                .model
+                .detect_mask(*fault, &block, 0, &mut self.scratch, &self.stems);
             if mask.any() {
                 *status = credit;
                 credited |= 1u64 << mask.trailing_zeros();
@@ -381,7 +387,13 @@ where
             .filter(|(_, s)| s.is_detected())
             .map(|(f, _)| *f)
             .collect();
-        compact(self.model, &live, patterns, &mut self.scratch)
+        compact(
+            self.model,
+            &live,
+            patterns,
+            &mut self.scratch,
+            &mut self.stems,
+        )
     }
 }
 

@@ -1,6 +1,8 @@
 //! Property-based tests of the ATPG substrate: PODEM soundness and
 //! completeness on random circuits, and engine agreement.
 
+mod common;
+
 use proptest::prelude::*;
 use sinw_atpg::collapse::collapse;
 use sinw_atpg::diagnose::{full_pass_observations, FaultDictionary};
@@ -582,6 +584,70 @@ proptest! {
                 "{} row diverges from the oracle",
                 fault.describe(&c)
             );
+        }
+    }
+
+    /// Capture's stem lanes against the whole-circuit oracles: one
+    /// event pass carries several stems of a block (one per stem lane),
+    /// so groups hold stems inside other members' cones, dead stems no
+    /// output sees, and a short last group. On random circuits and the
+    /// fanout-free-region zoo, every (fault, pattern, output) bit at
+    /// every lane width, on one worker and several, equals
+    /// `full_pass_observations`, and a row is nonzero exactly when
+    /// `simulate_faults_full_pass` detects its fault.
+    #[test]
+    fn signature_capture_stem_lanes_match_full_pass_responses(
+        seed in proptest::collection::vec(any::<u8>(), 24),
+        zoo in any::<bool>(),
+        n_gates in 8usize..64,
+        n_patterns in 1usize..300,
+        keep_one_in in 1usize..4,
+        threads in 2usize..5,
+    ) {
+        let c = if zoo { common::ffr_zoo() } else { random_circuit(6, n_gates, &seed) };
+        let n_pi = c.primary_inputs().len();
+        let universe = enumerate_stuck_at(&c);
+        let faults: Vec<_> = universe
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % keep_one_in == 0)
+            .map(|(_, f)| *f)
+            .collect();
+        let pattern_seed = seed.iter().fold(29u64, |acc, b| acc.rotate_left(11) ^ u64::from(*b));
+        let patterns = seeded_patterns(n_pi, n_patterns, pattern_seed);
+        let oracle = simulate_faults_full_pass(&c, &faults, &patterns, false);
+        // The oracle's failing (pattern, output) probes as packed rows:
+        // bit `pattern * outputs + output`.
+        let n_out = c.primary_outputs().len();
+        let words = (patterns.len() * n_out).div_ceil(64);
+        let rows: Vec<Vec<u64>> = faults
+            .iter()
+            .map(|&fault| {
+                let mut row = vec![0u64; words];
+                for (p, o) in full_pass_observations(&c, fault, &patterns) {
+                    let bit = p * n_out + o;
+                    row[bit / 64] |= 1 << (bit % 64);
+                }
+                row
+            })
+            .collect();
+        for lanes in SUPPORTED_LANES {
+            for workers in [1, threads] {
+                let sig = capture_signatures_threaded_lanes(&c, &faults, &patterns, workers, lanes);
+                let detected: Vec<usize> =
+                    (0..faults.len()).filter(|&fi| sig.is_detected(fi)).collect();
+                prop_assert_eq!(&detected, &oracle.detected, "L = {}, T = {}", lanes, workers);
+                for (fi, expected) in rows.iter().enumerate() {
+                    prop_assert_eq!(
+                        sig.row(fi),
+                        &expected[..],
+                        "{} at L = {}, T = {}",
+                        faults[fi].describe(&c),
+                        lanes,
+                        workers
+                    );
+                }
+            }
         }
     }
 }

@@ -273,16 +273,29 @@ pub(crate) fn encode_container(
     payload: impl FnOnce(&mut Vec<u8>),
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN);
+    encode_container_into(&mut out, magic, version, kind, payload);
+    out
+}
+
+/// [`encode_container`] into `out`, replacing its contents, so a caller
+/// that keeps `out` reuses its memory from container to container.
+pub(crate) fn encode_container_into(
+    out: &mut Vec<u8>,
+    magic: [u8; 4],
+    version: u16,
+    kind: u16,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    out.clear();
     out.extend_from_slice(&magic);
-    put_u16(&mut out, version);
-    put_u16(&mut out, kind);
+    put_u16(out, version);
+    put_u16(out, kind);
     out.resize(HEADER_LEN, 0);
-    payload(&mut out);
+    payload(out);
     let len = (out.len() - HEADER_LEN) as u64;
     let sum = checksum(&out[HEADER_LEN..]);
     out[8..16].copy_from_slice(&len.to_le_bytes());
     out[16..24].copy_from_slice(&sum.to_le_bytes());
-    out
 }
 
 /// A validated header: magic and version match, and the declared

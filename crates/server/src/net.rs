@@ -56,7 +56,7 @@ use crate::session::{SessionError, SessionLimits, SessionManager};
 use crate::snapshot::Snapshot;
 use crate::store::SnapshotStore;
 use crate::wire::{
-    self, ErrorCode, FrameEvent, Request, Response, WireJob, WireOutcome, WireStats,
+    self, ErrorCode, FrameEvent, Incoming, Put, Request, Response, WireJob, WireOutcome, WireStats,
 };
 use crate::{failpoint, lock_clean};
 
@@ -269,10 +269,22 @@ impl Drop for SessionCloser<'_> {
     }
 }
 
+/// One served connection: its socket and the two frame buffers it
+/// keeps across requests, so a large response or request is not
+/// written into, or read into, freshly allocated memory each time.
+struct Conn {
+    stream: TcpStream,
+    /// The response being written.
+    frame: Vec<u8>,
+    /// The payload of the request being read.
+    payload: Vec<u8>,
+}
+
 /// Send one response, honoring the `net.frame.write` fail point.
-fn send(stream: &mut TcpStream, response: &Response) -> Result<(), CodecError> {
+fn send<W: Put>(conn: &mut Conn, response: &Response<W>) -> Result<(), CodecError> {
     failpoint::hit("net.frame.write").map_err(std::io::Error::from)?;
-    Ok(stream.write_all(&response.frame())?)
+    response.frame_into(&mut conn.frame);
+    Ok(conn.stream.write_all(&conn.frame)?)
 }
 
 /// Intra-job workers for a wire-supplied thread count: at least one, at
@@ -346,11 +358,16 @@ fn registered(
 }
 
 /// One connection's request → response loop.
-fn handle_connection(shared: &Arc<ServerShared>, mut stream: TcpStream) {
+fn handle_connection(shared: &Arc<ServerShared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
     }
+    let mut conn = Conn {
+        stream,
+        frame: Vec::new(),
+        payload: Vec::new(),
+    };
     let session = shared.sessions.open();
     let _closer = SessionCloser {
         sessions: &shared.sessions,
@@ -361,13 +378,14 @@ fn handle_connection(shared: &Arc<ServerShared>, mut stream: TcpStream) {
     loop {
         if failpoint::hit("net.frame.read").is_err() {
             let _ = send(
-                &mut stream,
+                &mut conn,
                 &error_response(ErrorCode::BadFrame, "injected read fault"),
             );
             return;
         }
-        match wire::read_frame(&mut stream, wire::DEFAULT_MAX_PAYLOAD) {
-            Ok(FrameEvent::Idle) => {
+        let max = wire::DEFAULT_MAX_PAYLOAD;
+        match wire::read_frame_into(&mut conn.stream, max, &mut conn.payload) {
+            Ok(Incoming::Idle) => {
                 // The one idle rule: close when draining or idle past the
                 // timeout, and never while a job is in flight.
                 let quiet = shared.draining.load(Ordering::SeqCst)
@@ -376,27 +394,23 @@ fn handle_connection(shared: &Arc<ServerShared>, mut stream: TcpStream) {
                     return;
                 }
             }
-            Ok(FrameEvent::Closed) => return,
-            Ok(FrameEvent::Frame {
-                frame_type,
-                payload,
-            }) => {
+            Ok(Incoming::Closed) => return,
+            Ok(Incoming::Frame(frame_type)) => {
                 last_active = Instant::now();
-                let served = match Request::decode(frame_type, &payload) {
-                    Ok(request) => {
-                        handle_request(shared, session, &mut stream, request, payload.len() as u64)
-                    }
+                let payload_len = conn.payload.len() as u64;
+                let served = match Request::decode(frame_type, &conn.payload) {
+                    Ok(request) => handle_request(shared, session, &mut conn, request, payload_len),
                     Err(e @ CodecError::UnknownFrameType { .. }) => {
                         // Well-framed, just not a request we serve: the
                         // stream is still synchronized, so the
                         // connection keeps serving.
                         send(
-                            &mut stream,
+                            &mut conn,
                             &error_response(ErrorCode::UnknownRequest, e.to_string()),
                         )
                     }
                     Err(e) => send(
-                        &mut stream,
+                        &mut conn,
                         &error_response(ErrorCode::BadFrame, e.to_string()),
                     ),
                 };
@@ -409,7 +423,7 @@ fn handle_connection(shared: &Arc<ServerShared>, mut stream: TcpStream) {
                 // can no longer be trusted. Best-effort typed error,
                 // then close this connection (the server lives on).
                 let _ = send(
-                    &mut stream,
+                    &mut conn,
                     &error_response(ErrorCode::BadFrame, e.to_string()),
                 );
                 return;
@@ -423,24 +437,24 @@ fn handle_connection(shared: &Arc<ServerShared>, mut stream: TcpStream) {
 fn handle_request(
     shared: &Arc<ServerShared>,
     session: u64,
-    stream: &mut TcpStream,
+    conn: &mut Conn,
     request: Request,
     payload_len: u64,
 ) -> Result<(), CodecError> {
     match request {
         Request::RegisterBench { name, source } => {
             if let Err(e) = shared.sessions.check_bytes(session, payload_len) {
-                return send(stream, &session_error_response(&e));
+                return send(conn, &session_error_response(&e));
             }
             let response = match shared.registry.register_bench(&name, &source) {
                 Ok(artifact) => registered(shared, session, payload_len, &artifact),
                 Err(e) => registry_error_response(&e),
             };
-            send(stream, &response)
+            send(conn, &response)
         }
         Request::RegisterSnapshot { bytes } => {
             if let Err(e) = shared.sessions.check_bytes(session, payload_len) {
-                return send(stream, &session_error_response(&e));
+                return send(conn, &session_error_response(&e));
             }
             let response = match Snapshot::decode(&bytes) {
                 Ok(snapshot) => {
@@ -450,17 +464,17 @@ fn handle_request(
                 }
                 Err(e) => error_response(ErrorCode::SnapshotRejected, e.to_string()),
             };
-            send(stream, &response)
+            send(conn, &response)
         }
         Request::SubmitJob(job) => {
             if shared.draining.load(Ordering::SeqCst) {
                 return send(
-                    stream,
+                    conn,
                     &error_response(ErrorCode::Draining, "server is draining"),
                 );
             }
             if let Err(e) = shared.sessions.check_job_slot(session) {
-                return send(stream, &session_error_response(&e));
+                return send(conn, &session_error_response(&e));
             }
             let (key, timeout_ms) = match &job {
                 WireJob::FaultSim {
@@ -474,14 +488,14 @@ fn handle_request(
                 } => (*key, *timeout_ms),
             };
             let Some(compiled) = shared.registry.get(key) else {
-                return send(stream, &unknown_key(key));
+                return send(conn, &unknown_key(key));
             };
             let n_pi = compiled.circuit().primary_inputs().len();
             if let WireJob::FaultSim { patterns, .. } | WireJob::Signatures { patterns, .. } = &job
             {
                 if patterns.iter().any(|p| p.len() != n_pi) {
                     return send(
-                        stream,
+                        conn,
                         &error_response(
                             ErrorCode::BadFrame,
                             format!("patterns must be {n_pi} bits wide for this circuit"),
@@ -525,7 +539,7 @@ fn handle_request(
             let job_id = handle.id();
             let _ = shared.sessions.attach_job(session, handle);
             shared.jobs_submitted.fetch_add(1, Ordering::SeqCst);
-            send(stream, &Response::Submitted { job: job_id })
+            send(conn, &Response::<Vec<u64>>::Submitted { job: job_id })
         }
         Request::JobProgress { job } | Request::CancelJob { job } => {
             match shared.sessions.job(session, job) {
@@ -534,9 +548,9 @@ fn handle_request(
                         handle.cancel();
                     }
                     let p = handle.progress();
-                    send(stream, &progress_frame(job, p, handle.is_finished()))
+                    send(conn, &progress_frame(job, p, handle.is_finished()))
                 }
-                Err(e) => send(stream, &session_error_response(&e)),
+                Err(e) => send(conn, &session_error_response(&e)),
             }
         }
         Request::AwaitJob { job } => match shared.sessions.job(session, job) {
@@ -545,7 +559,7 @@ fn handle_request(
                 // change, then the terminal (finished) frame and the
                 // outcome.
                 let mut last = handle.progress();
-                send(stream, &progress_frame(job, last, false))?;
+                send(conn, &progress_frame(job, last, false))?;
                 let outcome = loop {
                     if let Some(outcome) = handle.outcome_within(PROGRESS_POLL) {
                         break outcome;
@@ -556,35 +570,35 @@ fn handle_request(
                     let p = handle.progress();
                     if p != last {
                         last = p;
-                        send(stream, &progress_frame(job, p, false))?;
+                        send(conn, &progress_frame(job, p, false))?;
                     }
                 };
                 let p = handle.progress();
-                send(stream, &progress_frame(job, p, true))?;
+                send(conn, &progress_frame(job, p, true))?;
                 send(
-                    stream,
+                    conn,
                     &Response::Outcome {
                         job,
-                        outcome: WireOutcome::from_outcome(&outcome),
+                        outcome: WireOutcome::borrowed(&outcome),
                     },
                 )
             }
-            Err(e) => send(stream, &session_error_response(&e)),
+            Err(e) => send(conn, &session_error_response(&e)),
         },
         Request::FetchSnapshot { key } => match shared.registry.get(key) {
             Some(artifact) => send(
-                stream,
-                &Response::SnapshotBytes {
-                    bytes: artifact.snapshot().encode(),
+                conn,
+                &Response::<Vec<u64>>::SnapshotBytes {
+                    bytes: artifact.snapshot_bytes(),
                 },
             ),
-            None => send(stream, &unknown_key(key)),
+            None => send(conn, &unknown_key(key)),
         },
         Request::Stats => {
             let r = shared.registry.stats();
             send(
-                stream,
-                &Response::StatsReport(WireStats {
+                conn,
+                &Response::<Vec<u64>>::StatsReport(WireStats {
                     sessions: shared.sessions.len() as u64,
                     jobs_submitted: shared.jobs_submitted.load(Ordering::SeqCst),
                     hits: r.hits,
@@ -657,6 +671,10 @@ fn unexpected(wanted: &str, got: &Response) -> ClientError {
 pub struct NetClient {
     stream: TcpStream,
     max_payload: u64,
+    /// The request being written, kept across requests.
+    frame: Vec<u8>,
+    /// The payload of the response being read, kept across responses.
+    payload: Vec<u8>,
 }
 
 impl std::fmt::Debug for NetClient {
@@ -681,26 +699,26 @@ impl NetClient {
         Ok(NetClient {
             stream,
             max_payload: wire::DEFAULT_MAX_PAYLOAD,
+            frame: Vec::new(),
+            payload: Vec::new(),
         })
     }
 
     fn request(&mut self, request: &Request) -> Result<(), ClientError> {
+        request.frame_into(&mut self.frame);
         self.stream
-            .write_all(&request.frame())
+            .write_all(&self.frame)
             .map_err(CodecError::from)?;
         Ok(())
     }
 
     fn recv(&mut self) -> Result<Response, ClientError> {
-        match wire::read_frame(&mut self.stream, self.max_payload)? {
-            FrameEvent::Frame {
-                frame_type,
-                payload,
-            } => Ok(Response::decode(frame_type, &payload)?),
-            FrameEvent::Closed => Err(ClientError::Protocol {
+        match wire::read_frame_into(&mut self.stream, self.max_payload, &mut self.payload)? {
+            Incoming::Frame(frame_type) => Ok(Response::decode(frame_type, &self.payload)?),
+            Incoming::Closed => Err(ClientError::Protocol {
                 detail: String::from("server closed the connection mid-exchange"),
             }),
-            FrameEvent::Idle => Err(ClientError::Protocol {
+            Incoming::Idle => Err(ClientError::Protocol {
                 detail: String::from("timed out waiting for a response frame"),
             }),
         }

@@ -46,7 +46,7 @@
 //! empty and **retryable**, and no lock is left poisoned (all registry
 //! locks recover from poisoning).
 
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Snapshot, SnapshotParts};
 use crate::{failpoint, lock_clean};
 use sinw_atpg::collapse::{collapse, CollapsedFaults};
 use sinw_atpg::fault_list::{enumerate_stuck_at, StuckAtFault};
@@ -165,6 +165,19 @@ impl CompiledCircuit {
             collapsed: Some(self.collapsed.clone()),
             dictionary: None,
         }
+    }
+
+    /// The `.sinw` bytes of [`CompiledCircuit::snapshot`], encoded from
+    /// this artifact's own parts without cloning them.
+    pub(crate) fn snapshot_bytes(&self) -> Vec<u8> {
+        SnapshotParts {
+            name: &self.name,
+            circuit: &self.circuit,
+            faults: &self.faults,
+            collapsed: Some(&self.collapsed),
+            dictionary: None,
+        }
+        .encode()
     }
 
     /// Restore an artifact from a decoded [`Snapshot`], reusing the

@@ -138,17 +138,22 @@ pub fn canonical_circuit_bytes(circuit: &Circuit) -> Vec<u8> {
     out
 }
 
-impl Snapshot {
+/// A snapshot's parts, borrowed: the one `.sinw` writer, behind both
+/// [`Snapshot::encode`] and the registry's artifacts, which encode
+/// straight from their own parts instead of cloning them into a
+/// [`Snapshot`] first.
+pub(crate) struct SnapshotParts<'a> {
+    pub(crate) name: &'a str,
+    pub(crate) circuit: &'a Circuit,
+    pub(crate) faults: &'a [StuckAtFault],
+    pub(crate) collapsed: Option<&'a CollapsedFaults>,
+    pub(crate) dictionary: Option<&'a FaultDictionary>,
+}
+
+impl SnapshotParts<'_> {
     /// Encode into a self-contained `.sinw` byte string (header +
-    /// checksummed payload).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any count exceeds `u32::MAX` — beyond the format's
-    /// addressing, and orders of magnitude beyond any circuit in the
-    /// workspace.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
+    /// checksummed payload). See [`Snapshot::encode`].
+    pub(crate) fn encode(&self) -> Vec<u8> {
         // Panic / delay injection site; an `ioerr` arm is meaningless
         // here (encoding is infallible) and is deliberately ignored.
         let _ = crate::failpoint::hit("snapshot.encode");
@@ -158,15 +163,15 @@ impl Snapshot {
     }
 
     fn put_payload(&self, payload: &mut Vec<u8>) {
-        put_str(payload, &self.name);
-        put_circuit(payload, &self.circuit);
+        put_str(payload, self.name);
+        put_circuit(payload, self.circuit);
 
         put_count(payload, self.faults.len(), "fault");
-        for &fault in &self.faults {
+        for &fault in self.faults {
             put_fault(payload, fault);
         }
 
-        match &self.collapsed {
+        match self.collapsed {
             None => payload.push(0),
             Some(collapsed) => {
                 payload.push(1);
@@ -181,7 +186,7 @@ impl Snapshot {
             }
         }
 
-        match &self.dictionary {
+        match self.dictionary {
             None => payload.push(0),
             Some(dict) => {
                 payload.push(1);
@@ -199,6 +204,28 @@ impl Snapshot {
                 }
             }
         }
+    }
+}
+
+impl Snapshot {
+    /// Encode into a self-contained `.sinw` byte string (header +
+    /// checksummed payload).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any count exceeds `u32::MAX` — beyond the format's
+    /// addressing, and orders of magnitude beyond any circuit in the
+    /// workspace.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        SnapshotParts {
+            name: &self.name,
+            circuit: &self.circuit,
+            faults: &self.faults,
+            collapsed: self.collapsed.as_ref(),
+            dictionary: self.dictionary.as_ref(),
+        }
+        .encode()
     }
 
     /// Decode a `.sinw` byte string.

@@ -28,8 +28,8 @@ use sinw_atpg::faultsim::{FaultSimReport, SignatureMatrix};
 use sinw_atpg::tpg::AtpgReport;
 
 use crate::codec::{
-    encode_container, parse_header, put_count, put_str, put_u16, put_u32, put_u64, CodecError,
-    Reader, HEADER_LEN,
+    encode_container, encode_container_into, parse_header, put_count, put_str, put_u16, put_u32,
+    put_u64, CodecError, Reader, HEADER_LEN,
 };
 use crate::jobs::JobOutcome;
 
@@ -126,11 +126,43 @@ pub fn encode_frame(frame_type: u16, payload: &[u8]) -> Vec<u8> {
 /// Any framing violation or socket failure maps to a typed
 /// [`CodecError`]; this function never panics.
 pub fn read_frame(r: &mut impl Read, max_payload: u64) -> Result<FrameEvent, CodecError> {
+    let mut payload = Vec::new();
+    Ok(match read_frame_into(r, max_payload, &mut payload)? {
+        Incoming::Frame(frame_type) => FrameEvent::Frame {
+            frame_type,
+            payload,
+        },
+        Incoming::Closed => FrameEvent::Closed,
+        Incoming::Idle => FrameEvent::Idle,
+    })
+}
+
+/// What [`read_frame_into`] observed: [`FrameEvent`] with the payload
+/// left in the caller's buffer.
+pub(crate) enum Incoming {
+    /// A complete, checksum-verified frame of this type.
+    Frame(u16),
+    /// See [`FrameEvent::Closed`].
+    Closed,
+    /// See [`FrameEvent::Idle`].
+    Idle,
+}
+
+/// [`read_frame`] into `payload`, a buffer the caller keeps across
+/// frames. It is emptied first and sized to the header's length after
+/// the cap check, so after an [`Incoming::Frame`] it holds exactly the
+/// verified payload and never a byte of an earlier frame.
+pub(crate) fn read_frame_into(
+    r: &mut impl Read,
+    max_payload: u64,
+    payload: &mut Vec<u8>,
+) -> Result<Incoming, CodecError> {
+    payload.clear();
     let mut header = [0u8; HEADER_LEN];
     let mut filled = 0usize;
     while filled < HEADER_LEN {
         match r.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(FrameEvent::Closed),
+            Ok(0) if filled == 0 => return Ok(Incoming::Closed),
             Ok(0) => {
                 return Err(CodecError::Truncated {
                     offset: filled,
@@ -147,14 +179,14 @@ pub fn read_frame(r: &mut impl Read, max_payload: u64) -> Result<FrameEvent, Cod
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
             {
-                return Ok(FrameEvent::Idle)
+                return Ok(Incoming::Idle)
             }
             Err(e) => return Err(e.into()),
         }
     }
     let header = parse_header(&header, WIRE_MAGIC, WIRE_VERSION, max_payload)?;
     let len = header.len;
-    let mut payload = vec![0u8; len];
+    payload.resize(len, 0);
     let mut got = 0usize;
     while got < len {
         match r.read(&mut payload[got..]) {
@@ -185,11 +217,8 @@ pub fn read_frame(r: &mut impl Read, max_payload: u64) -> Result<FrameEvent, Cod
             Err(e) => return Err(e.into()),
         }
     }
-    header.verify(&payload)?;
-    Ok(FrameEvent::Frame {
-        frame_type: header.kind,
-        payload,
-    })
+    header.verify(payload)?;
+    Ok(Incoming::Frame(header.kind))
 }
 
 /// Decode exactly one frame from an in-memory buffer. Unlike
@@ -209,36 +238,49 @@ pub fn decode_frame(bytes: &[u8], max_payload: u64) -> Result<(u16, Vec<u8>), Co
 // Fields
 // ---------------------------------------------------------------------
 
-/// One wire field type: how it is written and how it is read back.
-/// `context` names the field in a [`CodecError::Malformed`].
-trait Field: Sized {
+/// How one wire field type is written.
+pub(crate) trait Put {
     fn put(&self, out: &mut Vec<u8>);
+}
+
+/// How one wire field type is read back. `context` names the field in
+/// a [`CodecError::Malformed`].
+trait Get: Sized {
     fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, CodecError>;
 }
 
-impl Field for u32 {
+impl Put for u32 {
     fn put(&self, out: &mut Vec<u8>) {
         put_u32(out, *self);
     }
+}
+
+impl Get for u32 {
     fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, CodecError> {
         r.u32()
     }
 }
 
-impl Field for u64 {
+impl Put for u64 {
     fn put(&self, out: &mut Vec<u8>) {
         put_u64(out, *self);
     }
+}
+
+impl Get for u64 {
     fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, CodecError> {
         r.u64()
     }
 }
 
 /// One byte, strictly `0` or `1`.
-impl Field for bool {
+impl Put for bool {
     fn put(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
     }
+}
+
+impl Get for bool {
     fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, CodecError> {
         match r.u8()? {
             0 => Ok(false),
@@ -252,20 +294,26 @@ impl Field for bool {
 }
 
 /// `u32` byte length, then the UTF-8 bytes.
-impl Field for String {
+impl Put for String {
     fn put(&self, out: &mut Vec<u8>) {
         put_str(out, self);
     }
+}
+
+impl Get for String {
     fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, CodecError> {
         r.str(context)
     }
 }
 
 /// Raw bytes running to the end of the payload (a `.sinw` container).
-impl Field for Vec<u8> {
+impl Put for Vec<u8> {
     fn put(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self);
     }
+}
+
+impl Get for Vec<u8> {
     fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, CodecError> {
         Ok(r.take(r.remaining())?.to_vec())
     }
@@ -296,20 +344,35 @@ fn get_u64s<T>(
         .collect())
 }
 
-impl Field for Vec<u64> {
+impl Put for Vec<u64> {
     fn put(&self, out: &mut Vec<u8>) {
         put_u64s(out, self.iter().copied());
     }
+}
+
+/// A borrowed word list writes exactly as an owned one: how an
+/// outcome frame carries a job's signature words without copying them
+/// into a [`WireOutcome`] first.
+impl Put for &[u64] {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u64s(out, self.iter().copied());
+    }
+}
+
+impl Get for Vec<u64> {
     fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, CodecError> {
         get_u64s(r, context, |v| v)
     }
 }
 
 /// Indices travel as `u64`s.
-impl Field for Vec<usize> {
+impl Put for Vec<usize> {
     fn put(&self, out: &mut Vec<u8>) {
         put_u64s(out, self.iter().map(|&v| v as u64));
     }
+}
+
+impl Get for Vec<usize> {
     fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, CodecError> {
         get_u64s(r, context, |v| v as usize)
     }
@@ -321,7 +384,7 @@ impl Field for Vec<usize> {
 /// ragged jobs before encoding). A non-empty set of zero-width rows is
 /// malformed: it would allocate a row per count while consuming no
 /// bytes.
-impl Field for Vec<Vec<bool>> {
+impl Put for Vec<Vec<bool>> {
     fn put(&self, out: &mut Vec<u8>) {
         let width = self.first().map_or(0, Vec::len);
         put_count(out, self.len(), "pattern");
@@ -332,6 +395,9 @@ impl Field for Vec<Vec<bool>> {
             out.extend(p.iter().map(|&bit| u8::from(bit)));
         }
     }
+}
+
+impl Get for Vec<Vec<bool>> {
     fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, CodecError> {
         let n = r.u32()? as usize;
         let width = r.u32()? as usize;
@@ -355,10 +421,13 @@ impl Field for Vec<Vec<bool>> {
 }
 
 /// The `u16` on-wire code.
-impl Field for ErrorCode {
+impl Put for ErrorCode {
     fn put(&self, out: &mut Vec<u8>) {
         put_u16(out, self.code());
     }
+}
+
+impl Get for ErrorCode {
     fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, CodecError> {
         let raw = r.u16()?;
         ErrorCode::from_code(raw).ok_or_else(|| CodecError::Malformed {
@@ -369,13 +438,16 @@ impl Field for ErrorCode {
 }
 
 /// Nine `u64` counters, in declaration order.
-impl Field for WireStats {
+impl Put for WireStats {
     fn put(&self, out: &mut Vec<u8>) {
         let mut stats = *self;
         for v in stats.counters() {
             put_u64(out, *v);
         }
     }
+}
+
+impl Get for WireStats {
     fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, CodecError> {
         let mut stats = WireStats::default();
         for v in stats.counters() {
@@ -385,23 +457,32 @@ impl Field for WireStats {
     }
 }
 
-/// A message enum: a code naming the variant, then the variant's
-/// fields. Implemented by [`wire_fields!`].
-trait Message: Sized {
+/// A message enum's writer: a code naming the variant, then the
+/// variant's fields. Implemented by [`wire_fields!`].
+trait Encode {
     type Code;
     fn code(&self) -> Self::Code;
     fn put_fields(&self, out: &mut Vec<u8>);
+}
+
+/// A message enum's reader, the mirror of [`Encode`]. Implemented by
+/// [`wire_fields!`].
+trait Decode: Sized {
+    type Code;
     /// `None` when `code` names no variant.
     fn get_fields(code: Self::Code, r: &mut Reader<'_>) -> Result<Option<Self>, CodecError>;
 }
 
 /// A nested message ([`WireJob`], [`WireOutcome`]): a one-byte tag,
 /// then the variant's fields.
-impl<T: Message<Code = u8>> Field for T {
+impl<T: Encode<Code = u8>> Put for T {
     fn put(&self, out: &mut Vec<u8>) {
         out.push(self.code());
         self.put_fields(out);
     }
+}
+
+impl<T: Decode<Code = u8>> Get for T {
     fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, CodecError> {
         let tag = r.u8()?;
         T::get_fields(tag, r)?.ok_or_else(|| CodecError::Malformed {
@@ -413,13 +494,22 @@ impl<T: Message<Code = u8>> Field for T {
 
 /// One field list per message enum, in wire order:
 /// `code => Variant { field: binding "decode context", … }` (tuple
-/// variants name their field `0`). Implements [`Message`] from it, so
-/// the encoder and the decoder cannot disagree on the field order.
+/// variants name their field `0`). Implements [`Encode`] and [`Decode`]
+/// from it, so the encoder and the decoder cannot disagree on the field
+/// order. An enum generic over its signature-word list (`Name<W>`) gets
+/// its encoder for every word list that can [`Put`], owned or borrowed,
+/// and its decoder for the owned default.
 macro_rules! wire_fields {
-    ($ty:ident: $code_ty:ty {
+    ($ty:ident<$w:ident>: $($rest:tt)*) => {
+        wire_fields!(@impl [<$w: Put>] [$ty<$w>] $ty: $($rest)*);
+    };
+    ($ty:ident: $($rest:tt)*) => {
+        wire_fields!(@impl [] [$ty] $ty: $($rest)*);
+    };
+    (@impl [$($generics:tt)*] [$($self_ty:tt)*] $ty:ident: $code_ty:ty {
         $($code:expr => $variant:ident { $($field:tt: $bind:ident $ctx:literal),* $(,)? }),* $(,)?
     }) => {
-        impl Message for $ty {
+        impl $($generics)* Encode for $($self_ty)* {
             type Code = $code_ty;
 
             fn code(&self) -> $code_ty {
@@ -431,14 +521,18 @@ macro_rules! wire_fields {
             fn put_fields(&self, out: &mut Vec<u8>) {
                 match self {
                     $($ty::$variant { $($field: $bind),* } => {
-                        $(Field::put($bind, out);)*
+                        $(Put::put($bind, out);)*
                     })*
                 }
             }
+        }
+
+        impl Decode for $ty {
+            type Code = $code_ty;
 
             fn get_fields(code: $code_ty, r: &mut Reader<'_>) -> Result<Option<Self>, CodecError> {
                 $(if code == $code {
-                    return Ok(Some($ty::$variant { $($field: Field::get(r, $ctx)?),* }));
+                    return Ok(Some($ty::$variant { $($field: Get::get(r, $ctx)?),* }));
                 })*
                 Ok(None)
             }
@@ -582,10 +676,19 @@ impl Request {
 
     /// The bytes of `encode_frame(self.encode())`, with the fields
     /// written straight after the header instead of copied there.
+    #[cfg(test)]
     pub(crate) fn frame(&self) -> Vec<u8> {
-        encode_container(WIRE_MAGIC, WIRE_VERSION, self.code(), |out| {
+        let mut out = Vec::new();
+        self.frame_into(&mut out);
+        out
+    }
+
+    /// [`Request::frame`] into `out`, replacing its contents: a client
+    /// keeps one buffer across its requests.
+    pub(crate) fn frame_into(&self, out: &mut Vec<u8>) {
+        encode_container_into(out, WIRE_MAGIC, WIRE_VERSION, self.code(), |out| {
             self.put_fields(out);
-        })
+        });
     }
 
     /// Decode a request payload. Total: every malformed payload is a
@@ -676,9 +779,11 @@ impl std::fmt::Display for ErrorCode {
 /// A job's terminal outcome as it travels on the wire. Reports carry
 /// the fields the identity tests compare bit-for-bit; campaign wall
 /// times and per-fault statuses stay server-side (they are profiling
-/// detail, not results).
+/// detail, not results). `W` holds the signature words: owned by a
+/// decoded outcome, borrowed from the job's matrix when the server
+/// writes one.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireOutcome {
+pub enum WireOutcome<W = Vec<u64>> {
     /// Fault-simulation result (indices into the collapsed
     /// representative list).
     FaultSim {
@@ -698,7 +803,7 @@ pub enum WireOutcome {
         /// Number of primary outputs.
         outputs: u64,
         /// Row-major packed bits.
-        bits: Vec<u64>,
+        bits: W,
     },
     /// Campaign results (the deterministic fields; wall times stay
     /// server-side).
@@ -729,7 +834,7 @@ pub enum WireOutcome {
     },
 }
 
-wire_fields!(WireOutcome: u8 {
+wire_fields!(WireOutcome<W>: u8 {
     1 => FaultSim {
         detected: detected "detected faults",
         undetected: undetected "undetected faults",
@@ -757,15 +862,44 @@ wire_fields!(WireOutcome: u8 {
 
 impl WireOutcome {
     /// Project an engine [`JobOutcome`] onto its wire form — the
-    /// conversion the server applies before the final frame of an
-    /// `AwaitJob`, and the one identity tests apply to their in-process
-    /// reference outcomes.
+    /// conversion identity tests apply to their in-process reference
+    /// outcomes. The server writes the same bytes without copying the
+    /// signature words.
     #[must_use]
     pub fn from_outcome(outcome: &JobOutcome) -> Self {
+        Self::project(outcome, |matrix| matrix.bits().to_vec())
+    }
+
+    /// Wire form of a [`FaultSimReport`].
+    #[must_use]
+    pub fn from_fault_sim(report: &FaultSimReport) -> Self {
+        Self::project_fault_sim(report)
+    }
+
+    /// Wire form of a [`SignatureMatrix`].
+    #[must_use]
+    pub fn from_signatures(matrix: &SignatureMatrix) -> Self {
+        Self::project_signatures(matrix, matrix.bits().to_vec())
+    }
+}
+
+impl<'a> WireOutcome<&'a [u64]> {
+    /// [`WireOutcome::from_outcome`] with the signature words borrowed
+    /// from the job's matrix instead of copied: what the server writes
+    /// an `AwaitJob`'s outcome frame from.
+    pub(crate) fn borrowed(outcome: &'a JobOutcome) -> Self {
+        Self::project(outcome, SignatureMatrix::bits)
+    }
+}
+
+impl<W> WireOutcome<W> {
+    /// The one projection of a [`JobOutcome`], taking the signature
+    /// words through `words`.
+    fn project<'a>(outcome: &'a JobOutcome, words: impl FnOnce(&'a SignatureMatrix) -> W) -> Self {
         match outcome {
-            JobOutcome::FaultSim(report) => Self::from_fault_sim(report),
-            JobOutcome::Signatures(matrix) => Self::from_signatures(matrix),
-            JobOutcome::Campaign(report) => Self::from_campaign(report),
+            JobOutcome::FaultSim(report) => Self::project_fault_sim(report),
+            JobOutcome::Signatures(matrix) => Self::project_signatures(matrix, words(matrix)),
+            JobOutcome::Campaign(report) => Self::project_campaign(report),
             JobOutcome::Cancelled => WireOutcome::Cancelled,
             JobOutcome::TimedOut => WireOutcome::TimedOut,
             JobOutcome::Failed { reason } => WireOutcome::Failed {
@@ -774,9 +908,7 @@ impl WireOutcome {
         }
     }
 
-    /// Wire form of a [`FaultSimReport`].
-    #[must_use]
-    pub fn from_fault_sim(report: &FaultSimReport) -> Self {
+    fn project_fault_sim(report: &FaultSimReport) -> Self {
         WireOutcome::FaultSim {
             detected: report.detected.clone(),
             undetected: report.undetected.clone(),
@@ -784,19 +916,17 @@ impl WireOutcome {
         }
     }
 
-    /// Wire form of a [`SignatureMatrix`].
-    #[must_use]
-    pub fn from_signatures(matrix: &SignatureMatrix) -> Self {
+    fn project_signatures(matrix: &SignatureMatrix, bits: W) -> Self {
         WireOutcome::Signatures {
             faults: matrix.fault_count() as u64,
             patterns: matrix.pattern_count() as u64,
             outputs: matrix.output_count() as u64,
-            bits: matrix.bits().to_vec(),
+            bits,
         }
     }
 
     /// Wire form of an [`AtpgReport`] (deterministic fields only).
-    fn from_campaign(report: &AtpgReport) -> Self {
+    fn project_campaign(report: &AtpgReport) -> Self {
         WireOutcome::Campaign {
             patterns: report.patterns.clone(),
             total_faults: report.total_faults as u64,
@@ -851,8 +981,10 @@ impl WireStats {
 
 /// A server response, one frame each (an `AwaitJob` elicits a stream of
 /// [`Response::Progress`] frames capped by one [`Response::Outcome`]).
+/// `W` is the word list of an [`Response::Outcome`]'s signatures (see
+/// [`WireOutcome`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Response {
+pub enum Response<W = Vec<u64>> {
     /// A circuit was registered (or was already resident).
     Registered {
         /// Content-hash registry key — the handle every job names.
@@ -881,7 +1013,7 @@ pub enum Response {
         /// The finished job.
         job: u64,
         /// Its wire-form outcome.
-        outcome: WireOutcome,
+        outcome: WireOutcome<W>,
     },
     /// Raw `.sinw` snapshot bytes.
     SnapshotBytes {
@@ -900,7 +1032,7 @@ pub enum Response {
     },
 }
 
-wire_fields!(Response: u16 {
+wire_fields!(Response<W>: u16 {
     frame_type::REGISTERED => Registered {
         key: key "registry key",
         approx_bytes: approx_bytes "approx bytes",
@@ -933,14 +1065,6 @@ impl Response {
         (self.code(), out)
     }
 
-    /// The bytes of `encode_frame(self.encode())`, with the fields
-    /// written straight after the header instead of copied there.
-    pub(crate) fn frame(&self) -> Vec<u8> {
-        encode_container(WIRE_MAGIC, WIRE_VERSION, self.code(), |out| {
-            self.put_fields(out);
-        })
-    }
-
     /// Decode a response payload. Total, full-consumption, typed — the
     /// mirror of [`Request::decode`].
     ///
@@ -954,6 +1078,31 @@ impl Response {
             Self::get_fields(ty, &mut r)?.ok_or(CodecError::UnknownFrameType { found: ty })?;
         r.finish()?;
         Ok(resp)
+    }
+}
+
+impl<W> Response<W> {
+    /// The bytes of `encode_frame(self.encode())`, with the fields
+    /// written straight after the header instead of copied there.
+    #[cfg(test)]
+    pub(crate) fn frame(&self) -> Vec<u8>
+    where
+        W: Put,
+    {
+        let mut out = Vec::new();
+        self.frame_into(&mut out);
+        out
+    }
+
+    /// [`Response::frame`] into `out`, replacing its contents: a
+    /// connection keeps one buffer across its responses.
+    pub(crate) fn frame_into(&self, out: &mut Vec<u8>)
+    where
+        W: Put,
+    {
+        encode_container_into(out, WIRE_MAGIC, WIRE_VERSION, self.code(), |out| {
+            self.put_fields(out);
+        });
     }
 }
 
@@ -1188,6 +1337,25 @@ mod tests {
         assert_eq!(&Response::decode(ty, &payload).expect("decode"), response);
     }
 
+    /// The outcome frame the server writes from a job's shared outcome,
+    /// words borrowed and into a buffer that held a larger frame
+    /// before, equals `encode_frame` of the owned projection.
+    fn shared_outcome_frames_agree(job: u64, outcome: &JobOutcome) {
+        let owned = Response::Outcome {
+            job,
+            outcome: WireOutcome::from_outcome(outcome),
+        };
+        let (ty, payload) = owned.encode();
+        let expected = encode_frame(ty, &payload);
+        let mut kept = vec![0xA5; expected.len() + 4096];
+        Response::Outcome {
+            job,
+            outcome: WireOutcome::borrowed(outcome),
+        }
+        .frame_into(&mut kept);
+        assert!(kept == expected, "shared-outcome frame drifted");
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
 
@@ -1216,14 +1384,28 @@ mod tests {
             let index = |i: u64, n: usize| -> Vec<usize> {
                 words(seed ^ i, n).into_iter().map(|w| (w >> 40) as usize).collect()
             };
+            let report = FaultSimReport {
+                detected: index(1, lists[0]),
+                undetected: index(2, lists[1]),
+                first_detections: index(3, lists[2]),
+            };
             both_writers_agree(&Response::Outcome {
                 job: seed,
-                outcome: WireOutcome::FaultSim {
-                    detected: index(1, lists[0]),
-                    undetected: index(2, lists[1]),
-                    first_detections: index(3, lists[2]),
-                },
+                outcome: WireOutcome::from_fault_sim(&report),
             });
+
+            // The same outcomes as a job holds them.
+            let mut bits = words(seed, faults * row_words);
+            let tail = (patterns * outputs) % 64;
+            if tail != 0 {
+                for row in bits.chunks_exact_mut(row_words) {
+                    row[row_words - 1] &= (1u64 << tail) - 1;
+                }
+            }
+            let matrix = SignatureMatrix::from_raw_parts(faults, patterns, outputs, bits)
+                .expect("rows within the payload");
+            shared_outcome_frames_agree(seed, &JobOutcome::Signatures(matrix));
+            shared_outcome_frames_agree(seed, &JobOutcome::FaultSim(report));
         }
     }
 
